@@ -9,10 +9,10 @@ given by the gap of minimal L(. || r) values, and the posterior
 concentrates on total-variation neighborhoods of the candidates minimizing
 L(. || r) even when r is not on the grid.
 
-All log-likelihood accumulation is a running sum per candidate in
-observation order (np.cumsum carried across updates), so updating with one
-sample and then another gives bit-identical results to updating with their
-concatenation.
+The data enter only through per-atom counts over the shared support: the
+log posterior is log_prior + counts @ log W.T, one row of W per candidate.
+Counts add exactly, so updating with one sample and then another gives
+bit-identical results to one update with both, in any observation order.
 """
 
 from __future__ import annotations
@@ -24,8 +24,16 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .divergences import l_divergence
-from .errors import AllZeroLikelihood, AsymmetricConfig, InfiniteRate
-from .prob import Pmf, Sample, log_mass_table, make_pmf, mean_model, tv_distance
+from .errors import AllZeroLikelihood, AsymmetricConfig, DomainViolation, InfiniteRate
+from .prob import (
+    Pmf,
+    Sample,
+    counts_loglik,
+    log_mass_table,
+    make_pmf,
+    mean_model,
+    tv_distance,
+)
 from .projection import l_project_linear
 from .rng import rng_from
 
@@ -84,11 +92,15 @@ def make_prior_grid(candidates, weights=None) -> PriorGrid:
 
 @dataclass(frozen=True)
 class PosteriorState:
-    """Posterior over the grid after absorbing n observations."""
+    """Posterior over the grid given the per-atom counts of the data so far."""
 
     log_posterior: np.ndarray
     cum_loglik: np.ndarray
-    n: int
+    counts: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -102,29 +114,27 @@ class DecayReport:
     seed: int
 
 
-def _cum_blocks(prior: PriorGrid, carried: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Running per-candidate log-likelihood sums over the new observations,
-    starting from the carried totals; shape (k, len(values) + 1)."""
-    table = log_mass_table(prior.candidates, values)
-    seq = np.concatenate([carried[:, None], table], axis=1)
-    with np.errstate(invalid="ignore"):
-        return np.cumsum(seq, axis=1)
+def _posterior(prior: PriorGrid, counts: np.ndarray) -> PosteriorState:
+    cum = counts_loglik(log_mass_table(prior.candidates, prior.support), counts)
+    log_post = prior.log_prior + cum
+    norm = logsumexp(log_post)
+    if not math.isfinite(norm):
+        raise AllZeroLikelihood("every candidate assigns zero probability to the data")
+    return PosteriorState(log_posterior=log_post - norm, cum_loglik=cum, counts=counts)
 
 
 def posterior_update(
     prior: PriorGrid, sample: Sample, state: PosteriorState | None = None
 ) -> PosteriorState:
     """Absorb a sample into the (possibly already updated) posterior."""
-    carried = state.cum_loglik if state is not None else np.zeros(prior.k)
-    n0 = state.n if state is not None else 0
-    cum = _cum_blocks(prior, carried, sample.values())[:, -1]
-    log_post = prior.log_prior + cum
-    norm = logsumexp(log_post)
-    if not math.isfinite(norm):
+    sup, vals = prior.support, sample.values()
+    idx = np.minimum(np.searchsorted(sup, vals), sup.size - 1)
+    if not np.array_equal(sup[idx], vals):  # mass 0 under every candidate
         raise AllZeroLikelihood("every candidate assigns zero probability to the data")
-    return PosteriorState(
-        log_posterior=log_post - norm, cum_loglik=cum, n=n0 + sample.n
-    )
+    counts = np.bincount(idx, minlength=sup.size)
+    if state is not None:
+        counts = counts + state.counts
+    return _posterior(prior, counts)
 
 
 def map_candidate(state: PosteriorState) -> list:
@@ -150,30 +160,64 @@ def grid_l_projections(prior: PriorGrid, r: Pmf) -> tuple[np.ndarray, list]:
     return vals, idx
 
 
-def _rate_path(
-    prior: PriorGrid,
-    member_mask: np.ndarray,
-    r: Pmf,
-    n_schedule,
-    seed: int,
-    label: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One i.i.d. path from r; per checkpoint, the posterior log-mass of the
-    masked candidate subset and the full normalizer."""
-    schedule = sorted(int(n) for n in n_schedule)
-    n_max = schedule[-1]
-    rng = rng_from(label, seed)
-    draws = rng.choice(r.support, p=r.weights, size=n_max)
-    cums = _cum_blocks(prior, np.zeros(prior.k), draws)
-    log_sub = np.empty(len(schedule))
-    log_all = np.empty(len(schedule))
-    for j, n in enumerate(schedule):
-        log_post = prior.log_prior + cums[:, n]
-        log_all[j] = logsumexp(log_post)
-        log_sub[j] = logsumexp(log_post[member_mask]) if member_mask.any() else -math.inf
-        if not math.isfinite(log_all[j]):
-            raise AllZeroLikelihood(f"normalizer vanished at n={n}")
-    return log_sub, log_all
+def q_mask(q_set, k: int) -> np.ndarray:
+    """Boolean mask of the candidate subset Q given by its indices."""
+    q_idx = [int(i) for i in q_set]
+    if not q_idx or min(q_idx) < 0 or max(q_idx) >= k:
+        raise DomainViolation(
+            f"Q = {q_idx} must be a nonempty set of candidate indices in 0..{k - 1}"
+        )
+    return np.isin(np.arange(k), q_idx)
+
+
+def decay_target(vals, q_set) -> tuple[np.ndarray, float, tuple]:
+    """From one divergence value per candidate: the mask of Q, the
+    theoretical decay rate min_Q - min_grid, and the grid minimizers."""
+    vals = np.asarray(vals, dtype=float)
+    mask = q_mask(q_set, vals.size)
+    vmin = float(vals.min())
+    if math.isinf(vmin):
+        raise InfiniteRate("the divergence is infinite for every candidate")
+    min_q = float(vals[mask].min())
+    if math.isinf(min_q):
+        raise InfiniteRate("the divergence of Q is infinite: Q-support deficiency")
+    projections = tuple(int(i) for i in np.flatnonzero(vals <= vmin + PROJECTION_TIE))
+    return mask, min_q - vmin, projections
+
+
+def _checkpoint_log_mass(log_prior, loglik: np.ndarray, mask: np.ndarray, schedule) -> np.ndarray:
+    """Log posterior mass of the masked candidates at each checkpoint, from
+    the (checkpoints, K) log-likelihood matrix; the decay rate is minus
+    this over n."""
+    tot = log_prior + loglik
+    norm = logsumexp(tot, axis=1)
+    if not np.isfinite(norm).all():
+        n = schedule[int(np.argmin(np.isfinite(norm)))]
+        raise AllZeroLikelihood(f"posterior vanished at n={n}")
+    return logsumexp(tot[:, mask], axis=1) - norm
+
+
+def decay_report(log_prior, loglik, target: tuple, schedule, seed: int) -> DecayReport:
+    """Empirical decay rates -(1/n) log posterior-mass(Q) of one path, from
+    its (checkpoints, K) log-likelihood matrix and the decay_target of Q."""
+    mask, theoretical, projections = target
+    log_mass = _checkpoint_log_mass(log_prior, loglik, mask, schedule)
+    return DecayReport(
+        checkpoints=tuple(schedule),
+        empirical_rate=tuple(float(v) for v in -log_mass / schedule),
+        theoretical_rate=theoretical,
+        projections=projections,
+        seed=int(seed),
+    )
+
+
+def _path_loglik(prior: PriorGrid, r: Pmf, schedule: list, seed: int, label: str) -> np.ndarray:
+    """(checkpoints, K) log-likelihood of one i.i.d. path from r, from its
+    per-atom counts: the draws rng.choice(r.support, p=r.weights) makes,
+    taken as atom indices."""
+    idx = rng_from(label, seed).choice(r.m, p=r.weights, size=schedule[-1])
+    counts = np.stack([np.bincount(idx[:n], minlength=r.m) for n in schedule])
+    return counts_loglik(log_mass_table(prior.candidates, r.support), counts)
 
 
 def decay_curve(
@@ -181,28 +225,10 @@ def decay_curve(
 ) -> DecayReport:
     """Empirical decay -(1/n) log posterior-mass(Q) along one simulated
     path, against the theoretical value min_Q L - min_grid L."""
-    q_idx = sorted(set(int(i) for i in q_set))
-    if not q_idx or len(q_idx) > prior.k:
-        raise ValueError("q_set must be a nonempty subset of the grid")
-    vals, projections = grid_l_projections(prior, r)
-    min_q = float(vals[q_idx].min())
-    if math.isinf(min_q):
-        raise InfiniteRate("L(Q || r) is infinite: Q-support deficiency")
-    theoretical = min_q - float(vals.min())
-    mask = np.zeros(prior.k, dtype=bool)
-    mask[q_idx] = True
+    target = decay_target(grid_l_projections(prior, r)[0], q_set)
     schedule = sorted(int(n) for n in n_schedule)
-    log_sub, log_all = _rate_path(prior, mask, r, schedule, seed, "bayes.decay")
-    rates = tuple(
-        float(-(ls - la) / n) for ls, la, n in zip(log_sub, log_all, schedule)
-    )
-    return DecayReport(
-        checkpoints=tuple(schedule),
-        empirical_rate=rates,
-        theoretical_rate=theoretical,
-        projections=tuple(projections),
-        seed=int(seed),
-    )
+    loglik = _path_loglik(prior, r, schedule, seed, "bayes.decay")
+    return decay_report(prior.log_prior, loglik, target, schedule, seed)
 
 
 @dataclass(frozen=True)
@@ -223,6 +249,12 @@ class BllnReport:
         return bool(np.all(np.diff(med) >= -1e-9))
 
 
+def _tv_ball(prior: PriorGrid, centers, epsilon: float) -> np.ndarray:
+    """Mask of the candidates within TV distance epsilon of a center."""
+    cands = prior.candidates
+    return np.array([any(tv_distance(c, cands[p]) <= epsilon for p in centers) for c in cands])
+
+
 def blln_check(
     prior: PriorGrid, r: Pmf, epsilon: float, n_schedule, seeds
 ) -> BllnReport:
@@ -231,17 +263,13 @@ def blln_check(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     _, projections = grid_l_projections(prior, r)
-    mask = np.zeros(prior.k, dtype=bool)
-    for k, cand in enumerate(prior.candidates):
-        mask[k] = any(
-            tv_distance(cand, prior.candidates[p]) <= epsilon for p in projections
-        )
+    mask = _tv_ball(prior, projections, epsilon)
     schedule = sorted(int(n) for n in n_schedule)
     seeds = tuple(int(s) for s in seeds)
     masses = np.empty((len(seeds), len(schedule)))
     for i, seed in enumerate(seeds):
-        log_sub, log_all = _rate_path(prior, mask, r, schedule, seed, "bayes.blln")
-        masses[i] = np.exp(log_sub - log_all)
+        loglik = _path_loglik(prior, r, schedule, seed, "bayes.blln")
+        masses[i] = np.exp(_checkpoint_log_mass(prior.log_prior, loglik, mask, schedule))
     medians = tuple(float(v) for v in np.median(masses, axis=0))
     return BllnReport(
         checkpoints=tuple(schedule),
@@ -315,6 +343,26 @@ def split_mean_prior(
     return make_prior_grid(cands)
 
 
+def split_projections(prior: PriorGrid, r: Pmf, theta1: float, theta2: float) -> tuple:
+    """Indices of the L-projections of r onto the low-mean (<= theta1) and
+    the high-mean (>= theta2) candidates.  Raises AsymmetricConfig when the
+    two component minima differ by more than 1e-6."""
+    means = np.array([c.mean() for c in prior.candidates])
+    low = means <= theta1 + 1e-9
+    high = means >= theta2 - 1e-9
+    if np.any(~(low | high)):
+        raise ValueError("candidate with mean inside the excluded band")
+    vals = np.array([l_divergence(c, r) for c in prior.candidates])
+    v_low = float(vals[low].min())
+    v_high = float(vals[high].min())
+    if abs(v_low - v_high) > 1e-6:
+        raise AsymmetricConfig(
+            f"asymmetric split: component minima {v_low!r} vs {v_high!r}"
+        )
+    return (int(np.flatnonzero(low)[np.argmin(vals[low])]),
+            int(np.flatnonzero(high)[np.argmin(vals[high])]))
+
+
 def example21(
     theta1: float,
     theta2: float,
@@ -328,27 +376,10 @@ def example21(
     distance of the posterior mean from either component projection, and
     MAP membership.  Raises AsymmetricConfig when the two component minima
     differ by more than 1e-6."""
-    means = np.array([c.mean() for c in prior.candidates])
-    low = means <= theta1 + 1e-9
-    high = means >= theta2 - 1e-9
-    if np.any(~(low | high)):
-        raise ValueError("candidate with mean inside the excluded band")
-    vals = np.array([l_divergence(c, r) for c in prior.candidates])
-    v_low = float(vals[low].min())
-    v_high = float(vals[high].min())
-    if abs(v_low - v_high) > 1e-6:
-        raise AsymmetricConfig(
-            f"component minima differ: {v_low!r} vs {v_high!r}"
-        )
-    proj_low = int(np.flatnonzero(low)[np.argmin(vals[low])])
-    proj_high = int(np.flatnonzero(high)[np.argmin(vals[high])])
+    proj_low, proj_high = split_projections(prior, r, theta1, theta2)
     d12 = tv_distance(prior.candidates[proj_low], prior.candidates[proj_high])
-    ball_low = np.array(
-        [tv_distance(c, prior.candidates[proj_low]) <= epsilon for c in prior.candidates]
-    )
-    ball_high = np.array(
-        [tv_distance(c, prior.candidates[proj_high]) <= epsilon for c in prior.candidates]
-    )
+    ball_low = _tv_ball(prior, [proj_low], epsilon)
+    ball_high = _tv_ball(prior, [proj_high], epsilon)
 
     seeds = tuple(int(s) for s in seeds)
     mass_low = np.empty(len(seeds))
@@ -358,9 +389,8 @@ def example21(
     map_in = np.zeros(len(seeds), dtype=bool)
     mean_stack = np.zeros(r.m)
     for i, seed in enumerate(seeds):
-        rng = rng_from("bayes.example21", seed)
-        draws = rng.choice(r.support, p=r.weights, size=int(n))
-        state = posterior_update(prior, Sample(tuple(draws)))
+        idx = rng_from("bayes.example21", seed).choice(r.m, p=r.weights, size=int(n))
+        state = _posterior(prior, np.bincount(idx, minlength=r.m))
         post = np.exp(state.log_posterior)
         mass_low[i] = float(post[ball_low].sum())
         mass_high[i] = float(post[ball_high].sum())

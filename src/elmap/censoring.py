@@ -27,9 +27,9 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from .bayes import DecayReport, PriorGrid
-from .errors import AllZeroLikelihood, InfiniteRate, NoEvents, NotConverged
-from .prob import Pmf
+from .bayes import PriorGrid, decay_report, decay_target
+from .errors import AllZeroLikelihood, NoEvents, NotConverged
+from .prob import Pmf, counts_loglik
 from .rng import derive_seed, rng_from
 
 
@@ -111,8 +111,8 @@ class SurvivalCurve:
         return float(max(0.0, 1.0 - self.atoms.sum()))
 
 
-def censor_generate(model: CensoringModel, n: int, seed: int) -> list:
-    """n observations from the mixture mechanism, deterministic in seed."""
+def _censor_draw(model: CensoringModel, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """n observation times and censoring flags from the mixture mechanism."""
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = rng_from("censor.generate", seed)
@@ -122,9 +122,12 @@ def censor_generate(model: CensoringModel, n: int, seed: int) -> list:
         rng.choice(model.f0.support, p=model.f0.weights, size=n),
         rng.choice(model.g0.support, p=model.g0.weights, size=n),
     )
-    return [
-        CensoredObservation(float(t), not bool(u)) for t, u in zip(times, uncensored)
-    ]
+    return times, ~uncensored
+
+
+def censor_generate(model: CensoringModel, n: int, seed: int) -> list:
+    """n observations from the mixture mechanism, deterministic in seed."""
+    return [CensoredObservation(float(t), c) for t, c in zip(*_censor_draw(model, n, seed))]
 
 
 def _split(data) -> tuple[np.ndarray, np.ndarray]:
@@ -133,28 +136,33 @@ def _split(data) -> tuple[np.ndarray, np.ndarray]:
     return times, cens
 
 
-def _per_obs_loglik(candidate: Pmf, times: np.ndarray, cens: np.ndarray) -> np.ndarray:
-    """log-likelihood contribution of each observation under ``candidate``:
-    log atom mass at events, log strict-tail mass at censor times."""
-    out = np.empty(times.size)
+def _cells(support: np.ndarray, times: np.ndarray, cens: np.ndarray) -> np.ndarray:
+    """Cell of each observation among 2m + 1 over an m-point support: an
+    event at atom j is cell j, a censoring at y the tail strictly beyond y,
+    cell m + searchsorted(support, y, "right").  An event off the support
+    goes to the empty tail 2m: both have mass 0 under every candidate."""
+    m = support.size
+    idx = np.minimum(np.searchsorted(support, times), m - 1)
+    events = np.where(support[idx] == times, idx, 2 * m)
+    return np.where(cens, m + np.searchsorted(support, times, side="right"), events)
+
+
+def _log_cell_masses(weights: np.ndarray) -> np.ndarray:
+    """Log masses of the 2m + 1 cells under each row of a (K, m) weight
+    matrix: the atoms, then the tails from each atom on, then 0."""
+    tails = np.cumsum(weights[:, ::-1], axis=1)[:, ::-1]
+    cells = np.concatenate([weights, tails, np.zeros((len(weights), 1))], axis=1)
     with np.errstate(divide="ignore"):
-        ev = ~cens
-        idx = np.searchsorted(candidate.support, times[ev])
-        idx_c = np.clip(idx, 0, candidate.m - 1)
-        hit = candidate.support[idx_c] == times[ev]
-        out[ev] = np.log(np.where(hit, candidate.weights[idx_c], 0.0))
-        tail_from = np.searchsorted(candidate.support, times[cens], side="right")
-        suffix = np.concatenate([np.cumsum(candidate.weights[::-1])[::-1], [0.0]])
-        out[cens] = np.log(suffix[tail_from])
-    return out
+        return np.log(cells)
 
 
 def censored_loglik(candidate: Pmf, data) -> float:
     """l_n(F): lower is better; +inf when a needed mass is zero."""
     if not data:
         return 0.0
-    times, cens = _split(data)
-    return float(-_per_obs_loglik(candidate, times, cens).sum())
+    cells = _cells(candidate.support, *_split(data))
+    counts = np.bincount(cells, minlength=2 * candidate.m + 1)
+    return float(-counts_loglik(_log_cell_masses(candidate.weights[None, :]), counts)[0])
 
 
 def kaplan_meier(data) -> SurvivalCurve:
@@ -163,18 +171,10 @@ def kaplan_meier(data) -> SurvivalCurve:
     times, cens = _split(data)
     if not np.any(~cens):
         raise NoEvents("product-limit estimation needs at least one event")
-    event_times = np.unique(times[~cens])
-    surv = np.empty(event_times.size)
-    atoms = np.empty(event_times.size)
-    s_prev = 1.0
-    for j, t in enumerate(event_times):
-        at_risk = int(np.sum(times >= t))
-        deaths = int(np.sum((times == t) & ~cens))
-        s_new = s_prev * (1.0 - deaths / at_risk)
-        atoms[j] = s_prev - s_new
-        surv[j] = s_new
-        s_prev = s_new
-    return SurvivalCurve(event_times, surv, atoms)
+    event_times, deaths = np.unique(times[~cens], return_counts=True)
+    at_risk = times.size - np.searchsorted(np.sort(times), event_times)
+    surv = np.cumprod(1.0 - deaths / at_risk)
+    return SurvivalCurve(event_times, surv, -np.diff(surv, prepend=1.0))
 
 
 def censored_el_bruteforce(data, support=None) -> Pmf:
@@ -272,43 +272,41 @@ def _compositions(total: int, parts: int):
 
 
 def censored_l_divergence(candidate: Pmf, model: CensoringModel) -> float:
-    """Population limit of l_n / n under the generating mechanism."""
-    alpha = model.alpha_unc
-    total = 0.0
-    for x, fw in zip(model.f0.support, model.f0.weights):
-        if alpha * fw == 0.0:  # zero effective weight contributes nothing
-            continue
-        mass = candidate.mass(float(x))
-        if mass <= 0.0:
-            return math.inf
-        total -= alpha * fw * math.log(mass)
-    for y, gw in zip(model.g0.support, model.g0.weights):
-        if (1.0 - alpha) * gw == 0.0:
-            continue
-        tail = candidate.tail_beyond(float(y))
-        if tail <= 0.0:
-            return math.inf
-        total -= (1.0 - alpha) * gw * math.log(tail)
-    return total
+    """Population limit of l_n / n: the log-likelihood kernel applied to the
+    cell law of one observation, alpha F0 on the events and (1 - alpha) G0
+    on the tails."""
+    f0, g0, alpha = model.f0, model.g0, model.alpha_unc
+    cells = _cells(
+        candidate.support,
+        np.concatenate([f0.support, g0.support]),
+        np.repeat([False, True], [f0.m, g0.m]),
+    )
+    law = np.bincount(
+        cells,
+        weights=np.concatenate([alpha * f0.weights, (1.0 - alpha) * g0.weights]),
+        minlength=2 * candidate.m + 1,
+    )
+    return float(-counts_loglik(_log_cell_masses(candidate.weights[None, :]), law)[0])
 
 
 def censored_posterior(prior: PriorGrid, data, carried=None) -> tuple:
     """Log posterior over lifetime candidates given censored data.
 
-    ``carried`` holds per-candidate log-likelihood totals from earlier
-    observations; accumulation is a running sum in observation order, so
-    chaining two calls equals one call on the concatenated data exactly.
-    Returns (log_posterior, cum_loglik).
+    The data enter through their counts over the 2m + 1 cells of the shared
+    support (an event at each atom, a censoring in each strict tail).
+    ``carried`` holds the cell counts of earlier observations; counts add
+    exactly, so chaining two calls equals one call on the concatenated data
+    bit for bit.  Returns (log_posterior, cell_counts).
     """
-    times, cens = _split(data)
-    start = np.zeros(prior.k) if carried is None else np.asarray(carried, float)
-    table = np.stack([_per_obs_loglik(c, times, cens) for c in prior.candidates])
-    cum = np.cumsum(np.concatenate([start[:, None], table], axis=1), axis=1)[:, -1]
-    tot = prior.log_prior + cum
+    m = prior.support.size
+    counts = np.bincount(_cells(prior.support, *_split(data)), minlength=2 * m + 1)
+    if carried is not None:
+        counts = counts + carried
+    tot = prior.log_prior + counts_loglik(_log_cell_masses(prior.weight_matrix()), counts)
     norm = logsumexp(tot)
     if not math.isfinite(norm):
         raise AllZeroLikelihood("every candidate assigns zero likelihood")
-    return tot - norm, cum
+    return tot - norm, counts
 
 
 def censored_decay_experiment(
@@ -316,46 +314,16 @@ def censored_decay_experiment(
 ) -> tuple:
     """Empirical -(1/n) log posterior-mass(Q) on censored paths versus the
     censored-divergence gap; returns one DecayReport per seed."""
-    q_idx = sorted(set(int(i) for i in q_set))
-    if not q_idx or len(q_idx) > prior.k:
-        raise ValueError("q_set must be a nonempty subset of the grid")
-    vals = np.array(
-        [censored_l_divergence(c, model) for c in prior.candidates]
-    )
-    vmin = float(vals.min())
-    if math.isinf(vmin):
-        raise InfiniteRate("censored divergence infinite for every candidate")
-    min_q = float(vals[q_idx].min())
-    if math.isinf(min_q):
-        raise InfiniteRate("censored divergence of Q is infinite")
-    theoretical = min_q - vmin
-    projections = tuple(int(i) for i in np.flatnonzero(vals <= vmin + 1e-9))
+    vals = [censored_l_divergence(c, model) for c in prior.candidates]
+    target = decay_target(vals, q_set)
     schedule = sorted(int(n) for n in n_schedule)
-    n_max = schedule[-1]
+    m = prior.support.size
+    log_cells = _log_cell_masses(prior.weight_matrix())
     reports = []
     for seed in (int(s) for s in seeds):
-        data = censor_generate(model, n_max, derive_seed("censor.decay", seed))
-        times, cens = _split(data)
-        table = np.stack(
-            [_per_obs_loglik(c, times, cens) for c in prior.candidates]
-        )
-        cums = np.cumsum(
-            np.concatenate([np.zeros((prior.k, 1)), table], axis=1), axis=1
-        )
-        rates = []
-        for n in schedule:
-            tot = prior.log_prior + cums[:, n]
-            norm = logsumexp(tot)
-            if not math.isfinite(norm):
-                raise AllZeroLikelihood(f"posterior vanished at n={n}")
-            rates.append(float(-(logsumexp(tot[q_idx]) - norm) / n))
-        reports.append(
-            DecayReport(
-                checkpoints=tuple(schedule),
-                empirical_rate=tuple(rates),
-                theoretical_rate=theoretical,
-                projections=projections,
-                seed=seed,
-            )
-        )
+        times, cens = _censor_draw(model, schedule[-1], derive_seed("censor.decay", seed))
+        cells = _cells(prior.support, times, cens)
+        counts = np.stack([np.bincount(cells[:n], minlength=2 * m + 1) for n in schedule])
+        loglik = counts_loglik(log_cells, counts)
+        reports.append(decay_report(prior.log_prior, loglik, target, schedule, seed))
     return tuple(reports)

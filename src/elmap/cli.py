@@ -28,7 +28,9 @@ from .bayes import (
     decay_curve,
     example21,
     make_prior_grid,
+    q_mask,
     split_mean_prior,
+    split_projections,
 )
 from .censoring import (
     CensoredObservation,
@@ -39,8 +41,8 @@ from .censoring import (
 )
 from .divergences import l_divergence
 from .errors import (
-    AsymmetricConfig,
     ConfigInvalid,
+    DomainViolation,
     ElmapError,
     InfeasibleMoment,
     NotConverged,
@@ -63,7 +65,11 @@ def fmt(x: float) -> str:
 
 
 def _floats(text: str) -> list:
-    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+    vals = [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+    bad = [v for v in vals if not np.isfinite(v)]
+    if bad:
+        raise ValueError(f"non-finite value {bad[0]!r}")
+    return vals
 
 
 def _ints(text: str) -> list:
@@ -182,6 +188,34 @@ def run_project(cfg: Config, seeds, threads: int) -> list:
     return [("project.csv", rows)]
 
 
+def _data_file(path: str, parse) -> list:
+    """parse(row) for each row of a comma-separated data file, skipping
+    blank lines and header lines (first character a letter)."""
+    fpath = Path(path)
+    if not fpath.is_file():
+        raise ConfigInvalid(f"[data] file not found: {path}")
+    rows = []
+    for lineno, line in enumerate(fpath.read_text().splitlines(), start=1):
+        line = line.strip()
+        if not line or line[0].isalpha():
+            continue
+        try:
+            rows.append(parse(line))
+        except ValueError as exc:
+            raise ConfigInvalid(f"bad row in {path} line {lineno}: {exc}") from None
+    return rows
+
+
+def _observation(row: str):
+    vals = _floats(row)
+    return vals[0] if len(vals) == 1 else tuple(vals)
+
+
+def _censored_observation(row: str) -> CensoredObservation:
+    time, censored = row.split(",")  # ValueError unless two fields
+    return CensoredObservation(float(time), bool(int(censored)))
+
+
 def _load_sample(cfg: Config) -> Sample:
     obs = cfg.get("data", "observations", _floats, default=None)
     if obs is not None:
@@ -189,17 +223,7 @@ def _load_sample(cfg: Config) -> Sample:
     path = cfg.get("data", "file", str.strip, default=None)
     if path is None:
         raise ConfigInvalid("[data] needs observations or file")
-    fpath = Path(path)
-    if not fpath.is_file():
-        raise ConfigInvalid(f"[data] file not found: {path}")
-    rows = []
-    for line in fpath.read_text().splitlines():
-        line = line.strip()
-        if not line or line[0].isalpha():
-            continue
-        parts = [float(tok) for tok in line.split(",")]
-        rows.append(parts[0] if len(parts) == 1 else tuple(parts))
-    return Sample(tuple(rows))
+    return Sample(tuple(_data_file(path, _observation)))
 
 
 def run_fit(cfg: Config, seeds, threads: int) -> list:
@@ -310,15 +334,7 @@ def _censor_model(cfg: Config) -> CensoringModel:
 def run_censor(cfg: Config, seeds, threads: int) -> list:
     data_file = cfg.get("data", "file", str.strip, default=None)
     if data_file is not None:
-        fpath = Path(data_file)
-        if not fpath.is_file():
-            raise ConfigInvalid(f"[data] file not found: {data_file}")
-        data = []
-        for line in fpath.read_text().splitlines()[1:]:
-            if not line.strip():
-                continue
-            t_str, c_str = line.split(",")
-            data.append(CensoredObservation(float(t_str), bool(int(c_str))))
+        data = _data_file(data_file, _censored_observation)
         curve = kaplan_meier(data)
         rows = [["time", "survival", "atom"]]
         for t, s, a in zip(curve.event_times, curve.survival, curve.atoms):
@@ -378,6 +394,13 @@ def validate(cfg: Config) -> list:
         problems.append(str(exc))
     if needs_seeds and not seeds and not problems:
         problems.append("missing or empty [experiment] seeds")
+
+    def check_q(cands) -> None:
+        try:
+            q_mask(cfg.get("target", "q_indices", _ints), len(cands))
+        except DomainViolation as exc:
+            problems.append(f"[target] q_indices out of range: {exc}")
+
     try:
         if kind == "example21":
             r = cfg.pmf("truth")
@@ -388,14 +411,7 @@ def validate(cfg: Config) -> list:
                 cfg.get("split", "per_side", int, default=8),
                 cfg.get("split", "spread", float, default=0.4),
             )
-            vals = [l_divergence(c, r) for c in prior.candidates]
-            means = [c.mean() for c in prior.candidates]
-            v_low = min(v for v, m in zip(vals, means) if m <= theta1 + 1e-9)
-            v_high = min(v for v, m in zip(vals, means) if m >= theta2 - 1e-9)
-            if abs(v_low - v_high) > 1e-6:
-                problems.append(
-                    f"asymmetric split: component minima {fmt(v_low)} vs {fmt(v_high)}"
-                )
+            split_projections(prior, r, theta1, theta2)
         elif kind == "polya":
             r = cfg.pmf("truth")
             c = cfg.get("urn", "c", int)
@@ -413,12 +429,14 @@ def validate(cfg: Config) -> list:
                         f"(-{n}*{c} > {min(urn.alpha)})"
                     )
                     break
+            check_q(cfg.grid_pmfs(r.support))
         elif kind == "censor" and cfg.get("data", "file", str.strip, default=None) is None:
             model = _censor_model(cfg)
             cands = cfg.grid_pmfs(model.f0.support)
             vals = [censored_l_divergence(cand, model) for cand in cands]
             if all(v == float("inf") for v in vals):
                 problems.append("every candidate has infinite censored divergence")
+            check_q(cands)
         elif kind == "blln":
             r = cfg.pmf("truth")
             cands = cfg.grid_pmfs(r.support)
@@ -426,11 +444,12 @@ def validate(cfg: Config) -> list:
                 problems.append("no candidate dominates the support of r")
             if not (cfg.schedule() or []):
                 problems.append("missing [experiment] n_schedule")
+            check_q(cands)
         elif kind == "fit":
             _load_sample(cfg)
         elif kind == "project":
             cfg.pmf("truth")
-    except (ConfigInvalid, AsymmetricConfig, ElmapError) as exc:
+    except ElmapError as exc:
         problems.append(str(exc))
     return problems
 

@@ -35,6 +35,7 @@ from .prob import (
     EstimatingModel,
     Pmf,
     Sample,
+    counts_loglik,
     empirical_pmf,
     log_mass_table,
     make_pmf,
@@ -442,11 +443,8 @@ def mnpl_grid(sample: Sample, candidates) -> tuple[list, float]:
     sample: returns (all indices minimizing -sum_i log q(x_i), value)."""
     if sample.n == 0:
         raise EmptySample("need observations")
-    cands = list(candidates)
-    table = log_mass_table(cands, sample.values())
-    # running sums in observation order, matching the posterior updates
-    totals = np.cumsum(table, axis=1)[:, -1]
-    values = -totals
+    atoms, counts = np.unique(sample.values(), return_counts=True)
+    values = -counts_loglik(log_mass_table(list(candidates), atoms), counts)
     vmin = float(values.min())
     if math.isinf(vmin):
         raise AllInfinite("every candidate misses part of the sample")

@@ -22,14 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .bayes import DecayReport
+from .bayes import decay_report, decay_target
 from .divergences import polya_l_divergence
-from .errors import (
-    AllZeroLikelihood,
-    DomainViolation,
-    InfiniteRate,
-    UrnExhausted,
-)
+from .errors import AllZeroLikelihood, DomainViolation, UrnExhausted
 from .prob import Pmf
 from .rng import derive_seed, rng_from
 
@@ -276,45 +271,22 @@ def polya_decay_experiment(
     checkpoint, against the reinforced L-divergence gap of the target pmfs.
     """
     grid_pmfs = list(grid_pmfs)
-    q_idx = sorted(set(int(i) for i in q_set))
-    if not q_idx or len(q_idx) > len(grid_pmfs):
-        raise ValueError("q_set must be a nonempty subset of the grid")
-    vals = np.array([polya_l_divergence(q, r, beta, c) for q in grid_pmfs])
-    min_q = float(vals[q_idx].min())
-    if math.isinf(min_q):
-        raise InfiniteRate("reinforced divergence of Q is infinite")
-    theoretical = min_q - float(vals.min())
-    projections = tuple(
-        int(i) for i in np.flatnonzero(vals <= vals.min() + 1e-9)
-    )
+    vals = [polya_l_divergence(q, r, beta, c) for q in grid_pmfs]
+    target = decay_target(vals, q_set)
     lp = np.zeros(len(grid_pmfs)) if log_prior is None else np.asarray(log_prior, float)
     schedule = sorted(int(n) for n in n_schedule)
     reports = []
     for seed in (int(s) for s in seeds):
-        rates = []
-        for n in schedule:
+        loglik = np.empty((len(schedule), len(grid_pmfs)))
+        for j, n in enumerate(schedule):
             sampler = rebuild_urn(r, n, beta, c)
             big_n = sampler.n_total
             grid = [
                 UrnConfig(apportion_counts(big_n, q.weights), c) for q in grid_pmfs
             ]
             path = polya_draw(sampler, n, derive_seed("polya.decay", seed, n))
-            ll = np.array([polya_log_prob(path.counts, cfg) for cfg in grid])
-            tot = lp + ll
-            norm = logsumexp(tot)
-            if not math.isfinite(norm):
-                raise AllZeroLikelihood(f"posterior vanished at n={n}")
-            log_mass = logsumexp(tot[q_idx]) - norm
-            rates.append(float(-log_mass / n))
-        reports.append(
-            DecayReport(
-                checkpoints=tuple(schedule),
-                empirical_rate=tuple(rates),
-                theoretical_rate=theoretical,
-                projections=projections,
-                seed=seed,
-            )
-        )
+            loglik[j] = [polya_log_prob(path.counts, cfg) for cfg in grid]
+        reports.append(decay_report(lp, loglik, target, schedule, seed))
     return PolyaDecayReport(
         checkpoints=tuple(schedule), beta=float(beta), c=int(c), reports=tuple(reports)
     )

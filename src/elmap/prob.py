@@ -352,9 +352,10 @@ def linear_model(domain: ParamDomain | None = None) -> EstimatingModel:
 def log_mass_table(candidates: Sequence[Pmf], values: np.ndarray) -> np.ndarray:
     """Log candidate masses at the given support values, shape (K, len(values)).
 
-    Values that are not atoms of a candidate get -inf.  This is the shared
-    building block for exact posterior updates and likelihood rankings, so
-    that both run the same summations in the same order.
+    Values that are not atoms of a candidate get -inf.  Called on the
+    distinct atoms a sample can take, it is the (K, atoms) table that
+    :func:`counts_loglik` weights by per-atom counts, the one form in which
+    exact posterior updates and likelihood rankings see the data.
     """
     vals = np.asarray(values, dtype=float)
     out = np.empty((len(candidates), vals.size))
@@ -364,4 +365,15 @@ def log_mass_table(candidates: Sequence[Pmf], values: np.ndarray) -> np.ndarray:
             idx_c = np.clip(idx, 0, cand.m - 1)
             hit = cand.support[idx_c] == vals
             out[k] = np.log(np.where(hit, cand.weights[idx_c], 0.0))
+    return out
+
+
+def counts_loglik(log_mass: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """counts @ log_mass.T: per-candidate log-likelihood of data given by
+    per-cell counts.  ``log_mass`` is (K, c); ``counts`` is (c,) or (C, c),
+    giving (K,) or (C, K).  A zero count contributes 0 even where the mass
+    is 0; a positive count there gives -inf."""
+    finite = np.isfinite(log_mass)
+    out = counts @ np.where(finite, log_mass, 0.0).T
+    out[(counts > 0) @ ~finite.T] = -np.inf
     return out

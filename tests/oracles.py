@@ -6,7 +6,9 @@ duals: the constrained sets are parametrized directly and searched densely
 production code is evidence, not tautology.  The finite-grid posterior
 oracles work from per-atom counts in closed form and enumerate the
 multinomial count law exactly, instead of summing log masses along a
-simulated path.
+simulated path.  The path oracles do the opposite: one log mass per
+observation, summed in observation order, as a reference for the
+production code's counts form.
 """
 
 from __future__ import annotations
@@ -178,3 +180,40 @@ def posterior_mean_law(log_prior, wmat, p, n: int) -> tuple[np.ndarray, np.ndarr
         rows = slice(start, start + block)
         mix[rows] = grid_posterior(log_prior, wmat, counts[rows])[1]
     return counts, pmf, mix
+
+
+def draw_log_masses(candidates, values, censored=None) -> np.ndarray:
+    """Log mass of each observation under each candidate, shape (K, n):
+    the atom mass at an event, the mass strictly beyond the time at a
+    censoring.  Built from ``Pmf.mass`` and ``Pmf.tail_beyond`` one distinct
+    observation at a time."""
+    values = np.asarray(values, dtype=float)
+    censored = np.zeros(values.size, bool) if censored is None else np.asarray(censored)
+    keys = list(zip(values.tolist(), censored.tolist()))
+    out = np.empty((len(candidates), values.size))
+    for k, cand in enumerate(candidates):
+        lookup = {}
+        for t, c in set(keys):
+            mass = cand.tail_beyond(t) if c else cand.mass(t)
+            lookup[(t, c)] = math.log(mass) if mass > 0.0 else -math.inf
+        out[k] = [lookup[key] for key in keys]
+    return out
+
+
+def sequential_log_mass(log_prior, table, member, schedule) -> np.ndarray:
+    """Log posterior mass of the member candidates after the first n
+    observations, for each n in schedule: the per-observation table summed
+    in observation order, then normalized with a max-shifted log-sum-exp."""
+    def lse(x):
+        top = np.max(x)
+        return top + math.log(np.sum(np.exp(x - top)))
+
+    total = np.asarray(log_prior, dtype=float).copy()
+    out = []
+    done = 0
+    for n in sorted(schedule):
+        for j in range(done, n):
+            total += table[:, j]
+        done = n
+        out.append(lse(total[member]) - lse(total))
+    return np.array(out)

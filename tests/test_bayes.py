@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elmap.bayes import (
     blln_check,
@@ -19,6 +21,7 @@ from elmap.errors import AllZeroLikelihood, AsymmetricConfig, InfiniteRate
 from elmap.estimators import mnpl_grid
 from elmap.prob import Sample, make_pmf
 from elmap.rng import rng_from
+from oracles import draw_log_masses, sequential_log_mass
 
 R_BIN = make_pmf([0, 1], [0.5, 0.5])
 CAND_A = make_pmf([0, 1], [0.6, 0.4])
@@ -77,13 +80,64 @@ class TestPosteriorUpdate:
             posterior_update(prior, Sample((7.0,)))
 
 
+GRID3 = make_prior_grid(
+    [make_pmf([0, 1, 2], [0.2, 0.5, 0.3]), make_pmf([0, 1, 2], [0.61, 0.09, 0.3]),
+     make_pmf([0, 1, 2], [0.1, 0.13, 0.77])],
+    [0.25, 0.35, 0.4],
+)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_posterior_update_ignores_observation_order(data):
+    obs = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=1, max_size=400))
+    shuffled = data.draw(st.permutations(obs))
+    a = posterior_update(GRID3, Sample(tuple(obs)))
+    b = posterior_update(GRID3, Sample(tuple(shuffled)))
+    assert np.array_equal(a.cum_loglik, b.cum_loglik)
+    assert np.array_equal(a.log_posterior, b.log_posterior)
+
+
+class TestPerObservationOracle:
+    """The counts form against one log mass per draw summed in observation
+    order, on the shipped blln setting (R_BIN, CAND_A, CAND_B, Q = {1})."""
+
+    SCHEDULE = [10, 20, 40, 80, 160, 320, 640, 1280, 2560, 5000, 10000]
+
+    def reference(self, prior, mask, label, seed):
+        draws = rng_from(label, seed).choice(
+            R_BIN.support, p=R_BIN.weights, size=self.SCHEDULE[-1]
+        )
+        table = draw_log_masses(prior.candidates, draws)
+        return sequential_log_mass(prior.log_prior, table, mask, self.SCHEDULE)
+
+    def test_decay_curve(self):
+        prior = two_grid()
+        for seed in range(20):
+            rep = decay_curve(prior, [1], R_BIN, self.SCHEDULE, seed)
+            ref = self.reference(prior, [False, True], "bayes.decay", seed)
+            np.testing.assert_allclose(
+                rep.empirical_rate, -ref / self.SCHEDULE, rtol=1e-11, atol=0
+            )
+
+    def test_blln_check(self):
+        prior = two_grid()
+        rep = blln_check(prior, R_BIN, 0.05, self.SCHEDULE, range(20))
+        mask = np.zeros(prior.k, dtype=bool)
+        mask[list(rep.ball_indices)] = True
+        for i, seed in enumerate(rep.seeds):
+            ref = self.reference(prior, mask, "bayes.blln", seed)
+            np.testing.assert_allclose(rep.masses[i], np.exp(ref), rtol=1e-11, atol=0)
+
+
 class TestMapAndMean:
     def test_map_prior_argmax_before_data(self):
         prior = two_grid([0.3, 0.7])
         from elmap.bayes import PosteriorState
 
         state = PosteriorState(
-            log_posterior=prior.log_prior.copy(), cum_loglik=np.zeros(2), n=0
+            log_posterior=prior.log_prior.copy(), cum_loglik=np.zeros(2),
+            counts=np.zeros(2, dtype=np.int64),
         )
         assert map_candidate(state) == [1]
 
@@ -115,7 +169,8 @@ class TestMapAndMean:
         from elmap.bayes import PosteriorState
 
         state = PosteriorState(
-            log_posterior=np.log([0.5, 0.5]), cum_loglik=np.zeros(2), n=0
+            log_posterior=np.log([0.5, 0.5]), cum_loglik=np.zeros(2),
+            counts=np.zeros(2, dtype=np.int64),
         )
         pm = posterior_mean(state, prior)
         assert np.allclose(pm.weights, [0.5, 0.5])

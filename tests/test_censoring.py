@@ -22,6 +22,8 @@ from elmap.censoring import (
 from elmap.divergences import l_divergence
 from elmap.errors import InfiniteRate, NoEvents
 from elmap.prob import Sample, empirical_pmf, make_pmf
+from elmap.rng import derive_seed
+from oracles import draw_log_masses, sequential_log_mass
 
 GRID = [1.0, 2.0, 3.0]
 F0 = make_pmf(GRID, [0.5, 0.3, 0.2])
@@ -237,6 +239,22 @@ class TestDecay:
         data = censor_generate(MODEL, 100, seed=9)
         post, _ = censored_posterior(prior, data)
         assert abs(logsumexp(post)) <= 1e-10
+
+    def test_rates_match_per_observation_oracle(self):
+        # the shipped censor setting, against one log mass per observation
+        # summed in observation order
+        prior = make_prior_grid([CAND_A, CAND_B])
+        schedule = [10, 40, 160, 640, 2560, 5000]
+        reps = censored_decay_experiment(prior, [1], MODEL, schedule, range(20))
+        for rep in reps:
+            data = censor_generate(MODEL, 5000, derive_seed("censor.decay", rep.seed))
+            table = draw_log_masses(
+                prior.candidates, [o.time for o in data], [o.censored for o in data]
+            )
+            ref = sequential_log_mass(prior.log_prior, table, [False, True], schedule)
+            np.testing.assert_allclose(
+                rep.empirical_rate, -ref / schedule, rtol=1e-11, atol=0
+            )
 
     def test_sequential_equals_concatenated(self):
         prior = make_prior_grid([CAND_A, CAND_B])

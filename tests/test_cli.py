@@ -3,8 +3,12 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from elmap.cli import main
+
+SHIPPED = Path(__file__).parent.parent / "configs"
+SEEDED_KINDS = ["blln", "censor", "polya", "example21"]
 
 BLLN_CFG = """
 [experiment]
@@ -48,6 +52,13 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def seeded_config(tmp_path, kind, seeds):
+    """BLLN_CFG for blln, the shipped config for the other kinds, with
+    ``seeds`` in place of 0:20."""
+    text = BLLN_CFG if kind == "blln" else (SHIPPED / f"{kind}.cfg").read_text()
+    return write(tmp_path, f"{kind}.cfg", text.replace("0:20", seeds))
+
+
 class TestRun:
     def test_blln_final_rate_near_target(self, tmp_path):
         cfg = write(tmp_path, "blln.cfg", BLLN_CFG)
@@ -71,19 +82,23 @@ class TestRun:
         rows = read_rows(out / "fit.csv")
         assert math.isclose(float(rows[0]["theta_0"]), 1.0, abs_tol=1e-8)
 
-    def test_determinism_byte_identical(self, tmp_path):
-        cfg = write(tmp_path, "blln.cfg", BLLN_CFG.replace("0:20", "0:4"))
+    @pytest.mark.parametrize("kind", SEEDED_KINDS)
+    def test_determinism_byte_identical(self, tmp_path, kind):
+        cfg = seeded_config(tmp_path, kind, "0:4")
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["blln", "--config", str(cfg), "--out", str(out1)]) == 0
-        assert main(["blln", "--config", str(cfg), "--out", str(out2)]) == 0
-        assert (out1 / "blln.csv").read_bytes() == (out2 / "blln.csv").read_bytes()
+        assert main([kind, "--config", str(cfg), "--out", str(out1)]) == 0
+        assert main([kind, "--config", str(cfg), "--out", str(out2)]) == 0
+        name = f"{kind}.csv"
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        cfg = write(tmp_path, "blln.cfg", BLLN_CFG.replace("0:20", "0:6"))
+    @pytest.mark.parametrize("kind", SEEDED_KINDS)
+    def test_threads_do_not_change_output(self, tmp_path, kind):
+        cfg = seeded_config(tmp_path, kind, "0:6")
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["blln", "--config", str(cfg), "--out", str(out1)]) == 0
-        assert main(["blln", "--config", str(cfg), "--out", str(out2), "--threads", "4"]) == 0
-        assert (out1 / "blln.csv").read_bytes() == (out2 / "blln.csv").read_bytes()
+        assert main([kind, "--config", str(cfg), "--out", str(out1)]) == 0
+        assert main([kind, "--config", str(cfg), "--out", str(out2), "--threads", "4"]) == 0
+        name = f"{kind}.csv"
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_seed_override_recorded(self, tmp_path):
         cfg = write(tmp_path, "blln.cfg", BLLN_CFG)
@@ -224,6 +239,47 @@ n = 2000
         rows = read_rows(out / "example21.csv")
         masses = [float(r["empirical_value"]) for r in rows if r["target"] == "U"]
         assert len(masses) == 4 and min(masses) >= 0.9
+
+
+class TestBadData:
+    """Malformed data files and values end in ConfigInvalid (exit 2) with a
+    message naming the file and line, or the key."""
+
+    @pytest.mark.parametrize("row", ["2,x", "2,1,7", "2"])
+    def test_censor_file_bad_row(self, tmp_path, capsys, row):
+        data = tmp_path / "cens.csv"
+        data.write_text(f"time,censored\n1,0\n{row}\n3,0\n")
+        cfg = write(
+            tmp_path, "censor.cfg", f"[experiment]\nkind = censor\n[data]\nfile = {data}\n"
+        )
+        assert main(["censor", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{data} line 3" in capsys.readouterr().err
+
+    def test_fit_file_bad_row(self, tmp_path, capsys):
+        data = tmp_path / "obs.csv"
+        data.write_text("x\n0\n1,abc\n2\n")
+        cfg = write(tmp_path, "fit.cfg", FIT_CFG.replace(
+            "observations = 0, 1, 2, 1, 1, 0, 2, 1", f"file = {data}"))
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{data} line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_fit_observations_not_finite(self, tmp_path, capsys, value):
+        cfg = write(tmp_path, "fit.cfg", FIT_CFG.replace(
+            "observations = 0, 1, 2,", f"observations = 0, 1, {value},"))
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "[data] observations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", ["5", "-1", ""])
+@pytest.mark.parametrize("kind", ["blln", "censor", "polya"])
+def test_q_indices_out_of_range(tmp_path, capsys, kind, q):
+    text = (SHIPPED / f"{kind}.cfg").read_text()
+    cfg = write(tmp_path, f"{kind}.cfg", text.replace("q_indices = 1", f"q_indices = {q}"))
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert "FAIL: [target] q_indices out of range" in capsys.readouterr().out
+    assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "[target] q_indices" in capsys.readouterr().err
 
 
 class TestShippedConfigs:
