@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import hashlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -151,6 +152,24 @@ class Config:
         except ElmapError as exc:
             raise ConfigInvalid(f"bad candidate in [grid]: {exc}") from None
 
+    def blln_candidates(self, r: Pmf) -> list:
+        """blln grid candidates, on [grid] support when given, else on the
+        support of the truth r."""
+        support = self.get("grid", "support", _floats, default=None)
+        return self.grid_pmfs(r.support if support is None else support)
+
+    @functools.cached_property
+    def split_prior(self):
+        """The example21 split prior; built once, since both validation
+        and the run need it."""
+        return split_mean_prior(
+            self.pmf("truth"),
+            self.get("split", "theta1", float),
+            self.get("split", "theta2", float),
+            self.get("split", "per_side", int, default=8),
+            self.get("split", "spread", float, default=0.4),
+        )
+
 
 def config_hash(cfg: Config) -> str:
     return hashlib.sha256(cfg.raw).hexdigest()
@@ -252,8 +271,7 @@ def run_fit(cfg: Config, seeds, threads: int) -> list:
 
 def run_blln(cfg: Config, seeds, threads: int) -> list:
     r = cfg.pmf("truth")
-    grid_support = cfg.get("grid", "support", _floats, default=None)
-    cands = cfg.grid_pmfs(grid_support if grid_support is not None else r.support)
+    cands = cfg.blln_candidates(r)
     prior_w = cfg.get("grid", "prior", _floats, default=None)
     prior = make_prior_grid(cands, prior_w)
     q_idx = cfg.get("target", "q_indices", _ints)
@@ -280,12 +298,9 @@ def run_example21(cfg: Config, seeds, threads: int) -> list:
     r = cfg.pmf("truth")
     theta1 = cfg.get("split", "theta1", float)
     theta2 = cfg.get("split", "theta2", float)
-    per_side = cfg.get("split", "per_side", int, default=8)
-    spread = cfg.get("split", "spread", float, default=0.4)
     epsilon = cfg.get("split", "epsilon", float, default=0.05)
     n = cfg.get("split", "n", int)
-    prior = split_mean_prior(r, theta1, theta2, per_side, spread)
-    rep = example21(theta1, theta2, r, prior, n, seeds, epsilon)
+    rep = example21(theta1, theta2, r, cfg.split_prior, n, seeds, epsilon)
     rows = [["seed", "n", "target", "empirical_value", "theoretical_value"]]
     half_d = 0.5 * rep.projection_tv
     for i, seed in enumerate(rep.seeds):
@@ -403,15 +418,10 @@ def validate(cfg: Config) -> list:
 
     try:
         if kind == "example21":
-            r = cfg.pmf("truth")
-            theta1 = cfg.get("split", "theta1", float)
-            theta2 = cfg.get("split", "theta2", float)
-            prior = split_mean_prior(
-                r, theta1, theta2,
-                cfg.get("split", "per_side", int, default=8),
-                cfg.get("split", "spread", float, default=0.4),
+            split_projections(
+                cfg.split_prior, cfg.pmf("truth"),
+                cfg.get("split", "theta1", float), cfg.get("split", "theta2", float),
             )
-            split_projections(prior, r, theta1, theta2)
         elif kind == "polya":
             r = cfg.pmf("truth")
             c = cfg.get("urn", "c", int)
@@ -439,7 +449,7 @@ def validate(cfg: Config) -> list:
             check_q(cands)
         elif kind == "blln":
             r = cfg.pmf("truth")
-            cands = cfg.grid_pmfs(r.support)
+            cands = cfg.blln_candidates(r)
             if all(l_divergence(c, r) == float("inf") for c in cands):
                 problems.append("no candidate dominates the support of r")
             if not (cfg.schedule() or []):

@@ -4,28 +4,28 @@ For a sample x_1..x_n and a model with constraints u(x; theta), the
 empirical-likelihood route maximizes sum_i log w_i over weight vectors on
 the observations subject to sum_i w_i u(x_i; theta) = 0, which by convex
 duality reduces to the same concave dual solved in :mod:`elmap.projection`
-with the empirical distribution as the base.  The exponential-tilting
-route minimizes KL(q || empirical) through its smooth log-partition dual;
-Euclidean weights have a closed form; the Cressie-Read family goes through
-the primal projection oracle.  The outer search over theta is a coarse
+with the empirical distribution as the base.  Exponential tilting (KL) and
+the Cressie-Read family minimize CR_gamma(q || empirical) through one dual
+Newton kernel over the multipliers of sum q = 1 and sum q u = 0
+(``projection.cr_dual``; tilting is its gamma = 0 limit).  Euclidean
+weights have a closed form.  The outer search over theta is a coarse
 grid followed by golden-section refinement, which tolerates the kinks that
 appear where the moment problem leaves the convex hull.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import DivergenceSpec, cressie_read
 from .errors import (
     AllInfinite,
     AllThetaInfeasible,
     EmptySample,
     InfeasibleMoment,
-    Infeasible,
     NotConverged,
     SingularConstraints,
     SupportCondition,
@@ -36,11 +36,10 @@ from .prob import (
     Pmf,
     Sample,
     counts_loglik,
-    empirical_pmf,
     log_mass_table,
     make_pmf,
 )
-from .projection import dual_newton, moment_feasibility, project_oracle
+from .projection import cr_dual, dual_newton, moment_feasibility
 
 GRID_POINTS = 201
 REFINE_TOL = 1e-9
@@ -94,6 +93,35 @@ def _atoms_pmf(atom_list, weights: np.ndarray) -> Pmf | None:
     return make_pmf(np.asarray(atom_list, dtype=float), weights)
 
 
+def _moment_problem(
+    sample: Sample, model: EstimatingModel, theta, boundary_ok: bool = False
+) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """Atoms, counts, atom index of each observation and u matrix at theta,
+    once theta is in the domain and the zero moment is attainable: inside
+    the hull of the u rows, or on its boundary too when ``boundary_ok``."""
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    if not model.domain.contains(th):
+        raise ThetaOutOfDomain(f"theta {th} outside the parameter domain")
+    atom_list, counts, inverse = _atoms_and_counts(sample)
+    umat = model.u_matrix(atom_list, th)
+    status, _ = moment_feasibility(umat)
+    if status == "infeasible" or (status == "boundary" and not boundary_ok):
+        raise InfeasibleMoment(f"0 outside the convex hull of u values at theta={th}")
+    return atom_list, counts, inverse, umat
+
+
+def _weights_fit(atom_list, counts, inverse, lam, q, profile_value, converged=True) -> DualFit:
+    """DualFit from per-atom weights q: each observation gets its atom's
+    weight shared equally among the atom's observations."""
+    return DualFit(
+        lam=lam,
+        w=(q / counts)[inverse],
+        profile_value=float(profile_value),
+        pmf=_atoms_pmf(atom_list, q),
+        converged=converged,
+    )
+
+
 def el_inner(sample: Sample, model: EstimatingModel, theta) -> DualFit:
     """Profile the nonparametric likelihood at a fixed theta.
 
@@ -101,99 +129,47 @@ def el_inner(sample: Sample, model: EstimatingModel, theta) -> DualFit:
     and the profile value n log n + sum_i log(1 - lam.u_i), the minimum of
     -sum log w over the constrained weight simplex.
     """
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if not model.domain.contains(th):
-        raise ThetaOutOfDomain(f"theta {th} outside the parameter domain")
-    atom_list, counts, inverse = _atoms_and_counts(sample)
+    atom_list, counts, inverse, umat = _moment_problem(sample, model, theta)
     n = float(sample.n)
-    umat = model.u_matrix(atom_list, th)
-    status, _ = moment_feasibility(umat)
-    if status != "interior":
-        raise InfeasibleMoment(f"0 outside the convex hull of u values at theta={th}")
     freq = counts / n
     lam, gval, _, gnorm = dual_newton(freq, umat)
-    s = 1.0 - umat @ lam
-    w_obs = (1.0 / n) / s[inverse]
-    profile = n * math.log(n) + n * gval
-    return DualFit(
-        lam=lam,
-        w=w_obs,
-        profile_value=float(profile),
-        pmf=_atoms_pmf(atom_list, freq / s),
-        converged=gnorm <= 1e-10,
+    q = freq / (1.0 - umat @ lam)
+    # q sums to 1 - lam . grad g, so to 1 only as far as the dual converged.
+    return _weights_fit(
+        atom_list, counts, inverse, lam, q / q.sum(),
+        n * math.log(n) + n * gval, converged=gnorm <= 1e-10,
     )
 
 
 def tilt_dual(freq: np.ndarray, umat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Newton solve of min_lam log sum_x freq_x exp(lam.u_x).
+    """Exponential tilting of freq to the zero moment: min_lam log sum_x
+    freq_x exp(lam.u_x), solved by the Cressie-Read dual kernel at gamma = 0.
 
     Returns (lam, tilted weights, KL of the tilt from freq).  The caller is
     responsible for checking that the zero moment lies strictly inside the
     hull of the u rows, otherwise the dual is unbounded below.
     """
-    j = umat.shape[1]
-    lam = np.zeros(j)
-    for _ in range(200):
-        expo = umat @ lam
-        shift = expo.max()
-        zed = freq * np.exp(expo - shift)
-        total = zed.sum()
-        pi = zed / total
-        logz = math.log(total) + shift
-        grad = pi @ umat
-        if np.linalg.norm(grad) <= 1e-13:
-            break
-        centered = umat - grad
-        hess = centered.T @ (centered * pi[:, None]) + 1e-14 * np.eye(j)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-        alpha = 1.0
-        for _ in range(60):
-            trial = lam - alpha * step
-            te = umat @ trial
-            ts = te.max()
-            tval = math.log(float(freq @ np.exp(te - ts))) + ts
-            if tval <= logz - 1e-4 * alpha * float(grad @ step):
-                lam = trial
-                break
-            alpha *= 0.5
-        else:
-            break
-    expo = umat @ lam
-    shift = expo.max()
-    zed = freq * np.exp(expo - shift)
-    pi = zed / zed.sum()
-    grad = pi @ umat
-    if np.linalg.norm(grad) > 1e-8:
-        raise NotConverged(f"tilting dual gradient {np.linalg.norm(grad):.2e}")
-    mask = pi > 0
-    kl = float(pi[mask] @ np.log(pi[mask] / freq[mask]))
+    lam, pi, kl, _ = cr_dual(freq, umat, 0.0)
     return lam, pi, kl
 
 
 def et_inner(sample: Sample, model: EstimatingModel, theta) -> DualFit:
     """Minimum of KL(q || empirical) under the moment constraints, solved
     through the smooth dual min_lam log sum_x freq_x exp(lam.u_x)."""
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if not model.domain.contains(th):
-        raise ThetaOutOfDomain(f"theta {th} outside the parameter domain")
-    atom_list, counts, inverse = _atoms_and_counts(sample)
-    n = float(sample.n)
-    umat = model.u_matrix(atom_list, th)
-    status, _ = moment_feasibility(umat)
-    if status != "interior":
-        raise InfeasibleMoment(f"0 outside the convex hull of u values at theta={th}")
-    lam, pi, kl = tilt_dual(counts / n, umat)
-    w_obs = (pi / counts)[inverse]
-    return DualFit(
-        lam=lam,
-        w=w_obs,
-        profile_value=n * kl,
-        pmf=_atoms_pmf(atom_list, pi),
-        converged=True,
+    atom_list, counts, inverse, umat = _moment_problem(sample, model, theta)
+    lam, pi, kl = tilt_dual(counts / sample.n, umat)
+    return _weights_fit(atom_list, counts, inverse, lam, pi, sample.n * kl)
+
+
+def cr_inner(sample: Sample, model: EstimatingModel, theta, gamma: float) -> DualFit:
+    """Minimum of CR_gamma(q, empirical) under the moment constraints, by
+    the Cressie-Read dual kernel.  For gamma > 0 some atoms may get zero
+    weight, so the zero moment may also sit on the hull's boundary."""
+    atom_list, counts, inverse, umat = _moment_problem(
+        sample, model, theta, boundary_ok=gamma > 0.0
     )
+    lam, q, value, _ = cr_dual(counts / sample.n, umat, gamma)
+    return _weights_fit(atom_list, counts, inverse, lam, q, sample.n * value)
 
 
 def euclidean_inner(sample: Sample, model: EstimatingModel, theta) -> DualFit:
@@ -267,8 +243,7 @@ def _profile_search(
             return math.inf
         try:
             val = objective(th)
-        except (InfeasibleMoment, Infeasible, SupportCondition, NotConverged,
-                SingularConstraints):
+        except (InfeasibleMoment, SupportCondition, NotConverged, SingularConstraints):
             val = math.inf
         trace.append((tuple(float(t) for t in th), float(val)))
         return val
@@ -414,27 +389,8 @@ def cr_estimate(
         return et_estimate(sample, model, grid_points, bounds)
     if gamma == -1.0:
         return el_estimate(sample, model, grid_points, bounds)
-    if not sample.is_scalar:
-        raise ValueError("cr_estimate supports scalar observations only")
-    base = empirical_pmf(sample)
-    n = float(sample.n)
-    spec = DivergenceSpec.cr(gamma)
 
-    def inner(sample_, model_, th) -> DualFit:
-        qhat = project_oracle(
-            base, model_, th, spec, restarts=1, outer=6, inner=150
-        )
-        val = cressie_read(qhat, base, gamma)
-        idx = np.searchsorted(qhat.support, sample_.values())
-        w_obs = qhat.weights[idx] / (base.weights[idx] * n)
-        return DualFit(
-            lam=np.zeros(model_.n_constraints),
-            w=w_obs,
-            profile_value=n * val,
-            pmf=qhat,
-            converged=True,
-        )
-
+    inner = functools.partial(cr_inner, gamma=gamma)
     return _estimate(sample, model, inner, f"CR({gamma})", grid_points, bounds)
 
 

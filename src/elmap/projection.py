@@ -7,10 +7,13 @@ with the multiplier lam maximizing the concave dual
     g(lam) = sum_i r_i log(1 - lam . u(x_i; theta))
 
 over the open region where every factor stays positive.  A damped Newton
-iteration solves the dual.  An independent primal oracle (entropic mirror
-descent with an augmented Lagrangian, plus a local equality-constrained
-Newton polish) cross-checks the duality and also handles the KL, Euclidean,
-Cressie-Read and reinforced-urn discrepancies.
+iteration solves the dual.  A second damped Newton kernel (``cr_dual``)
+solves the dual of the Cressie-Read projections, exponential tilting
+included, over the multipliers of both the normalization and the moment
+constraints.  An independent primal oracle (entropic mirror descent with an
+augmented Lagrangian, plus a local equality-constrained Newton polish)
+shares no code with either dual; it cross-checks them and also handles the
+Euclidean and reinforced-urn discrepancies.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from scipy.optimize import linprog
 from .divergences import DivergenceSpec, entropy
 from .errors import (
     AllInfeasible,
+    GammaSingular,
     Infeasible,
     InfeasibleMoment,
     NotConverged,
@@ -36,6 +40,10 @@ from .rng import rng_from
 GRAD_TOL = 1e-10
 MAX_ITER = 200
 _BOUNDARY_T = 1e-9
+# cr_dual: relative resolution of the dual objective, and the curvature
+# (per unit of base mass) given to atoms clipped at zero weight.
+_RESOLUTION = 4.0 * np.finfo(float).eps
+_CLIP_CURVATURE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -178,6 +186,110 @@ def dual_newton(
             f"dual gradient norm {gnorm:.3e} > {grad_tol:.0e} after {it} iterations"
         )
     return lam, float(w @ np.log(s)), it, gnorm
+
+
+def cr_dual(
+    p: np.ndarray, umat: np.ndarray, gamma: float
+) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Cressie-Read projection of p onto {q : sum q = 1, sum q u = 0}.
+
+    Damped Newton over the multipliers (eta, lam) of the two constraints
+    minimizes the convex dual
+
+        D(eta, lam) = sum_i p_i z_i^((gamma+1)/gamma) / (gamma+1) - eta,
+        z_i = 1 + gamma (eta + lam . u_i),
+
+    whose gradient is (sum q - 1, sum q u) at q_i = p_i z_i^(1/gamma).  For
+    gamma > 0, z is clipped at 0, which is exactly the simplex-constrained
+    primal, so atoms may get zero weight; for gamma < 0, D is +inf unless
+    every z_i > 0 and q stays strictly positive.  gamma = 0 is the
+    exponential-tilting limit z_i = eta + lam . u_i, q_i = p_i exp(z_i).
+
+    Returns (lam, q, CR_gamma(q, p), iterations), with KL(q || p) as the
+    value at gamma = 0.  The caller checks that the zero moment is
+    attainable: inside the hull of the u rows for gamma <= 0, in it for
+    gamma > 0.  Raises NotConverged when the gradient, taken with each u
+    column scaled to unit maximum, stays above 1e-8.
+    """
+    if abs(gamma + 1.0) < 1e-12:
+        raise GammaSingular("gamma = -1 is the empirical-likelihood dual (dual_newton)")
+    m, j = umat.shape
+    # Unit-scaled constraint columns keep eta and lam on one footing.
+    scale = np.abs(umat).max(axis=0, initial=0.0)
+    scale[scale == 0.0] = 1.0
+    amat = np.hstack([np.ones((m, 1)), umat / scale])
+
+    def evaluate(x):
+        """D(x), q and the per-atom curvature dq/d eta."""
+        v = amat @ x
+        if gamma == 0.0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                q = p * np.exp(v)
+            return float(q.sum()) - x[0], q, q
+        z = 1.0 + gamma * v
+        if gamma < 0.0:
+            if np.any(z <= 0.0):
+                return math.inf, None, None
+            q = p * z ** (1.0 / gamma)
+            return float(q @ z) / (gamma + 1.0) - x[0], q, q / z
+        live = z > 0.0
+        q = p * np.maximum(z, 0.0) ** (1.0 / gamma)
+        # A clipped atom has no curvature; the floor keeps the Newton system
+        # regular when too few atoms are live to span the constraints, so
+        # the step can bring clipped atoms back.
+        h = np.where(live, q / np.where(live, z, 1.0), _CLIP_CURVATURE * p)
+        return float(q @ z) / (gamma + 1.0) - x[0], q, h
+
+    def gradient(q):
+        g = amat.T @ q
+        g[0] -= 1.0
+        return g
+
+    x = np.zeros(j + 1)
+    d, q, h = evaluate(x)
+    grad = gradient(q)
+    gnorm = float(np.linalg.norm(grad))
+    it = 0
+    for it in range(1, MAX_ITER + 1):
+        if gnorm == 0.0:
+            break
+        step = np.linalg.lstsq((amat * h[:, None]).T @ amat, grad, rcond=None)[0]
+        decrement = float(grad @ step)
+        if decrement <= _RESOLUTION * max(1.0, abs(d)):
+            # Armijo cannot see a decrease this small: take full steps while
+            # they still shrink the gradient, then stop.
+            xt = x - step
+            dt, qt, ht = evaluate(xt)
+            if not math.isfinite(dt):
+                break
+            gt = gradient(qt)
+            gtnorm = float(np.linalg.norm(gt))
+            if gtnorm >= gnorm:
+                break
+            x, d, q, h, grad, gnorm = xt, dt, qt, ht, gt, gtnorm
+            continue
+        alpha = 1.0
+        for _ in range(60):
+            xt = x - alpha * step
+            dt, qt, ht = evaluate(xt)
+            if dt <= d - 1e-4 * alpha * decrement:
+                x, d, q, h = xt, dt, qt, ht
+                grad = gradient(q)
+                gnorm = float(np.linalg.norm(grad))
+                break
+            alpha *= 0.5
+        else:
+            break
+    if gnorm > 1e-8:
+        raise NotConverged(f"Cressie-Read dual gradient {gnorm:.2e} after {it} iterations")
+    q = q / q.sum()
+    pos = q > 0.0
+    ratio = q[pos] / p[pos]
+    if gamma == 0.0:
+        value = float(q[pos] @ np.log(ratio))
+    else:
+        value = float(q[pos] @ (ratio**gamma - 1.0)) / (gamma * (gamma + 1.0))
+    return x[1:] / scale, q, value, it
 
 
 def solve_lambda(

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import elmap.cli as cli
 from elmap.cli import main
 
 SHIPPED = Path(__file__).parent.parent / "configs"
@@ -239,6 +240,32 @@ n = 2000
         rows = read_rows(out / "example21.csv")
         masses = [float(r["empirical_value"]) for r in rows if r["target"] == "U"]
         assert len(masses) == 4 and min(masses) >= 0.9
+
+    def test_example21_builds_split_prior_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return split_mean_prior(*args)
+
+        split_mean_prior = cli.split_mean_prior
+        monkeypatch.setattr(cli, "split_mean_prior", counted)
+        cfg = seeded_config(tmp_path, "example21", "0:2")
+        assert main(["example21", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert len(calls) == 2
+
+    def test_blln_grid_support_wider_than_truth(self, tmp_path, capsys):
+        cfg = write(tmp_path, "blln.cfg", BLLN_CFG.replace(
+            "candidates = 0.6, 0.4 ; 0.9, 0.1",
+            "support = 0, 1, 2\ncandidates = 0.5, 0.4, 0.1 ; 0.8, 0.1, 0.1",
+        ))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.strip() == "OK"
+        out = tmp_path / "out"
+        assert main(["blln", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(read_rows(out / "blln.csv")) == 20 * 3 * 2
 
 
 class TestBadData:

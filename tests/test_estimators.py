@@ -7,6 +7,7 @@ from elmap.divergences import l_divergence
 from elmap.errors import AllInfinite, AllThetaInfeasible, InfeasibleMoment, NotConverged
 from elmap.estimators import (
     cr_estimate,
+    cr_inner,
     el_estimate,
     el_inner,
     et_estimate,
@@ -177,6 +178,16 @@ class TestElEstimate:
         with pytest.raises(AllThetaInfeasible):
             el_estimate(S012, model)
 
+    @pytest.mark.parametrize("grid_points", [41, 201])
+    def test_atom_weights_normalized(self, grid_points):
+        # the dual converges only to 1e-10 in gradient, so freq / (1 - lam.u)
+        # summed to 0.9999999980 at some theta of this scan
+        sample = Sample((0.0,) * 23 + (1.0,) * 72 + (2.0,) * 105)
+        fit = el_estimate(sample, mean_model(), grid_points)
+        assert abs(fit.theta_hat[0] - 1.41) <= 1e-6
+        assert abs(fit.inner.pmf.weights.sum() - 1.0) <= 1e-12
+        assert abs(fit.inner.w.sum() - 1.0) <= 1e-12
+
     def test_linear_model_pair(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=40)
@@ -310,6 +321,23 @@ class TestCr:
         f2 = et_estimate(S012, mean_model())
         assert f1.method == f2.method == "ET"
         assert np.array_equal(f1.theta_hat, f2.theta_hat)
+
+    @pytest.mark.parametrize("gamma", [-2.0, -0.5, 0.5, 1.0, 2.0])
+    def test_just_identified_gives_sample_mean(self, gamma):
+        sample = Sample((0.0, 0.0, 1.0, 2.0, 2.0, 2.0, 3.0))
+        fit = cr_estimate(sample, mean_model(), gamma, grid_points=21)
+        assert abs(fit.theta_hat[0] - sample.values().mean()) <= 1e-6
+        assert abs(fit.inner.w.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [-0.5, 0.5, 2.0])
+    def test_inner_carries_the_multiplier(self, gamma):
+        # q = p (1 + gamma (eta + lam u))^(1/gamma) with the fit's own lam
+        sample = Sample((0.0, 0.0, 1.0, 2.0, 2.0, 2.0, 3.0))
+        fit = cr_inner(sample, mean_model(), [1.2], gamma)
+        vals, counts = np.unique(sample.values(), return_counts=True)
+        level = (fit.pmf.weights * sample.n / counts) ** gamma - gamma * fit.lam[0] * (vals - 1.2)
+        assert abs(fit.lam[0]) > 0.1
+        assert np.ptp(level) <= 1e-12
 
     def test_near_el_limit(self):
         rng = np.random.default_rng(9)

@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from elmap.divergences import DivergenceSpec, entropy, l_divergence
+from elmap.divergences import DivergenceSpec, cressie_read, entropy, l_divergence
 from elmap.errors import (
     AllInfeasible,
     InfeasibleMoment,
+    NotConverged,
     SupportCondition,
     ThetaOutOfDomain,
 )
 from elmap.prob import EstimatingModel, ParamDomain, make_pmf, mean_model, moments
 from elmap.projection import (
+    cr_dual,
     l_project_linear,
     lambda_family_member,
     moment_feasibility,
@@ -255,6 +259,121 @@ class TestProjectOracle:
         nu = np.linalg.lstsq(amat.T, -grad, rcond=None)[0]
         assert np.max(np.abs(grad + amat.T @ nu)) <= 1e-8
         assert abs(orc.weights @ (r.support - 1.3)) <= 1e-9
+
+
+CR_GAMMAS = (-2.0, -0.5, 0.5, 1.0, 2.0)
+
+
+def random_law(rng, m):
+    """A law on m distinct atoms with every weight at least 0.1 / m."""
+    sup = np.sort(rng.normal(size=m) * 2.0)
+    while np.any(np.diff(sup) < 1e-3):
+        sup = np.sort(rng.normal(size=m) * 2.0)
+    w = rng.dirichlet(np.ones(m) * 3.0) * 0.9 + 0.1 / m
+    return make_pmf(sup, w / w.sum())
+
+
+class TestCrDual:
+    def test_agrees_with_oracle(self):
+        # the oracle with cr_estimate's former settings, where it converges
+        rng = np.random.default_rng(41)
+        compared = dict.fromkeys(CR_GAMMAS, 0)
+        for k in range(60):
+            gamma = CR_GAMMAS[k % len(CR_GAMMAS)]
+            m = int(rng.integers(3, 9))
+            if k % 2:
+                r, model = random_instance(rng, m=m, j=2)
+                theta = [0.0]
+            else:
+                r, model = random_law(rng, m), mean_model()
+                theta = [float(r.support[0] + rng.uniform(0.1, 0.9) * np.ptp(r.support))]
+            umat = model.u_matrix(r.support, theta)
+            if moment_feasibility(umat)[0] != "interior":
+                continue
+            lam, q, value, _ = cr_dual(r.weights, umat, gamma)
+            try:
+                orc = project_oracle(
+                    r, model, theta, DivergenceSpec.cr(gamma), restarts=1, outer=6, inner=150
+                )
+            except NotConverged:
+                continue
+            assert abs(cressie_read(orc, r, gamma) - value) <= 1e-9
+            assert np.max(np.abs(orc.weights - q)) <= 1e-6
+            compared[gamma] += 1
+        assert min(compared.values()) >= 4, compared
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_kkt_with_zero_weights(self, gamma):
+        # theta near the bottom of the support: the optimal q leaves the
+        # top atoms without weight
+        rng = np.random.default_rng(int(gamma * 10))
+        with_zeros = 0
+        for _ in range(30):
+            r = random_law(rng, int(rng.integers(3, 9)))
+            x, p = r.support, r.weights
+            theta = x[0] + rng.uniform(0.05, 0.5) * (r.mean() - x[0])
+            umat = (x - theta)[:, None]
+            lam, q, value, _ = cr_dual(p, umat, gamma)
+            assert abs(q.sum() - 1.0) <= 1e-12
+            assert abs(q @ umat[:, 0]) <= 1e-12
+            assert np.all(q >= 0.0)
+            live = q > 0.0
+            with_zeros += int(not live.all())
+            # stationarity: (q/p)^gamma - gamma lam.u is one constant
+            # c = 1 + gamma eta on every atom with weight
+            level = (q / p) ** gamma - gamma * (umat @ lam)
+            c = float(np.mean(level[live]))
+            assert np.max(np.abs(level[live] - c)) <= 1e-9 * max(1.0, abs(c))
+            # complementary slackness: a zero-weight atom has z = c + gamma lam.u <= 0
+            assert np.all(c + gamma * (umat[~live] @ lam) <= 1e-9 * max(1.0, abs(c)))
+            assert abs(value - cressie_read(make_pmf(x, q), r, gamma)) <= 1e-12
+        assert with_zeros >= 10
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        atoms=st.lists(st.integers(-20, 20), min_size=3, max_size=8, unique=True),
+        raw=st.lists(st.floats(0.05, 1.0), min_size=8, max_size=8),
+        frac=st.floats(0.05, 0.95),
+        gamma=st.sampled_from((-2.0, -0.5, 0.0, 0.5, 1.0, 2.0)),
+    )
+    def test_projection_properties(self, atoms, raw, frac, gamma):
+        x = np.sort(np.asarray(atoms, dtype=float))
+        p = np.asarray(raw[: x.size]) / sum(raw[: x.size])
+        theta = x[0] + frac * np.ptp(x)
+        umat = (x - theta)[:, None]
+        lam, q, value, _ = cr_dual(p, umat, gamma)
+        assert np.all(q >= 0.0) and abs(q.sum() - 1.0) <= 1e-12
+        assert abs(q @ umat[:, 0]) <= 1e-10 * np.abs(umat).max()
+        spec = DivergenceSpec.kl() if gamma == 0.0 else DivergenceSpec.cr(gamma)
+        assert value >= -1e-12
+        assert abs(value - spec.value(q, p)) <= 1e-10 * max(1.0, value)
+        # no feasible mixture with the two-point law around theta does better
+        hi = int(np.searchsorted(x, theta))
+        lo = hi - 1
+        two = np.zeros(x.size)
+        two[lo] = (x[hi] - theta) / (x[hi] - x[lo])
+        two[hi] = 1.0 - two[lo]
+        for t in (0.01, 0.5):
+            assert spec.value((1.0 - t) * q + t * two, p) >= value - 1e-12 * max(1.0, value)
+
+    def test_tilting_stops_at_the_objective_resolution(self):
+        # theta within 1e-4 of the sample mean: the first step leaves a
+        # Newton decrement far below what the dual objective can resolve
+        freq = np.array([42.0, 55.0, 103.0]) / 200.0
+        x = np.array([0.0, 1.0, 2.0])
+        for offset in np.concatenate([[4.55e-5], np.linspace(1e-6, 1e-4, 60)]):
+            umat = (x - (freq @ x + offset))[:, None]
+            lam, q, kl, iterations = cr_dual(freq, umat, 0.0)
+            assert iterations <= 10
+            assert abs(q @ umat[:, 0]) <= 1e-15
+            tilt = freq * np.exp(umat[:, 0] * lam[0])
+            assert np.max(np.abs(q - tilt / tilt.sum())) <= 1e-15
+
+    def test_unconstrained_returns_base(self):
+        p = np.array([0.2, 0.3, 0.5])
+        for gamma in (-2.0, 0.0, 1.0):
+            lam, q, value, _ = cr_dual(p, np.zeros((3, 0)), gamma)
+            assert lam.size == 0 and np.allclose(q, p, atol=1e-15) and abs(value) <= 1e-15
 
 
 class TestProfile:
