@@ -8,9 +8,17 @@ with the empirical distribution as the base.  Exponential tilting (KL) and
 the Cressie-Read family minimize CR_gamma(q || empirical) through one dual
 Newton kernel over the multipliers of sum q = 1 and sum q u = 0
 (``projection.cr_dual``; tilting is its gamma = 0 limit).  Euclidean
-weights have a closed form.  The outer search over theta is a coarse
-grid followed by golden-section refinement, which tolerates the kinks that
-appear where the moment problem leaves the convex hull.
+weights have a closed form.
+
+The outer search over theta minimizes the profile P(theta) on a coarse
+grid, which is the global start because P is +inf where the zero moment
+leaves the hull of the u values, then refines from the best node by
+projected BFGS.  The gradient comes free from the inner fit by the envelope
+theorem: dP/dtheta = sum_a q_a mu . du_a/dtheta, with q the fitted atom
+weights and mu the moment multiplier of the primal (-n lam for EL, ET and
+Cressie-Read, 2 lam for the Euclidean closed form).  Atoms, counts and the
+observation-to-atom index are computed once per fit; each theta evaluation
+solves only the inner dual.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,18 +40,16 @@ from .errors import (
     SupportCondition,
     ThetaOutOfDomain,
 )
-from .prob import (
-    EstimatingModel,
-    Pmf,
-    Sample,
-    counts_loglik,
-    log_mass_table,
-    make_pmf,
+from .prob import EstimatingModel, Pmf, Sample, counts_loglik, log_mass_table, make_pmf
+from .projection import (
+    cr_dual,
+    dual_newton,
+    envelope_gradient,
+    moment_feasibility,
+    refine_min,
 )
-from .projection import cr_dual, dual_newton, moment_feasibility
 
 GRID_POINTS = 201
-REFINE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,6 +61,8 @@ class DualFit:
     (Euclidean closed form) or observations are not scalar.  For the EL
     method ``profile_value`` is -sum_i log w_i; for the other methods it is
     n times the fitted discrepancy, so that smaller is better throughout.
+    ``profile_grad`` is the gradient of ``profile_value`` in theta, by the
+    envelope theorem.
     """
 
     lam: np.ndarray
@@ -62,6 +71,7 @@ class DualFit:
     pmf: Pmf | None
     converged: bool = True
     nonnegative: bool = True
+    profile_grad: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -72,54 +82,126 @@ class ELFit:
     method: str
 
 
-def _atoms_and_counts(sample: Sample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct observations, their counts, and the atom index of each
-    observation."""
-    if sample.n == 0:
-        raise EmptySample("estimation needs at least one observation")
-    vals = sample.values()
-    if vals.ndim == 1:
-        atoms, inverse, counts = np.unique(vals, return_inverse=True, return_counts=True)
-        atom_list = list(atoms)
-    else:
-        atoms, inverse, counts = np.unique(vals, axis=0, return_inverse=True, return_counts=True)
-        atom_list = [tuple(row) for row in atoms]
-    return atom_list, counts.astype(float), inverse.reshape(-1)
+class _Solution(NamedTuple):
+    """One inner solve: the profile value, the dual multiplier, the fitted
+    weight q_a of each atom, and the multiplier mu of the moment constraint
+    in the primal Lagrangian, so that the profile's gradient is
+    sum_a q_a mu . du_a/dtheta."""
+
+    value: float
+    lam: np.ndarray
+    q: np.ndarray
+    mu: np.ndarray
+    converged: bool = True
+    nonnegative: bool = True
 
 
-def _atoms_pmf(atom_list, weights: np.ndarray) -> Pmf | None:
-    if atom_list and isinstance(atom_list[0], tuple):
-        return None
-    return make_pmf(np.asarray(atom_list, dtype=float), weights)
+class _MomentProblem:
+    """A sample reduced, once per fit, to its distinct atoms, their counts
+    and the atom index of each observation, with the model's u on them."""
+
+    def __init__(self, sample: Sample, model: EstimatingModel):
+        if sample.n == 0:
+            raise EmptySample("estimation needs at least one observation")
+        vals = sample.values()
+        self.scalar = vals.ndim == 1
+        self.atoms, inverse, counts = np.unique(
+            vals, axis=None if self.scalar else 0, return_inverse=True, return_counts=True
+        )
+        self.inverse = inverse.reshape(-1)
+        self.counts = counts.astype(float)
+        self.n = float(sample.n)
+        self.freq = self.counts / self.n
+        self.model = model
+
+    def u(self, th: np.ndarray, feasibility: str | None) -> np.ndarray:
+        """u at the atoms, once theta is in the domain and, unless
+        ``feasibility`` is None, the zero moment is attainable: strictly
+        inside the hull of the u rows ("interior"), or on its boundary too
+        ("boundary")."""
+        if not self.model.domain.contains(th):
+            raise ThetaOutOfDomain(f"theta {th} outside the parameter domain")
+        umat = self.model.u_matrix(self.atoms, th)
+        if feasibility is not None:
+            status, _ = moment_feasibility(umat)
+            if status == "infeasible" or (status == "boundary" and feasibility == "interior"):
+                raise InfeasibleMoment(f"0 outside the convex hull of u values at theta={th}")
+        return umat
+
+    def gradient(self, th: np.ndarray, sol: _Solution) -> np.ndarray:
+        return envelope_gradient(sol.q, sol.mu, self.model.du_matrix(self.atoms, th))
+
+    def fit(self, th: np.ndarray, sol: _Solution) -> DualFit:
+        """DualFit from a solve: each observation gets its atom's weight
+        shared equally among the atom's observations."""
+        pmf = None
+        if self.scalar and sol.nonnegative:
+            pmf = make_pmf(self.atoms, sol.q)
+        return DualFit(
+            lam=sol.lam,
+            w=(sol.q / self.counts)[self.inverse],
+            profile_value=float(sol.value),
+            pmf=pmf,
+            converged=sol.converged,
+            nonnegative=sol.nonnegative,
+            profile_grad=self.gradient(th, sol),
+        )
 
 
-def _moment_problem(
-    sample: Sample, model: EstimatingModel, theta, boundary_ok: bool = False
-) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-    """Atoms, counts, atom index of each observation and u matrix at theta,
-    once theta is in the domain and the zero moment is attainable: inside
-    the hull of the u rows, or on its boundary too when ``boundary_ok``."""
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if not model.domain.contains(th):
-        raise ThetaOutOfDomain(f"theta {th} outside the parameter domain")
-    atom_list, counts, inverse = _atoms_and_counts(sample)
-    umat = model.u_matrix(atom_list, th)
-    status, _ = moment_feasibility(umat)
-    if status == "infeasible" or (status == "boundary" and not boundary_ok):
-        raise InfeasibleMoment(f"0 outside the convex hull of u values at theta={th}")
-    return atom_list, counts, inverse, umat
-
-
-def _weights_fit(atom_list, counts, inverse, lam, q, profile_value, converged=True) -> DualFit:
-    """DualFit from per-atom weights q: each observation gets its atom's
-    weight shared equally among the atom's observations."""
-    return DualFit(
-        lam=lam,
-        w=(q / counts)[inverse],
-        profile_value=float(profile_value),
-        pmf=_atoms_pmf(atom_list, q),
-        converged=converged,
+def _el(mp: _MomentProblem, th: np.ndarray) -> _Solution:
+    umat = mp.u(th, "interior")
+    lam, gval, _, gnorm = dual_newton(mp.freq, umat)
+    q = mp.freq / (1.0 - umat @ lam)
+    # q sums to 1 - lam . grad g, so to 1 only as far as the dual converged.
+    return _Solution(
+        mp.n * math.log(mp.n) + mp.n * gval, lam, q / q.sum(), -mp.n * lam,
+        converged=gnorm <= 1e-10,
     )
+
+
+def _et(mp: _MomentProblem, th: np.ndarray) -> _Solution:
+    lam, pi, kl = tilt_dual(mp.freq, mp.u(th, "interior"))
+    return _Solution(mp.n * kl, lam, pi, -mp.n * lam)
+
+
+def _cr(mp: _MomentProblem, th: np.ndarray, gamma: float) -> _Solution:
+    umat = mp.u(th, "boundary" if gamma > 0.0 else "interior")
+    lam, q, value, _ = cr_dual(mp.freq, umat, gamma)
+    return _Solution(mp.n * value, lam, q, -mp.n * lam)
+
+
+def _euclidean(mp: _MomentProblem, th: np.ndarray) -> _Solution:
+    umat = mp.u(th, None)
+    n, counts = mp.n, mp.counts
+    live = np.any(umat != 0.0, axis=0)  # identically-zero constraints are vacuous
+    arows = np.hstack([np.ones((counts.size, 1)), umat[:, live]])
+    target = np.concatenate([[1.0], np.zeros(int(live.sum()))])
+    gram = (arows * counts[:, None]).T @ arows / n
+    rhs = (counts / n) @ arows - target
+    try:
+        z = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularConstraints(str(exc)) from None
+    delta = -(arows @ z) / n  # per-observation shift from 1/n
+    w_atom = 1.0 / n + delta
+    resid = np.abs(counts @ (w_atom[:, None] * arows) - target)
+    if not np.all(np.isfinite(w_atom)) or np.max(resid) > 1e-8:
+        raise SingularConstraints(
+            f"normal equations inconsistent at theta={th} (residual {np.max(resid):.2e})"
+        )
+    lam = np.zeros(umat.shape[1])
+    lam[live] = z[1:]
+    # n sum_i delta_i^2 has derivative -2 a_i . z in w_i, so mu = 2 lam
+    return _Solution(
+        n * float(counts @ delta**2), lam, counts * w_atom, 2.0 * lam,
+        nonnegative=bool(np.all(w_atom >= 0.0)),
+    )
+
+
+def _inner(sample: Sample, model: EstimatingModel, theta, solve) -> DualFit:
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    mp = _MomentProblem(sample, model)
+    return mp.fit(th, solve(mp, th))
 
 
 def el_inner(sample: Sample, model: EstimatingModel, theta) -> DualFit:
@@ -129,16 +211,7 @@ def el_inner(sample: Sample, model: EstimatingModel, theta) -> DualFit:
     and the profile value n log n + sum_i log(1 - lam.u_i), the minimum of
     -sum log w over the constrained weight simplex.
     """
-    atom_list, counts, inverse, umat = _moment_problem(sample, model, theta)
-    n = float(sample.n)
-    freq = counts / n
-    lam, gval, _, gnorm = dual_newton(freq, umat)
-    q = freq / (1.0 - umat @ lam)
-    # q sums to 1 - lam . grad g, so to 1 only as far as the dual converged.
-    return _weights_fit(
-        atom_list, counts, inverse, lam, q / q.sum(),
-        n * math.log(n) + n * gval, converged=gnorm <= 1e-10,
-    )
+    return _inner(sample, model, theta, _el)
 
 
 def tilt_dual(freq: np.ndarray, umat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -156,63 +229,20 @@ def tilt_dual(freq: np.ndarray, umat: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def et_inner(sample: Sample, model: EstimatingModel, theta) -> DualFit:
     """Minimum of KL(q || empirical) under the moment constraints, solved
     through the smooth dual min_lam log sum_x freq_x exp(lam.u_x)."""
-    atom_list, counts, inverse, umat = _moment_problem(sample, model, theta)
-    lam, pi, kl = tilt_dual(counts / sample.n, umat)
-    return _weights_fit(atom_list, counts, inverse, lam, pi, sample.n * kl)
+    return _inner(sample, model, theta, _et)
 
 
 def cr_inner(sample: Sample, model: EstimatingModel, theta, gamma: float) -> DualFit:
     """Minimum of CR_gamma(q, empirical) under the moment constraints, by
     the Cressie-Read dual kernel.  For gamma > 0 some atoms may get zero
     weight, so the zero moment may also sit on the hull's boundary."""
-    atom_list, counts, inverse, umat = _moment_problem(
-        sample, model, theta, boundary_ok=gamma > 0.0
-    )
-    lam, q, value, _ = cr_dual(counts / sample.n, umat, gamma)
-    return _weights_fit(atom_list, counts, inverse, lam, q, sample.n * value)
+    return _inner(sample, model, theta, functools.partial(_cr, gamma=gamma))
 
 
 def euclidean_inner(sample: Sample, model: EstimatingModel, theta) -> DualFit:
     """Closed-form least-squares weights on the constraint-affine subspace;
     weights may come out negative and are then flagged."""
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if not model.domain.contains(th):
-        raise ThetaOutOfDomain(f"theta {th} outside the parameter domain")
-    atom_list, counts, inverse = _atoms_and_counts(sample)
-    n = float(sample.n)
-    umat = model.u_matrix(atom_list, th)
-    live = np.any(umat != 0.0, axis=0)  # identically-zero constraints are vacuous
-    arows = np.hstack([np.ones((len(atom_list), 1)), umat[:, live]])
-    gram = (arows * counts[:, None]).T @ arows / n
-    rhs = (counts / n) @ arows
-    rhs = rhs - np.concatenate([[1.0], np.zeros(int(live.sum()))])
-    try:
-        z = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularConstraints(str(exc)) from None
-    delta = -(arows @ z) / n  # per-observation shift from 1/n
-    w_atom = 1.0 / n + delta
-    resid = np.abs(counts @ (w_atom[:, None] * arows) - np.concatenate(
-        [[1.0], np.zeros(int(live.sum()))]
-    ))
-    if not np.all(np.isfinite(w_atom)) or np.max(resid) > 1e-8:
-        raise SingularConstraints(
-            f"normal equations inconsistent at theta={th} (residual {np.max(resid):.2e})"
-        )
-    w_obs = w_atom[inverse]
-    objective = float(counts @ delta**2)
-    nonneg = bool(np.all(w_obs >= 0.0))
-    pmf = _atoms_pmf(atom_list, counts * w_atom) if nonneg else None
-    lam = np.zeros(umat.shape[1])
-    lam[live] = z[1:]
-    return DualFit(
-        lam=lam,
-        w=w_obs,
-        profile_value=n * objective,
-        pmf=pmf,
-        converged=True,
-        nonnegative=nonneg,
-    )
+    return _inner(sample, model, theta, _euclidean)
 
 
 def _data_bounds(sample: Sample, k: int) -> list[tuple[float, float]]:
@@ -232,37 +262,48 @@ def _profile_search(
     grid_points: int,
     bounds,
 ) -> tuple[np.ndarray, float, list]:
-    """Grid plus cyclic golden-section minimization of ``objective`` over
-    the model's parameter domain.  Infeasible values score +inf."""
+    """Minimize ``objective`` over the model's parameter domain: a grid
+    over each domain box, then ``refine_min`` from the best node.
+
+    ``objective(theta)`` returns (value, gradient thunk) and raises where
+    the inner fit does not exist; such values score +inf.  The grid's axes
+    span each box, or the data range with a margin (or ``bounds``) where
+    the box is unbounded, and for scalar models they include the data
+    values, which keeps degenerate point-feasible problems (constant
+    samples) solvable.  Ties within 1e-12 go to the lexicographically
+    smallest node.  The grid is the global start because the profile is
+    +inf off the hull; the refinement stays in the best node's box and
+    follows the envelope gradient.  Every evaluation appends one
+    (theta, value) record to the returned trace.
+    """
     k = model.domain.k
     fallback = bounds if bounds is not None else _data_bounds(sample, k)
     trace: list = []
 
-    def safe(th: np.ndarray) -> float:
+    def safe(th: np.ndarray):
         if not model.domain.contains(th):
-            return math.inf
+            return math.inf, None
         try:
-            val = objective(th)
+            val, grad = objective(th)
         except (InfeasibleMoment, SupportCondition, NotConverged, SingularConstraints):
-            val = math.inf
+            val, grad = math.inf, None
         trace.append((tuple(float(t) for t in th), float(val)))
-        return val
+        return val, grad
 
-    # scalar models: the exact data values are candidate grid points too,
-    # which keeps degenerate point-feasible problems (constant samples)
-    # solvable without relying on linspace hitting them
     extra = np.unique(sample.values()) if k == 1 and sample.is_scalar else None
 
     best_theta = None
     best_val = math.inf
     for box in model.domain.boxes:
         axes = []
+        steps = []
         for coord, (lo, hi) in enumerate(box):
             flo, fhi = fallback[coord] if coord < len(fallback) else fallback[-1]
             glo = lo if math.isfinite(lo) else flo
             ghi = hi if math.isfinite(hi) else fhi
             ghi = max(ghi, glo)
             axis = np.linspace(glo, ghi, grid_points) if ghi > glo else np.array([glo])
+            steps.append((ghi - glo) / max(grid_points - 1, 1) if ghi > glo else 1.0)
             if extra is not None:
                 inside = extra[(extra >= glo) & (extra <= ghi)]
                 axis = np.union1d(axis, inside)
@@ -270,7 +311,7 @@ def _profile_search(
         mesh = np.meshgrid(*axes, indexing="ij") if k > 1 else [axes[0]]
         pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
         for row in pts:
-            v = safe(row)
+            v, grad = safe(row)
             if v == math.inf:
                 continue
             better = v < best_val - 1e-12
@@ -280,67 +321,30 @@ def _profile_search(
             if better or tie_smaller:
                 best_val = min(best_val, v)
                 best_theta = row.copy()
-                best_box = box
-                best_axes = axes
+                start = (v, grad, box, steps)
     if best_theta is None:
         raise AllThetaInfeasible("profile objective infinite on the whole grid")
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    theta = best_theta.copy()
-    for _ in range(60):
-        moved = 0.0
-        for coord in range(k):
-            axis = best_axes[coord]
-            pos = int(np.searchsorted(axis, theta[coord]))
-            lo = axis[max(pos - 1, 0)]
-            hi = axis[min(pos + 1, axis.size - 1)]
-            lo = max(lo, best_box[coord][0])
-            hi = min(hi, best_box[coord][1])
-            if hi - lo <= REFINE_TOL:
-                continue
-            a, b = float(lo), float(hi)
-            c = b - invphi * (b - a)
-            d = a + invphi * (b - a)
-
-            def along(t: float, coord=coord) -> float:
-                trial = theta.copy()
-                trial[coord] = t
-                return safe(trial)
-
-            fc, fd = along(c), along(d)
-            while b - a > REFINE_TOL:
-                if fc <= fd:
-                    b, d, fd = d, c, fc
-                    c = b - invphi * (b - a)
-                    fc = along(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + invphi * (b - a)
-                    fd = along(d)
-            cand = c if fc <= fd else d
-            cval = along(cand)
-            if cval < best_val - 1e-15:
-                moved = max(moved, abs(cand - theta[coord]))
-                theta[coord] = cand
-                best_val = cval
-        if moved <= 1e-8:
-            break
-    return theta, best_val, trace
+    value, grad, box, steps = start
+    theta, value = refine_min(safe, best_theta, value, grad(), box, steps)
+    return theta, value, trace
 
 
 def _estimate(
     sample: Sample,
     model: EstimatingModel,
-    inner,
+    solve,
     method: str,
     grid_points: int,
     bounds,
 ) -> ELFit:
-    def objective(th: np.ndarray) -> float:
-        return inner(sample, model, th).profile_value
+    mp = _MomentProblem(sample, model)
+
+    def objective(th: np.ndarray):
+        sol = solve(mp, th)
+        return sol.value, lambda: mp.gradient(th, sol)
 
     theta, _, trace = _profile_search(objective, model, sample, grid_points, bounds)
-    fit = inner(sample, model, theta)
+    fit = mp.fit(theta, solve(mp, theta))
     return ELFit(theta_hat=theta, inner=fit, trace=tuple(trace), method=method)
 
 
@@ -351,7 +355,7 @@ def el_estimate(
     bounds=None,
 ) -> ELFit:
     """Empirical-likelihood estimator: minimize the EL profile over theta."""
-    return _estimate(sample, model, el_inner, "EL", grid_points, bounds)
+    return _estimate(sample, model, _el, "EL", grid_points, bounds)
 
 
 def et_estimate(
@@ -361,7 +365,7 @@ def et_estimate(
     bounds=None,
 ) -> ELFit:
     """Exponential-tilting estimator: minimize the fitted KL over theta."""
-    return _estimate(sample, model, et_inner, "ET", grid_points, bounds)
+    return _estimate(sample, model, _et, "ET", grid_points, bounds)
 
 
 def euclidean_estimate(
@@ -371,7 +375,7 @@ def euclidean_estimate(
     bounds=None,
 ) -> ELFit:
     """Least-squares-weight estimator with the closed-form inner solution."""
-    return _estimate(sample, model, euclidean_inner, "Euclidean", grid_points, bounds)
+    return _estimate(sample, model, _euclidean, "Euclidean", grid_points, bounds)
 
 
 def cr_estimate(
@@ -390,8 +394,8 @@ def cr_estimate(
     if gamma == -1.0:
         return el_estimate(sample, model, grid_points, bounds)
 
-    inner = functools.partial(cr_inner, gamma=gamma)
-    return _estimate(sample, model, inner, f"CR({gamma})", grid_points, bounds)
+    solve = functools.partial(_cr, gamma=gamma)
+    return _estimate(sample, model, solve, f"CR({gamma})", grid_points, bounds)
 
 
 def mnpl_grid(sample: Sample, candidates) -> tuple[list, float]:

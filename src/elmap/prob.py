@@ -29,6 +29,9 @@ from .errors import (
 CLAMP_TOL = 1e-15
 ACCEPT_TOL = 1e-9
 NORM_TOL = 1e-12
+# Central-difference step (relative to max(1, |theta_i|)) for the Jacobian of
+# models without a closed form: eps^(1/3) balances truncation and rounding.
+_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
 def _exact_renormalize(w: np.ndarray) -> np.ndarray:
@@ -263,6 +266,12 @@ class EstimatingModel:
     ``u`` maps one observation and a parameter vector to a length-J array.
     The zero-moment conditions sum(q_i * u(x_i; theta)) = 0 define a linear
     family of distributions for each theta.
+
+    Two optional closed forms speed up the estimators' outer search:
+    ``u_batch(X, theta)`` evaluates u on an array of points at once, giving
+    (m, J), and ``du(X, theta)`` gives the Jacobian du/dtheta as (m, J, K).
+    Without ``u_batch``, u is stacked point by point; without ``du``, the
+    Jacobian comes from central differences of u.
     """
 
     u: Callable[[object, np.ndarray], np.ndarray]
@@ -270,14 +279,19 @@ class EstimatingModel:
     n_constraints: int
     n_params: int
     name: str = ""
+    u_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    du: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def u_matrix(self, points: Iterable, theta) -> np.ndarray:
         """Stack u(x; theta) over the given points into an (m, J) array."""
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        rows = [np.asarray(self.u(x, th), dtype=float).reshape(-1) for x in points]
-        out = np.asarray(rows, dtype=float)
-        if out.ndim == 1:  # J == 0
-            out = out.reshape(len(rows), 0)
+        if self.u_batch is not None:
+            out = np.asarray(self.u_batch(np.asarray(points, dtype=float), th), dtype=float)
+        else:
+            rows = [np.asarray(self.u(x, th), dtype=float).reshape(-1) for x in points]
+            out = np.asarray(rows, dtype=float)
+            if out.ndim == 1:  # J == 0
+                out = out.reshape(len(rows), 0)
         if out.shape[1] != self.n_constraints:
             raise ValueError(
                 f"u returned {out.shape[1]} components, expected {self.n_constraints}"
@@ -285,6 +299,22 @@ class EstimatingModel:
         if not np.all(np.isfinite(out)):
             raise ValueError("u produced non-finite values")
         return out
+
+    def du_matrix(self, points, theta) -> np.ndarray:
+        """Jacobian of u in theta at the given points, shape (m, J, K):
+        ``du`` when the model has it, else central differences of u."""
+        th = np.atleast_1d(np.asarray(theta, dtype=float))
+        if self.du is not None:
+            return np.asarray(self.du(np.asarray(points, dtype=float), th), dtype=float)
+        cols = []
+        for i in range(th.size):
+            h = _FD_STEP * max(1.0, abs(th[i]))
+            up, down = th.copy(), th.copy()
+            up[i] += h
+            down[i] -= h
+            diff = self.u_matrix(points, up) - self.u_matrix(points, down)
+            cols.append(diff / (up[i] - down[i]))
+        return np.stack(cols, axis=2)
 
 
 @dataclass(frozen=True)
@@ -328,6 +358,8 @@ def mean_model(domain: ParamDomain | None = None) -> EstimatingModel:
         n_constraints=1,
         n_params=1,
         name="mean",
+        u_batch=lambda xs, th: (xs - th[0])[:, None],
+        du=lambda xs, th: np.full((xs.shape[0], 1, 1), -1.0),
     )
 
 
@@ -340,12 +372,25 @@ def linear_model(domain: ParamDomain | None = None) -> EstimatingModel:
         resid = y - (th[0] + th[1] * x)
         return np.array([resid, x * resid])
 
+    def u_batch(xy, th):
+        x, y = xy[:, 0], xy[:, 1]
+        resid = y - (th[0] + th[1] * x)
+        return np.stack([resid, x * resid], axis=1)
+
+    def du(xy, th):
+        x = xy[:, 0]
+        # d resid / d(a, b) = -(1, x); the second row carries a factor x
+        d_resid = -np.stack([np.ones_like(x), x], axis=1)
+        return np.stack([d_resid, x[:, None] * d_resid], axis=1)
+
     return EstimatingModel(
         u=u,
         domain=domain if domain is not None else ParamDomain.real_line(2),
         n_constraints=2,
         n_params=2,
         name="linear",
+        u_batch=u_batch,
+        du=du,
     )
 
 

@@ -40,10 +40,17 @@ from .rng import rng_from
 GRAD_TOL = 1e-10
 MAX_ITER = 200
 _BOUNDARY_T = 1e-9
-# cr_dual: relative resolution of the dual objective, and the curvature
-# (per unit of base mass) given to atoms clipped at zero weight.
+# Relative resolution of an objective value (cr_dual's dual, refine_min's
+# profile), and cr_dual's curvature (per unit of base mass) given to atoms
+# clipped at zero weight.
 _RESOLUTION = 4.0 * np.finfo(float).eps
 _CLIP_CURVATURE = 1e-9
+# refine_min: steps stop below REFINE_TOL; Armijo's sufficient-decrease
+# constant; caps on quasi-Newton steps and on backtracks per step.
+REFINE_TOL = 1e-9
+_ARMIJO = 1e-4
+_REFINE_STEPS = 100
+_BACKTRACKS = 60
 
 
 @dataclass(frozen=True)
@@ -314,6 +321,29 @@ def lambda_family_member(
     return LambdaFamilyMember(base=base, lam=lam, theta=th, weights=w)
 
 
+def _l_dual(
+    r: Pmf, model: EstimatingModel, th: np.ndarray, boundary_as_infeasible: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int, float]:
+    """Dual of the L-projection of r at theta: the active atoms, u on them,
+    and dual_newton's (lam, g(lam), iterations, grad_norm)."""
+    if not model.domain.contains(th):
+        raise ThetaOutOfDomain(f"theta {th} outside the parameter domain")
+    active = r.weights > 0.0
+    umat = model.u_matrix(r.support, th)[active]
+    status, _ = moment_feasibility(umat)
+    if status == "infeasible":
+        raise InfeasibleMoment(f"zero moment unattainable at theta={th}")
+    if status == "boundary":
+        if boundary_as_infeasible:
+            raise InfeasibleMoment(
+                f"moment condition only attainable with zero weights at theta={th}"
+            )
+        raise SupportCondition(
+            f"family support at theta={th} is smaller than the support of the base"
+        )
+    return (active, umat) + dual_newton(r.weights[active], umat)
+
+
 def l_project_linear(
     r: Pmf,
     model: EstimatingModel,
@@ -322,26 +352,9 @@ def l_project_linear(
 ) -> ProjectionResult:
     """Project r onto the linear family at theta under L(. || r)."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if not model.domain.contains(th):
-        raise ThetaOutOfDomain(f"theta {th} outside the parameter domain")
-    active = r.weights > 0.0
-    umat_full = model.u_matrix(r.support, th)
-    umat = umat_full[active]
-    w = r.weights[active]
-    status, _ = moment_feasibility(umat)
-    if status == "infeasible":
-        raise InfeasibleMoment(f"zero moment unattainable at theta={th}")
-    if status == "boundary":
-        if _boundary_as_infeasible:
-            raise InfeasibleMoment(
-                f"moment condition only attainable with zero weights at theta={th}"
-            )
-        raise SupportCondition(
-            f"family support at theta={th} is smaller than the support of the base"
-        )
-    lam, gval, iters, gnorm = dual_newton(w, umat)
+    active, umat, lam, gval, iters, gnorm = _l_dual(r, model, th, _boundary_as_infeasible)
     q = np.zeros(r.m)
-    q[active] = w / (1.0 - umat @ lam)
+    q[active] = r.weights[active] / (1.0 - umat @ lam)
     value = entropy(r) + gval
     return ProjectionResult(
         qhat=make_pmf(r.support, q),
@@ -524,74 +537,139 @@ class ProfileResult:
     values: tuple
 
 
-def _golden_min(fun, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Golden-section minimizer on [lo, hi]; inf values are just large."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return c if fc <= fd else d
+def envelope_gradient(q: np.ndarray, mu: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """Gradient in theta of a profile min_q {D(q) : sum q u(theta) = 0, ...}
+    by the envelope theorem: sum_a q_a mu . du_a/dtheta, with q the fitted
+    weights, mu the multiplier of the moment constraint in the Lagrangian
+    D + mu . sum q u, and jac the (m, J, K) Jacobian of u at the atoms."""
+    return np.einsum("a,j,ajk->k", q, mu, jac)
+
+
+def refine_min(
+    fun, theta: np.ndarray, value: float, grad: np.ndarray, box, step
+) -> tuple[np.ndarray, float]:
+    """Projected quasi-Newton descent from a grid node.
+
+    ``fun(theta)`` returns (value, gradient thunk), with value +inf where
+    the profile is undefined.  BFGS runs on the coordinates that the
+    gradient does not hold at a bound of ``box`` (for one coordinate it is
+    the secant method).  The first step moves at most ``step`` along each
+    coordinate.  Each step is clipped to the box and backtracked until the
+    Armijo condition holds, rejecting +inf trials; the backtracking follows
+    the zero of the directional derivative along the step.  Once the
+    predicted decrease is below the resolution of the profile value, a
+    trial is accepted while it shrinks the projected gradient instead.
+    Stops when a step would move less than REFINE_TOL or the projected
+    gradient vanishes.  Returns (theta, value), never worse than the start.
+    """
+    lo = np.array([b[0] for b in box], dtype=float)
+    hi = np.array([b[1] for b in box], dtype=float)
+    step = np.asarray(step, dtype=float)
+    x, f, g = theta.copy(), value, grad
+    hinv = None
+
+    def projected(x, g):
+        held = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
+        return np.where(held, 0.0, g)
+
+    pg = projected(x, g)
+    for _ in range(_REFINE_STEPS):
+        if not np.any(pg):
+            break
+        free = pg != 0.0
+        if hinv is not None:
+            d = np.zeros_like(x)
+            d[free] = -(hinv[np.ix_(free, free)] @ pg[free])
+            if d @ pg >= 0.0:
+                hinv = None
+        if hinv is None:
+            d = -(step**2) * pg / float(np.max(np.abs(step * pg)))
+        resolution = _RESOLUTION * max(1.0, abs(f))
+        alpha = 1.0
+        accepted = False
+        for _ in range(_BACKTRACKS):
+            t = np.clip(x + alpha * d, lo, hi)
+            s = t - x
+            if float(np.max(np.abs(s))) <= REFINE_TOL:
+                break
+            slope = float(g @ s)
+            ft, thunk = fun(t)
+            if not math.isfinite(ft):
+                alpha *= 0.5
+                continue
+            gt = thunk()
+            pgt = projected(t, gt)
+            if ft <= f + _ARMIJO * slope or (
+                -slope <= resolution
+                and ft <= f + resolution
+                and np.linalg.norm(pgt) < np.linalg.norm(pg)
+            ):
+                accepted = True
+                break
+            # zero of the directional derivative, interpolated linearly
+            d0, dt = float(g @ d), float(gt @ d)
+            alpha = alpha * 0.5 if dt <= d0 else alpha * min(0.5, -d0 / (dt - d0))
+        if not accepted:
+            break
+        y = gt - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            if hinv is None:
+                hinv = np.eye(x.size) * (sy / float(y @ y))
+            rho = 1.0 / sy
+            v = np.eye(x.size) - rho * np.outer(s, y)
+            hinv = v @ hinv @ v.T + rho * np.outer(s, s)
+        x, f, g, pg = t, ft, gt, pgt
+    if f > value:
+        return theta.copy(), value
+    return x, f
 
 
 def profile_l_projection(
     r: Pmf, model: EstimatingModel, theta_grid
 ) -> ProfileResult:
     """Minimize the projection value over a grid of parameter points, then
-    refine once per coordinate by golden section.  All grid minimizers
-    within 1e-9 of the minimum are reported (there may be several)."""
+    refine from the lexicographically smallest grid minimizer by
+    ``refine_min`` on the envelope gradient.  All grid minimizers within
+    1e-9 of the minimum are reported (there may be several)."""
     grid = [np.atleast_1d(np.asarray(t, dtype=float)) for t in theta_grid]
     if not grid:
         raise AllInfeasible("empty parameter grid")
+    base_entropy = entropy(r)
 
-    def value_at(th: np.ndarray) -> float:
+    def value_at(th: np.ndarray):
         if not model.domain.contains(th):
-            return math.inf
+            return math.inf, None
         try:
-            return l_project_linear(r, model, th).value
+            active, umat, lam, gval, _, _ = _l_dual(r, model, th, False)
         except (InfeasibleMoment, SupportCondition, NotConverged):
-            return math.inf
+            return math.inf, None
 
-    vals = np.array([value_at(th) for th in grid])
+        def gradient() -> np.ndarray:
+            q = r.weights[active] / (1.0 - umat @ lam)
+            return envelope_gradient(q, -lam, model.du_matrix(r.support[active], th))
+
+        return base_entropy + gval, gradient
+
+    evals = [value_at(th) for th in grid]
+    vals = np.array([v for v, _ in evals])
     if not np.any(np.isfinite(vals)):
         raise AllInfeasible("projection infeasible on the whole grid")
     vmin = float(np.min(vals))
-    minimizers = tuple(
-        grid[i] for i in range(len(grid)) if vals[i] <= vmin + 1e-9
+    near = [i for i in range(len(grid)) if vals[i] <= vmin + 1e-9]
+    i0 = min(near, key=lambda i: tuple(grid[i]))
+    start = grid[i0]
+    box = next(
+        b for b in model.domain.boxes if all(lo <= t <= hi for t, (lo, hi) in zip(start, b))
     )
-    start = min(minimizers, key=lambda t: tuple(t))
-    theta = start.copy()
-    k = theta.size
-    for coord in range(k):
+    step = []
+    for coord in range(start.size):
         axis = np.unique([g[coord] for g in grid])
-        pos = int(np.searchsorted(axis, theta[coord]))
-        lo = axis[pos - 1] if pos - 1 >= 0 else theta[coord]
-        hi = axis[pos + 1] if pos + 1 < axis.size else theta[coord]
-        if hi <= lo:
-            continue
-
-        def along(t: float, coord=coord) -> float:
-            trial = theta.copy()
-            trial[coord] = t
-            return value_at(trial)
-
-        cand = _golden_min(along, float(lo), float(hi))
-        if along(cand) < value_at(theta) - 1e-15:
-            theta[coord] = cand
-    if value_at(theta) > vmin:
-        theta = start.copy()
+        step.append((axis[-1] - axis[0]) / (axis.size - 1) if axis.size > 1 else 1.0)
+    theta, _ = refine_min(value_at, start, float(vals[i0]), evals[i0][1](), box, step)
     return ProfileResult(
         theta_star=theta,
         result=l_project_linear(r, model, theta),
-        minimizers=minimizers,
+        minimizers=tuple(grid[i] for i in near),
         values=tuple(float(v) for v in vals),
     )

@@ -376,3 +376,102 @@ class TestMnplGrid:
             [make_pmf([0, 1], [0.6, 0.4]), make_pmf([0, 1], [0.9, 0.1])],
         )
         assert idx == [0]
+
+
+def _ols(x, y):
+    design = np.column_stack([np.ones_like(x), x])
+    return np.linalg.lstsq(design, y, rcond=None)[0]
+
+
+def _linear_fit_error(x, y, grid_points):
+    fit = el_estimate(Sample(tuple(zip(x, y))), linear_model(), grid_points)
+    return float(np.abs(fit.theta_hat - _ols(x, y)).max())
+
+
+class TestLinearPresetOls:
+    """The linear preset is just identified, so the EL estimate is OLS."""
+
+    def test_uncentred_pairs(self):
+        x = np.array([1.0, 2.0, 1.0, 3.0, 2.0, 0.0, 0.0, 3.0])
+        y = np.array([1.232, 2.181, 2.152, 2.974, 1.648, 0.367, 0.688, 2.521])
+        assert _linear_fit_error(x, y, 11) <= 1e-8
+
+    def test_seeded_draws(self):
+        # n = 8 pairs, x on {0, 1, 2, 3}, y rounded to 3 decimals.  On some
+        # draws the region of (a, b) where the EL profile is finite falls
+        # between the nodes of the 11-point grid, so the fit has no start;
+        # those draws must end in AllThetaInfeasible and are counted apart.
+        rng = np.random.default_rng(2024)
+        errors, no_start = [], 0
+        while len(errors) < 20:
+            x = rng.integers(0, 4, size=8).astype(float)
+            if np.unique(x).size < 2:
+                continue
+            y = np.round(0.5 + 0.7 * x + 0.3 * rng.normal(size=8), 3)
+            try:
+                errors.append(_linear_fit_error(x, y, 11))
+            except AllThetaInfeasible:
+                no_start += 1
+        print(f"{len(errors)} fits, {no_start} draws without a feasible grid node")
+        assert no_start <= 2
+        assert max(errors) <= 1e-8, errors
+
+    def test_half_lattice_fifty_pairs(self):
+        rng = np.random.default_rng(11)
+        x = rng.integers(0, 4, size=50).astype(float)
+        y = np.round(2.0 * (1.0 + 0.5 * x + 0.6 * rng.normal(size=50))) / 2.0
+        assert _linear_fit_error(x, y, 21) <= 1e-8
+
+
+def _central_difference(profile, theta, h=1e-5):
+    grad = np.empty(theta.size)
+    for i in range(theta.size):
+        step = np.zeros(theta.size)
+        step[i] = h * max(1.0, abs(theta[i]))
+        grad[i] = (profile(theta + step) - profile(theta - step)) / (2.0 * step[i])
+    return grad
+
+
+_INNERS = [
+    ("EL", el_inner),
+    ("ET", et_inner),
+    ("Euclidean", euclidean_inner),
+] + [
+    (f"CR({g})", lambda s, m, th, g=g: cr_inner(s, m, th, g)) for g in (-2.0, -0.5, 0.5, 2.0)
+]
+
+
+def _gradient_cases(name, rng):
+    """(sample, model, interior thetas) for the three models."""
+    if name == "mean":
+        obs = rng.choice([0.0, 1.0, 2.0, 3.0, 4.0], p=[0.1, 0.3, 0.2, 0.25, 0.15], size=60)
+        return Sample(tuple(obs)), mean_model(), [np.array([t]) for t in rng.uniform(0.8, 3.2, 4)]
+    if name == "linear":
+        x = rng.integers(0, 4, size=30).astype(float)
+        y = 0.5 + 0.7 * x + 0.3 * rng.normal(size=30)
+        ols = _ols(x, y)
+        return (
+            Sample(tuple(zip(x, y))), linear_model(),
+            [ols + rng.uniform(-0.05, 0.05, 2) for _ in range(4)],
+        )
+    obs = rng.choice([0.0, 1.0, 2.0, 3.0], p=[0.22, 0.38, 0.38, 0.02], size=60)
+    assert 3.0 in obs
+    thetas = [np.array([t]) for t in rng.uniform(0.8, 1.7, 4)]
+    return Sample(tuple(obs)), overidentified_model(), thetas
+
+
+class TestEnvelopeGradient:
+    """Each inner fit's profile_grad matches central differences of its
+    profile_value; the over-identified model has no du, so its Jacobian
+    comes from central differences of u."""
+
+    @pytest.mark.parametrize("model_name", ["mean", "linear", "overidentified"])
+    @pytest.mark.parametrize("method,inner", _INNERS, ids=[m for m, _ in _INNERS])
+    def test_matches_central_differences(self, method, inner, model_name):
+        rng = np.random.default_rng(17)
+        sample, model, thetas = _gradient_cases(model_name, rng)
+        for th in thetas:
+            fit = inner(sample, model, th)
+            fd = _central_difference(lambda t: inner(sample, model, t).profile_value, th)
+            scale = max(float(np.abs(fd).max()), 1.0)
+            assert np.abs(fit.profile_grad - fd).max() <= 1e-6 * scale, (th, fit.profile_grad, fd)

@@ -14,6 +14,7 @@ from elmap.errors import (
     ThetaOutOfDomain,
 )
 from elmap.prob import (
+    EstimatingModel,
     LinearFamilySpec,
     ParamDomain,
     Pmf,
@@ -211,3 +212,59 @@ class TestDomainsAndModels:
     def test_family_spec_matrix(self):
         spec = LinearFamilySpec(mean_model(), [1.0], np.array([0.0, 1.0, 2.0]))
         assert np.allclose(spec.u_matrix().ravel(), [-1.0, 0.0, 1.0])
+
+
+class TestBatchedModels:
+    """The presets' batched u and closed-form Jacobian against the
+    per-observation u they stand in for."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(5)
+        xs = rng.normal(size=12) * 3.0
+        pairs = np.column_stack([rng.integers(0, 4, size=12), rng.normal(size=12)])
+        return [
+            (mean_model(), xs, rng.normal(size=1) * 2.0),
+            (linear_model(), pairs, rng.normal(size=2)),
+        ]
+
+    def test_batched_u_matches_stacked_u(self):
+        for model, points, th in self._cases():
+            stacked = np.stack([model.u(x, th) for x in points])
+            batched = model.u_batch(points, th)
+            assert batched.shape == stacked.shape
+            assert np.abs(batched - stacked).max() <= 1e-15
+            assert np.abs(model.u_matrix(points, th) - stacked).max() <= 1e-15
+
+    def test_du_matches_central_differences(self):
+        h = 1e-6
+        for model, points, th in self._cases():
+            jac = model.du(points, th)
+            assert jac.shape == (len(points), model.n_constraints, model.n_params)
+            for i in range(th.size):
+                step = np.zeros(th.size)
+                step[i] = h
+                fd = np.stack([
+                    (model.u(x, th + step) - model.u(x, th - step)) / (2.0 * h) for x in points
+                ])
+                assert np.abs(jac[:, :, i] - fd).max() <= 1e-7
+
+    def test_per_observation_model_unchanged(self):
+        # a user model with only u: u_matrix stacks it point by point, and
+        # du_matrix falls back to central differences of u
+        model = EstimatingModel(
+            u=lambda x, th: np.array([x - th[0], x * x - th[0] ** 2 - 1.0]),
+            domain=ParamDomain.real_line(1), n_constraints=2, n_params=1,
+        )
+        points = [0.0, 1.0, 2.5, 3.0]
+        th = np.array([1.2])
+        expected = np.array([[x - 1.2, x * x - 1.2**2 - 1.0] for x in points])
+        assert np.array_equal(model.u_matrix(points, th), expected)
+        jac = model.du_matrix(points, th)
+        assert np.abs(jac[:, :, 0] - np.array([[-1.0, -2.4]] * 4)).max() <= 1e-8
+        empty = EstimatingModel(
+            u=lambda x, th: np.zeros(0), domain=ParamDomain.real_line(1),
+            n_constraints=0, n_params=1,
+        )
+        assert empty.u_matrix(points, th).shape == (4, 0)
+        assert empty.du_matrix(points, th).shape == (4, 0, 1)
