@@ -1,7 +1,7 @@
 """Empirical-likelihood estimation, divergence projections and exact
 finite-grid Bayesian posterior decay experiments."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .divergences import (
     DivergenceSpec,
@@ -14,7 +14,6 @@ from .divergences import (
 )
 from .prob import (
     EstimatingModel,
-    LinearFamilySpec,
     ParamDomain,
     Pmf,
     Sample,
@@ -27,14 +26,11 @@ from .prob import (
     tv_distance,
 )
 from .projection import (
-    LambdaFamilyMember,
     ProjectionResult,
     ProfileResult,
     l_project_linear,
-    lambda_family_member,
     profile_l_projection,
     project_oracle,
-    solve_lambda,
 )
 from .estimators import (
     DualFit,

@@ -2,13 +2,12 @@
 
 For a sample x_1..x_n and a model with constraints u(x; theta), the
 empirical-likelihood route maximizes sum_i log w_i over weight vectors on
-the observations subject to sum_i w_i u(x_i; theta) = 0, which by convex
-duality reduces to the same concave dual solved in :mod:`elmap.projection`
-with the empirical distribution as the base.  Exponential tilting (KL) and
-the Cressie-Read family minimize CR_gamma(q || empirical) through one dual
-Newton kernel over the multipliers of sum q = 1 and sum q u = 0
-(``projection.cr_dual``; tilting is its gamma = 0 limit).  Euclidean
-weights have a closed form.
+the observations subject to sum_i w_i u(x_i; theta) = 0.  That route,
+exponential tilting (KL) and the Cressie-Read family all minimize
+CR_gamma(q || empirical) through the one dual Newton kernel of
+:mod:`elmap.projection` (``dual_newton``) over the multipliers of sum q = 1
+and sum q u = 0: empirical likelihood is its gamma = -1 limit and tilting
+its gamma = 0 limit.  Euclidean weights have a closed form.
 
 The outer search over theta minimizes the profile P(theta) on a coarse
 grid, which is the global start because P is +inf where the zero moment
@@ -41,13 +40,7 @@ from .errors import (
     ThetaOutOfDomain,
 )
 from .prob import EstimatingModel, Pmf, Sample, counts_loglik, log_mass_table, make_pmf
-from .projection import (
-    cr_dual,
-    dual_newton,
-    envelope_gradient,
-    moment_feasibility,
-    refine_min,
-)
+from .projection import dual_newton, envelope_gradient, moment_feasibility, refine_min
 
 GRID_POINTS = 201
 
@@ -92,7 +85,6 @@ class _Solution(NamedTuple):
     lam: np.ndarray
     q: np.ndarray
     mu: np.ndarray
-    converged: bool = True
     nonnegative: bool = True
 
 
@@ -142,21 +134,15 @@ class _MomentProblem:
             w=(sol.q / self.counts)[self.inverse],
             profile_value=float(sol.value),
             pmf=pmf,
-            converged=sol.converged,
             nonnegative=sol.nonnegative,
             profile_grad=self.gradient(th, sol),
         )
 
 
 def _el(mp: _MomentProblem, th: np.ndarray) -> _Solution:
-    umat = mp.u(th, "interior")
-    lam, gval, _, gnorm = dual_newton(mp.freq, umat)
-    q = mp.freq / (1.0 - umat @ lam)
-    # q sums to 1 - lam . grad g, so to 1 only as far as the dual converged.
-    return _Solution(
-        mp.n * math.log(mp.n) + mp.n * gval, lam, q / q.sum(), -mp.n * lam,
-        converged=gnorm <= 1e-10,
-    )
+    # -sum_i log w_i = n log n + n KL(freq || q), the kernel's value at gamma = -1
+    lam, q, _, kl = dual_newton(mp.freq, mp.u(th, "interior"), -1.0)
+    return _Solution(mp.n * math.log(mp.n) + mp.n * kl, lam, q, -mp.n * lam)
 
 
 def _et(mp: _MomentProblem, th: np.ndarray) -> _Solution:
@@ -166,7 +152,7 @@ def _et(mp: _MomentProblem, th: np.ndarray) -> _Solution:
 
 def _cr(mp: _MomentProblem, th: np.ndarray, gamma: float) -> _Solution:
     umat = mp.u(th, "boundary" if gamma > 0.0 else "interior")
-    lam, q, value, _ = cr_dual(mp.freq, umat, gamma)
+    lam, q, _, value = dual_newton(mp.freq, umat, gamma)
     return _Solution(mp.n * value, lam, q, -mp.n * lam)
 
 
@@ -222,7 +208,7 @@ def tilt_dual(freq: np.ndarray, umat: np.ndarray) -> tuple[np.ndarray, np.ndarra
     responsible for checking that the zero moment lies strictly inside the
     hull of the u rows, otherwise the dual is unbounded below.
     """
-    lam, pi, kl, _ = cr_dual(freq, umat, 0.0)
+    lam, pi, _, kl = dual_newton(freq, umat, 0.0)
     return lam, pi, kl
 
 

@@ -317,27 +317,6 @@ class EstimatingModel:
         return np.stack(cols, axis=2)
 
 
-@dataclass(frozen=True)
-class LinearFamilySpec:
-    """A linear family: a model, a parameter point and a base support."""
-
-    model: EstimatingModel
-    theta: np.ndarray
-    base_support: np.ndarray
-
-    def __post_init__(self):
-        th = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        if not self.model.domain.contains(th):
-            raise ThetaOutOfDomain(f"theta {th} outside the parameter domain")
-        object.__setattr__(self, "theta", th)
-        object.__setattr__(
-            self, "base_support", np.asarray(self.base_support, dtype=float)
-        )
-
-    def u_matrix(self) -> np.ndarray:
-        return self.model.u_matrix(self.base_support, self.theta)
-
-
 def moments(q: Pmf, model: EstimatingModel, theta) -> np.ndarray:
     """Componentwise sum(q_i * u(x_i; theta))."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))

@@ -1,19 +1,15 @@
 """Projections of a base distribution onto linear families.
 
-The main route is convex duality: the minimizer of L(q || r) over
-{q : sum q_i u(x_i; theta) = 0} has the closed form q_i = r_i / (1 - lam.u_i)
-with the multiplier lam maximizing the concave dual
-
-    g(lam) = sum_i r_i log(1 - lam . u(x_i; theta))
-
-over the open region where every factor stays positive.  A damped Newton
-iteration solves the dual.  A second damped Newton kernel (``cr_dual``)
-solves the dual of the Cressie-Read projections, exponential tilting
-included, over the multipliers of both the normalization and the moment
-constraints.  An independent primal oracle (entropic mirror descent with an
-augmented Lagrangian, plus a local equality-constrained Newton polish)
-shares no code with either dual; it cross-checks them and also handles the
-Euclidean and reinforced-urn discrepancies.
+The main route is convex duality.  One damped Newton kernel
+(``dual_newton``) solves the dual of every Cressie-Read projection of a base
+p onto {q : sum q = 1, sum q u(x; theta) = 0}, over the multipliers (eta,
+lam) of both constraints.  Its gamma = -1 member is empirical likelihood:
+the L-projection, the minimizer of L(q || r), has q_i = r_i / (1 - lam.u_i)
+and value entropy(r) + KL(r || q); gamma = 0 is exponential tilting.  An
+independent primal oracle (entropic mirror descent with an augmented
+Lagrangian, plus a local equality-constrained Newton polish) shares no code
+with the dual; it cross-checks it and also handles the Euclidean and
+reinforced-urn discrepancies.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from scipy.optimize import linprog
 from .divergences import DivergenceSpec, entropy
 from .errors import (
     AllInfeasible,
-    GammaSingular,
     Infeasible,
     InfeasibleMoment,
     NotConverged,
@@ -40,8 +35,8 @@ from .rng import rng_from
 GRAD_TOL = 1e-10
 MAX_ITER = 200
 _BOUNDARY_T = 1e-9
-# Relative resolution of an objective value (cr_dual's dual, refine_min's
-# profile), and cr_dual's curvature (per unit of base mass) given to atoms
+# Relative resolution of an objective value (dual_newton's dual, refine_min's
+# profile), and dual_newton's curvature (per unit of base mass) given to atoms
 # clipped at zero weight.
 _RESOLUTION = 4.0 * np.finfo(float).eps
 _CLIP_CURVATURE = 1e-9
@@ -51,22 +46,6 @@ REFINE_TOL = 1e-9
 _ARMIJO = 1e-4
 _REFINE_STEPS = 100
 _BACKTRACKS = 60
-
-
-@dataclass(frozen=True)
-class LambdaFamilyMember:
-    """A member q_i = base_i / (1 - lam . u(x_i; theta)) of the tilted
-    family generated by a base distribution and estimating functions."""
-
-    base: Pmf
-    lam: np.ndarray
-    theta: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float))
-        object.__setattr__(self, "theta", np.atleast_1d(np.asarray(self.theta, dtype=float)))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -125,79 +104,9 @@ def moment_feasibility(umat: np.ndarray, tol: float = _BOUNDARY_T) -> tuple[str,
     return "interior", t
 
 
-def _log_ext(z: np.ndarray, tau: float) -> np.ndarray:
-    """log with a quadratic extension below tau, used only while line
-    searching so that near-boundary trial points evaluate smoothly."""
-    out = np.empty_like(z)
-    hi = z >= tau
-    out[hi] = np.log(z[hi])
-    d = z[~hi] - tau
-    out[~hi] = math.log(tau) + d / tau - d * d / (2.0 * tau * tau)
-    return out
-
-
 def dual_newton(
-    w: np.ndarray,
-    umat: np.ndarray,
-    grad_tol: float = GRAD_TOL,
-    max_iter: int = MAX_ITER,
-) -> tuple[np.ndarray, float, int, float]:
-    """Maximize g(lam) = sum w_i log(1 - lam.u_i) by damped Newton.
-
-    Returns (lam, g(lam), iterations, grad_norm).  Raises NotConverged when
-    the gradient norm cannot be brought below grad_tol; callers are expected
-    to have screened infeasible moment problems already.
-    """
-    m, j = umat.shape
-    if j == 0:
-        return np.zeros(0), 0.0, 0, 0.0
-    tau = 1.0 / (10.0 * m)
-    lam = np.zeros(j)
-    s = np.ones(m)
-    gval = 0.0
-    gnorm = math.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        grad = -(umat.T @ (w / s))
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= 1e-14:
-            break
-        curv = umat.T @ (umat * (w / s**2)[:, None])
-        try:
-            step = np.linalg.solve(curv, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(curv, grad, rcond=None)[0]
-        du = umat @ step
-        pos = du > 0
-        alpha = 1.0
-        if np.any(pos):
-            alpha = min(1.0, 0.99 * float(np.min(s[pos] / du[pos])))
-        slope = float(grad @ step)
-        accepted = False
-        for _ in range(70):
-            trial = s - alpha * du
-            val = float(w @ _log_ext(trial, tau))
-            if val >= gval + 1e-4 * alpha * slope and np.all(trial > 0.0):
-                lam = lam + alpha * step
-                s = trial
-                gval = float(w @ np.log(s))
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            break
-    grad = -(umat.T @ (w / s))
-    gnorm = float(np.linalg.norm(grad))
-    if gnorm > grad_tol:
-        raise NotConverged(
-            f"dual gradient norm {gnorm:.3e} > {grad_tol:.0e} after {it} iterations"
-        )
-    return lam, float(w @ np.log(s)), it, gnorm
-
-
-def cr_dual(
     p: np.ndarray, umat: np.ndarray, gamma: float
-) -> tuple[np.ndarray, np.ndarray, float, int]:
+) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Cressie-Read projection of p onto {q : sum q = 1, sum q u = 0}.
 
     Damped Newton over the multipliers (eta, lam) of the two constraints
@@ -209,78 +118,90 @@ def cr_dual(
     whose gradient is (sum q - 1, sum q u) at q_i = p_i z_i^(1/gamma).  For
     gamma > 0, z is clipped at 0, which is exactly the simplex-constrained
     primal, so atoms may get zero weight; for gamma < 0, D is +inf unless
-    every z_i > 0 and q stays strictly positive.  gamma = 0 is the
-    exponential-tilting limit z_i = eta + lam . u_i, q_i = p_i exp(z_i).
+    every z_i > 0 and q stays strictly positive.  The two limits: gamma = -1
+    is empirical likelihood, D = -sum_i p_i log z_i - eta with q_i = p_i / z_i,
+    and gamma = 0 is exponential tilting, z_i = eta + lam . u_i with
+    q_i = p_i exp(z_i).
 
-    Returns (lam, q, CR_gamma(q, p), iterations), with KL(q || p) as the
-    value at gamma = 0.  The caller checks that the zero moment is
-    attainable: inside the hull of the u rows for gamma <= 0, in it for
-    gamma > 0.  Raises NotConverged when the gradient, taken with each u
-    column scaled to unit maximum, stays above 1e-8.
+    Returns (lam, q, iterations, value) with value CR_gamma(q, p); its limits
+    are KL(p || q) at gamma = -1 and KL(q || p) at gamma = 0.  The caller
+    checks that the zero moment is attainable: inside the hull of the u rows
+    for gamma <= 0, in it for gamma > 0.  Raises NotConverged when the
+    gradient, taken with each u column scaled to unit maximum, stays above
+    1e-8.
     """
-    if abs(gamma + 1.0) < 1e-12:
-        raise GammaSingular("gamma = -1 is the empirical-likelihood dual (dual_newton)")
     m, j = umat.shape
     # Unit-scaled constraint columns keep eta and lam on one footing.
     scale = np.abs(umat).max(axis=0, initial=0.0)
     scale[scale == 0.0] = 1.0
     amat = np.hstack([np.ones((m, 1)), umat / scale])
+    # z moves by dz_dv per unit of eta + lam . u (the tilting limit carries
+    # v = eta + lam . u itself).
+    dz_dv = gamma if gamma != 0.0 else 1.0
 
-    def evaluate(x):
-        """D(x), q and the per-atom curvature dq/d eta."""
-        v = amat @ x
+    def evaluate(eta, z):
+        """D, q and the per-atom curvature dq/d eta at the carried z."""
         if gamma == 0.0:
             with np.errstate(over="ignore", invalid="ignore"):
-                q = p * np.exp(v)
-            return float(q.sum()) - x[0], q, q
-        z = 1.0 + gamma * v
+                q = p * np.exp(z)
+            return float(q.sum()) - eta, q, q
         if gamma < 0.0:
             if np.any(z <= 0.0):
                 return math.inf, None, None
             q = p * z ** (1.0 / gamma)
-            return float(q @ z) / (gamma + 1.0) - x[0], q, q / z
+            if gamma == -1.0:
+                return -float(p @ np.log(z)) - eta, q, q / z
+            return float(q @ z) / (gamma + 1.0) - eta, q, q / z
         live = z > 0.0
         q = p * np.maximum(z, 0.0) ** (1.0 / gamma)
         # A clipped atom has no curvature; the floor keeps the Newton system
         # regular when too few atoms are live to span the constraints, so
         # the step can bring clipped atoms back.
         h = np.where(live, q / np.where(live, z, 1.0), _CLIP_CURVATURE * p)
-        return float(q @ z) / (gamma + 1.0) - x[0], q, h
+        return float(q @ z) / (gamma + 1.0) - eta, q, h
 
     def gradient(q):
         g = amat.T @ q
         g[0] -= 1.0
         return g
 
+    # z is carried by increments, not recomputed from x: near the hull's
+    # edge some z_i are tiny, and 1 + gamma (A x)_i would lose their digits.
     x = np.zeros(j + 1)
-    d, q, h = evaluate(x)
+    z = np.full(m, 1.0 if gamma != 0.0 else 0.0)
+    d, q, h = evaluate(0.0, z)
     grad = gradient(q)
     gnorm = float(np.linalg.norm(grad))
     it = 0
     for it in range(1, MAX_ITER + 1):
         if gnorm == 0.0:
             break
-        step = np.linalg.lstsq((amat * h[:, None]).T @ amat, grad, rcond=None)[0]
+        hess = (amat * h[:, None]).T @ amat
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        dz = dz_dv * (amat @ step)
         decrement = float(grad @ step)
         if decrement <= _RESOLUTION * max(1.0, abs(d)):
             # Armijo cannot see a decrease this small: take full steps while
             # they still shrink the gradient, then stop.
-            xt = x - step
-            dt, qt, ht = evaluate(xt)
+            xt, zt = x - step, z - dz
+            dt, qt, ht = evaluate(xt[0], zt)
             if not math.isfinite(dt):
                 break
             gt = gradient(qt)
             gtnorm = float(np.linalg.norm(gt))
             if gtnorm >= gnorm:
                 break
-            x, d, q, h, grad, gnorm = xt, dt, qt, ht, gt, gtnorm
+            x, z, d, q, h, grad, gnorm = xt, zt, dt, qt, ht, gt, gtnorm
             continue
         alpha = 1.0
         for _ in range(60):
-            xt = x - alpha * step
-            dt, qt, ht = evaluate(xt)
+            xt, zt = x - alpha * step, z - alpha * dz
+            dt, qt, ht = evaluate(xt[0], zt)
             if dt <= d - 1e-4 * alpha * decrement:
-                x, d, q, h = xt, dt, qt, ht
+                x, z, d, q, h = xt, zt, dt, qt, ht
                 grad = gradient(q)
                 gnorm = float(np.linalg.norm(grad))
                 break
@@ -292,40 +213,20 @@ def cr_dual(
     q = q / q.sum()
     pos = q > 0.0
     ratio = q[pos] / p[pos]
-    if gamma == 0.0:
+    if gamma == -1.0:
+        value = -float(p[pos] @ np.log(ratio))
+    elif gamma == 0.0:
         value = float(q[pos] @ np.log(ratio))
     else:
         value = float(q[pos] @ (ratio**gamma - 1.0)) / (gamma * (gamma + 1.0))
-    return x[1:] / scale, q, value, it
-
-
-def solve_lambda(
-    r: Pmf, model: EstimatingModel, theta
-) -> tuple[np.ndarray, float, bool]:
-    """Multiplier, projection value and convergence flag of the dual."""
-    res = l_project_linear(r, model, theta, _boundary_as_infeasible=True)
-    return res.lam, res.value, res.converged
-
-
-def lambda_family_member(
-    base: Pmf, model: EstimatingModel, theta, lam
-) -> LambdaFamilyMember:
-    """Evaluate the tilted-family weights base_i / (1 - lam.u(x_i; theta))."""
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    lam = np.asarray(lam, dtype=float)
-    umat = model.u_matrix(base.support, th)
-    s = 1.0 - umat @ lam
-    if np.any((base.weights > 0.0) & (s <= 0.0)):
-        raise InfeasibleMoment("1 - lam.u must stay positive on the base support")
-    w = np.where(base.weights > 0.0, base.weights / np.where(s > 0, s, 1.0), 0.0)
-    return LambdaFamilyMember(base=base, lam=lam, theta=th, weights=w)
+    return x[1:] / scale, q, it, value
 
 
 def _l_dual(
-    r: Pmf, model: EstimatingModel, th: np.ndarray, boundary_as_infeasible: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int, float]:
+    r: Pmf, model: EstimatingModel, th: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, float]:
     """Dual of the L-projection of r at theta: the active atoms, u on them,
-    and dual_newton's (lam, g(lam), iterations, grad_norm)."""
+    and dual_newton's (lam, q, iterations, KL(r || q)) at gamma = -1."""
     if not model.domain.contains(th):
         raise ThetaOutOfDomain(f"theta {th} outside the parameter domain")
     active = r.weights > 0.0
@@ -334,32 +235,23 @@ def _l_dual(
     if status == "infeasible":
         raise InfeasibleMoment(f"zero moment unattainable at theta={th}")
     if status == "boundary":
-        if boundary_as_infeasible:
-            raise InfeasibleMoment(
-                f"moment condition only attainable with zero weights at theta={th}"
-            )
         raise SupportCondition(
             f"family support at theta={th} is smaller than the support of the base"
         )
-    return (active, umat) + dual_newton(r.weights[active], umat)
+    return (active, umat) + dual_newton(r.weights[active], umat, -1.0)
 
 
-def l_project_linear(
-    r: Pmf,
-    model: EstimatingModel,
-    theta,
-    _boundary_as_infeasible: bool = False,
-) -> ProjectionResult:
+def l_project_linear(r: Pmf, model: EstimatingModel, theta) -> ProjectionResult:
     """Project r onto the linear family at theta under L(. || r)."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    active, umat, lam, gval, iters, gnorm = _l_dual(r, model, th, _boundary_as_infeasible)
+    active, umat, lam, q_active, iters, kl = _l_dual(r, model, th)
     q = np.zeros(r.m)
-    q[active] = r.weights[active] / (1.0 - umat @ lam)
-    value = entropy(r) + gval
+    q[active] = q_active
+    gnorm = float(np.linalg.norm(umat.T @ q_active))
     return ProjectionResult(
         qhat=make_pmf(r.support, q),
         lam=lam,
-        value=value,
+        value=entropy(r) + kl,
         converged=gnorm <= GRAD_TOL,
         iterations=iters,
         grad_norm=gnorm,
@@ -641,15 +533,14 @@ def profile_l_projection(
         if not model.domain.contains(th):
             return math.inf, None
         try:
-            active, umat, lam, gval, _, _ = _l_dual(r, model, th, False)
+            active, _, lam, q, _, kl = _l_dual(r, model, th)
         except (InfeasibleMoment, SupportCondition, NotConverged):
             return math.inf, None
 
         def gradient() -> np.ndarray:
-            q = r.weights[active] / (1.0 - umat @ lam)
             return envelope_gradient(q, -lam, model.du_matrix(r.support[active], th))
 
-        return base_entropy + gval, gradient
+        return base_entropy + kl, gradient
 
     evals = [value_at(th) for th in grid]
     vals = np.array([v for v, _ in evals])

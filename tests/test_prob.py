@@ -15,7 +15,6 @@ from elmap.errors import (
 )
 from elmap.prob import (
     EstimatingModel,
-    LinearFamilySpec,
     ParamDomain,
     Pmf,
     Sample,
@@ -202,16 +201,6 @@ class TestDomainsAndModels:
         assert np.allclose(u, [[0.0, 0.0]])
         u = m.u_matrix([(2.0, 1.0)], [0.0, 0.0])
         assert np.allclose(u, [[1.0, 2.0]])
-
-    def test_family_spec_checks_domain(self):
-        with pytest.raises(ThetaOutOfDomain):
-            LinearFamilySpec(
-                mean_model(ParamDomain.box((0.0, 1.0))), [2.0], np.array([0.0, 1.0])
-            )
-
-    def test_family_spec_matrix(self):
-        spec = LinearFamilySpec(mean_model(), [1.0], np.array([0.0, 1.0, 2.0]))
-        assert np.allclose(spec.u_matrix().ravel(), [-1.0, 0.0, 1.0])
 
 
 class TestBatchedModels:

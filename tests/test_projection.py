@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,13 +16,11 @@ from elmap.errors import (
 )
 from elmap.prob import EstimatingModel, ParamDomain, make_pmf, mean_model, moments
 from elmap.projection import (
-    cr_dual,
+    dual_newton,
     l_project_linear,
-    lambda_family_member,
     moment_feasibility,
     profile_l_projection,
     project_oracle,
-    solve_lambda,
 )
 
 from oracles import bisect_lambda
@@ -53,14 +52,15 @@ def random_instance(rng, m=None, j=None):
 
 class TestSolveLambda:
     def test_constraint_already_satisfied(self):
-        lam, value, converged = solve_lambda(UNIFORM3, mean_model(), [1.0])
+        res = l_project_linear(UNIFORM3, mean_model(), [1.0])
+        lam, value, converged = res.lam, res.value, res.converged
         assert converged
         assert abs(lam[0]) <= 1e-12
         assert math.isclose(value, math.log(3.0), rel_tol=1e-14)
 
     def test_matches_bisection_oracle(self):
         model = mean_model()
-        lam, _, _ = solve_lambda(UNIFORM3, model, [1.2])
+        lam = l_project_linear(UNIFORM3, model, [1.2]).lam
         ucol = model.u_matrix(UNIFORM3.support, [1.2]).ravel()
         lam_oracle = bisect_lambda(UNIFORM3.weights, ucol)
         assert abs(lam[0] - lam_oracle) <= 1e-9
@@ -78,7 +78,8 @@ class TestSolveLambda:
             # target mean strictly inside the support range
             frac = rng.uniform(0.1, 0.9)
             target = float(sup[0] + frac * (sup[-1] - sup[0]))
-            lam, value, converged = solve_lambda(r, model, [target])
+            res = l_project_linear(r, model, [target])
+            lam, value, converged = res.lam, res.value, res.converged
             assert converged
             ucol = model.u_matrix(r.support, [target]).ravel()
             lam_oracle = bisect_lambda(r.weights, ucol)
@@ -86,11 +87,7 @@ class TestSolveLambda:
 
     def test_infeasible_moment(self):
         with pytest.raises(InfeasibleMoment):
-            solve_lambda(UNIFORM3, mean_model(), [2.5])
-
-    def test_boundary_is_infeasible_here(self):
-        with pytest.raises(InfeasibleMoment):
-            solve_lambda(UNIFORM3, mean_model(), [2.0])
+            l_project_linear(UNIFORM3, mean_model(), [2.5])
 
 
 class TestLProjectLinear:
@@ -106,11 +103,11 @@ class TestLProjectLinear:
     def test_lambda_identity(self):
         model = mean_model()
         res = l_project_linear(UNIFORM3, model, [1.2])
-        member = lambda_family_member(UNIFORM3, model, [1.2], res.lam)
         scale = 1.0 - model.u_matrix(UNIFORM3.support, [1.2]) @ res.lam
+        member = UNIFORM3.weights / scale
         resid = np.max(np.abs(res.qhat.weights * scale - UNIFORM3.weights))
         assert resid <= 1e-12
-        assert np.max(np.abs(member.weights - res.qhat.weights)) <= 1e-12
+        assert np.max(np.abs(member - res.qhat.weights)) <= 1e-12
 
     def test_moment_and_duality_postconditions(self):
         res = l_project_linear(UNIFORM3, mean_model(), [1.4])
@@ -290,7 +287,7 @@ class TestCrDual:
             umat = model.u_matrix(r.support, theta)
             if moment_feasibility(umat)[0] != "interior":
                 continue
-            lam, q, value, _ = cr_dual(r.weights, umat, gamma)
+            lam, q, _, value = dual_newton(r.weights, umat, gamma)
             try:
                 orc = project_oracle(
                     r, model, theta, DivergenceSpec.cr(gamma), restarts=1, outer=6, inner=150
@@ -313,7 +310,7 @@ class TestCrDual:
             x, p = r.support, r.weights
             theta = x[0] + rng.uniform(0.05, 0.5) * (r.mean() - x[0])
             umat = (x - theta)[:, None]
-            lam, q, value, _ = cr_dual(p, umat, gamma)
+            lam, q, _, value = dual_newton(p, umat, gamma)
             assert abs(q.sum() - 1.0) <= 1e-12
             assert abs(q @ umat[:, 0]) <= 1e-12
             assert np.all(q >= 0.0)
@@ -341,7 +338,7 @@ class TestCrDual:
         p = np.asarray(raw[: x.size]) / sum(raw[: x.size])
         theta = x[0] + frac * np.ptp(x)
         umat = (x - theta)[:, None]
-        lam, q, value, _ = cr_dual(p, umat, gamma)
+        lam, q, _, value = dual_newton(p, umat, gamma)
         assert np.all(q >= 0.0) and abs(q.sum() - 1.0) <= 1e-12
         assert abs(q @ umat[:, 0]) <= 1e-10 * np.abs(umat).max()
         spec = DivergenceSpec.kl() if gamma == 0.0 else DivergenceSpec.cr(gamma)
@@ -363,7 +360,7 @@ class TestCrDual:
         x = np.array([0.0, 1.0, 2.0])
         for offset in np.concatenate([[4.55e-5], np.linspace(1e-6, 1e-4, 60)]):
             umat = (x - (freq @ x + offset))[:, None]
-            lam, q, kl, iterations = cr_dual(freq, umat, 0.0)
+            lam, q, iterations, kl = dual_newton(freq, umat, 0.0)
             assert iterations <= 10
             assert abs(q @ umat[:, 0]) <= 1e-15
             tilt = freq * np.exp(umat[:, 0] * lam[0])
@@ -372,8 +369,44 @@ class TestCrDual:
     def test_unconstrained_returns_base(self):
         p = np.array([0.2, 0.3, 0.5])
         for gamma in (-2.0, 0.0, 1.0):
-            lam, q, value, _ = cr_dual(p, np.zeros((3, 0)), gamma)
+            lam, q, _, value = dual_newton(p, np.zeros((3, 0)), gamma)
             assert lam.size == 0 and np.allclose(q, p, atol=1e-15) and abs(value) <= 1e-15
+
+
+def near_boundary_draws(count):
+    """(p, umat) per draw: moments centred at a law qs with a few atoms
+    carrying mass down to about 1e-7 / m, so that zero sits close to the
+    edge of the hull of the u rows."""
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        m = int(rng.integers(3, 9))
+        j = int(rng.integers(1, 3))
+        x = np.sort(rng.normal(size=m) * 2)
+        p = rng.dirichlet(np.ones(m) * rng.choice([0.3, 1.0, 3.0]))
+        p = np.maximum(p, 1e-4)
+        p = p / p.sum()
+        qs = rng.dirichlet(np.ones(m) * 0.2)
+        eps = 10 ** rng.uniform(-7, -1)
+        qs = (1 - eps) * qs + eps / m
+        yield p, np.column_stack([x - qs @ x, x**2 - qs @ x**2])[:, :j]
+
+
+class TestNearBoundary:
+    # 1906 and 2111 ran the former EL-only Newton into its iteration cap;
+    # 1632, 2320 and 2865 (m = 3, J = 2, hull margin about 1e-6) stall a
+    # kernel that solves by least squares and recomputes z from the
+    # multipliers.
+    DRAWS = (1632, 1906, 2111, 2320, 2865)
+
+    @pytest.mark.parametrize("draw", DRAWS)
+    def test_empirical_likelihood_converges(self, draw):
+        p, umat = next(itertools.islice(near_boundary_draws(draw + 1), draw, None))
+        lam, q, iterations, value = dual_newton(p, umat, -1.0)
+        assert iterations < 200
+        assert abs(q.sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(q @ umat)) <= 1e-12
+        assert np.all(q > 0.0)
+        assert abs(value - float(p @ np.log(p / q))) <= 1e-12
 
 
 class TestProfile:
