@@ -1,7 +1,7 @@
 """Empirical-likelihood estimation, divergence projections and exact
 finite-grid Bayesian posterior decay experiments."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .divergences import (
     DivergenceSpec,
@@ -78,7 +78,6 @@ from .censoring import (
     SurvivalCurve,
     censor_generate,
     censored_decay_experiment,
-    censored_el_bruteforce,
     censored_l_divergence,
     censored_loglik,
     censored_posterior,

@@ -34,7 +34,7 @@ from .prob import (
     mean_model,
     tv_distance,
 )
-from .projection import l_project_linear
+from .projection import l_project_stack, node_error
 from .rng import rng_from
 
 TIE_TOL = 1e-12
@@ -334,13 +334,13 @@ def split_mean_prior(
     and :func:`example21` rejects configurations where they differ by more
     than 1e-6.
     """
-    model = mean_model()
-    cands = []
-    for th in np.linspace(theta1 - spread, theta1, per_side):
-        cands.append(l_project_linear(r, model, [th]).qhat)
-    for th in np.linspace(theta2, theta2 + spread, per_side):
-        cands.append(l_project_linear(r, model, [th]).qhat)
-    return make_prior_grid(cands)
+    low = np.linspace(theta1 - spread, theta1, per_side)
+    thetas = np.concatenate([low, np.linspace(theta2, theta2 + spread, per_side)])
+    proj = l_project_stack(r, mean_model(), thetas[:, None])
+    for th, failure in zip(thetas, proj.failure):
+        if failure is not None:
+            raise node_error(failure, th)
+    return make_prior_grid([make_pmf(r.support, w) for w in proj.weights])
 
 
 def split_projections(prior: PriorGrid, r: Pmf, theta1: float, theta2: float) -> tuple:

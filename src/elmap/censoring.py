@@ -13,22 +13,20 @@ whose n-normalized limit is the censored divergence
     L(F | F0, G0) = -[ alpha int log F({x}) dF0 + (1-alpha) int log F((y, inf)) dG0 ].
 
 The product-limit (Kaplan-Meier) curve is the exact minimizer of l_n over
-all distributions on the event times, which a small brute-force simplex
-search verifies independently.
+all distributions on the event times; the tests check it against a
+brute-force simplex search.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from .bayes import PriorGrid, decay_report, decay_target
-from .errors import AllZeroLikelihood, NoEvents, NotConverged
+from .errors import AllZeroLikelihood, NoEvents
 from .prob import Pmf, counts_loglik
 from .rng import derive_seed, rng_from
 
@@ -175,100 +173,6 @@ def kaplan_meier(data) -> SurvivalCurve:
     at_risk = times.size - np.searchsorted(np.sort(times), event_times)
     surv = np.cumprod(1.0 - deaths / at_risk)
     return SurvivalCurve(event_times, surv, -np.diff(surv, prepend=1.0))
-
-
-def censored_el_bruteforce(data, support=None) -> Pmf:
-    """Direct minimizer of l_n over distributions on the event-time support
-    (plus one atom beyond the last censoring when needed): dense simplex
-    grid then local refinement.  Intended for small n as an oracle."""
-    times, cens = _split(data)
-    if not np.any(~cens):
-        raise NoEvents("need at least one event")
-    if times.size > 8:
-        raise ValueError("brute force is for n <= 8")
-    if support is None:
-        support = np.unique(times[~cens])
-    support = np.asarray(support, dtype=float)
-    if np.any(cens) and times[cens].max() >= support.max():
-        support = np.append(support, times.max() + 1.0)
-    k = support.size
-
-    ev_idx = np.searchsorted(support, times[~cens])
-    tail_from = np.searchsorted(support, times[cens], side="right")
-    ev_counts = np.bincount(ev_idx, minlength=k).astype(float)
-    tail_counts = np.bincount(tail_from, minlength=k + 1).astype(float)
-
-    def objective(w: np.ndarray) -> float:
-        suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
-        with np.errstate(divide="ignore"):
-            ev_part = -float(ev_counts @ np.log(np.maximum(w, 1e-300)))
-            tails = suffix[tail_from]
-            if np.any(tails <= 0):
-                return math.inf
-            tl_part = -float(np.log(tails).sum())
-        return ev_part + tl_part
-
-    def gradient(w: np.ndarray) -> np.ndarray:
-        suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
-        g = -ev_counts / np.maximum(w, 1e-300)
-        inv_tail = np.zeros(k + 1)
-        pos = suffix > 0
-        inv_tail[pos] = tail_counts[pos] / suffix[pos]
-        # atom j sits in every tail starting at index <= j
-        g -= np.cumsum(inv_tail[: k])
-        return g
-
-    # dense grid over the simplex
-    best_w = None
-    best_val = math.inf
-    steps = {1: 1, 2: 60, 3: 30, 4: 16, 5: 12, 6: 10}.get(k, 8)
-    for comp in _compositions(steps, k):
-        w = np.asarray(comp, dtype=float) / steps
-        val = objective(w)
-        if val < best_val:
-            best_val = val
-            best_w = w
-    starts = [np.full(k, 1.0 / k)]
-    if best_w is not None:
-        starts.insert(0, 0.9 * best_w + 0.1 / k)
-    rng = rng_from("censor.bruteforce", 0)
-    for _ in range(3):
-        starts.append(rng.dirichlet(np.ones(k)))
-    best_w = None
-    best_val = math.inf
-    for w0 in starts:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = minimize(
-                objective,
-                w0,
-                jac=gradient,
-                method="SLSQP",
-                bounds=[(1e-12, 1.0)] * k,
-                constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0,
-                              "jac": lambda w: np.ones_like(w)}],
-                options={"maxiter": 300, "ftol": 1e-14},
-            )
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_w = np.asarray(res.x)
-    if best_w is None:
-        raise NotConverged("no refinement start succeeded")
-    best_w = np.maximum(best_w, 0.0)
-    best_w /= best_w.sum()
-    from .prob import make_pmf
-
-    return make_pmf(support, best_w)
-
-
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 def censored_l_divergence(candidate: Pmf, model: CensoringModel) -> float:

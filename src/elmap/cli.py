@@ -41,18 +41,11 @@ from .censoring import (
     kaplan_meier,
 )
 from .divergences import l_divergence
-from .errors import (
-    ConfigInvalid,
-    DomainViolation,
-    ElmapError,
-    InfeasibleMoment,
-    NotConverged,
-    SupportCondition,
-)
+from .errors import ConfigInvalid, DomainViolation, ElmapError
 from .estimators import cr_estimate, el_estimate, et_estimate, euclidean_estimate
 from .polya import polya_decay_experiment, rebuild_urn
 from .prob import Pmf, Sample, linear_model, make_pmf, mean_model
-from .projection import l_project_linear
+from .projection import l_project_stack
 
 KINDS = ("project", "fit", "blln", "example21", "polya", "censor")
 _SENTINEL = object()
@@ -195,14 +188,16 @@ def run_project(cfg: Config, seeds, threads: int) -> list:
     if grid is None:
         grid = [cfg.get("model", "theta", float)]
     rows = [["theta", "feasible", "value", "lambda", "qhat"]]
-    for th in grid:
-        try:
-            res = l_project_linear(r, model, [th])
+    proj = l_project_stack(r, model, np.asarray(grid, dtype=float)[:, None])
+    for th, value, lam, weights, failure in zip(
+        grid, proj.value, proj.lam, proj.weights, proj.failure
+    ):
+        if failure is None:
+            qhat = make_pmf(r.support, weights)
             rows.append(
-                [fmt(th), "1", fmt(res.value), fmt(res.lam[0]),
-                 " ".join(fmt(w) for w in res.qhat.weights)]
+                [fmt(th), "1", fmt(value), fmt(lam[0]), " ".join(fmt(w) for w in qhat.weights)]
             )
-        except (InfeasibleMoment, SupportCondition, NotConverged):
+        else:
             rows.append([fmt(th), "0", "inf", "", ""])
     return [("project.csv", rows)]
 

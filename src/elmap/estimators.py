@@ -12,12 +12,15 @@ its gamma = 0 limit.  Euclidean weights have a closed form.
 The outer search over theta minimizes the profile P(theta) on a coarse
 grid, which is the global start because P is +inf where the zero moment
 leaves the hull of the u values, then refines from the best node by
-projected BFGS.  The gradient comes free from the inner fit by the envelope
-theorem: dP/dtheta = sum_a q_a mu . du_a/dtheta, with q the fitted atom
-weights and mu the moment multiplier of the primal (-n lam for EL, ET and
-Cressie-Read, 2 lam for the Euclidean closed form).  Atoms, counts and the
-observation-to-atom index are computed once per fit; each theta evaluation
-solves only the inner dual.
+projected BFGS.  Every inner fit takes a stack of theta values: the grid of
+each domain box goes through the kernel (or the batched Euclidean normal
+equations) as one stack, in blocks of bounded size, and the refinement
+solves stacks of one.  The gradient comes free from the inner fit by the
+envelope theorem: dP/dtheta = sum_a q_a mu . du_a/dtheta, with q the fitted
+atom weights and mu the moment multiplier of the primal (-n lam for EL, ET
+and Cressie-Read, 2 lam for the Euclidean closed form).  Atoms, counts and
+the observation-to-atom index are computed once per fit; each theta
+evaluation solves only the inner dual.
 """
 
 from __future__ import annotations
@@ -36,13 +39,22 @@ from .errors import (
     InfeasibleMoment,
     NotConverged,
     SingularConstraints,
-    SupportCondition,
     ThetaOutOfDomain,
 )
 from .prob import EstimatingModel, Pmf, Sample, counts_loglik, log_mass_table, make_pmf
-from .projection import dual_newton, envelope_gradient, moment_feasibility, refine_min
+from .projection import (
+    REFINE_TOL,
+    blocks,
+    dual_newton,
+    envelope_gradient,
+    moment_feasibility,
+    node_error,
+    refine_min,
+)
 
 GRID_POINTS = 201
+# Newton steps allowed to the root of a just-identified model's sample equations
+_ROOT_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -76,16 +88,19 @@ class ELFit:
 
 
 class _Solution(NamedTuple):
-    """One inner solve: the profile value, the dual multiplier, the fitted
-    weight q_a of each atom, and the multiplier mu of the moment constraint
-    in the primal Lagrangian, so that the profile's gradient is
-    sum_a q_a mu . du_a/dtheta."""
+    """Inner solves at a stack of G parameter values.  Per node: the
+    profile value, +inf where the fit does not exist, with the error class
+    ``failure`` holds there (None elsewhere); the dual multiplier; the
+    fitted weight q_a of each atom; the multiplier mu of the moment
+    constraint in the primal Lagrangian, so that the profile's gradient is
+    sum_a q_a mu . du_a/dtheta; and whether the weights are nonnegative."""
 
-    value: float
+    value: np.ndarray
     lam: np.ndarray
     q: np.ndarray
     mu: np.ndarray
-    nonnegative: bool = True
+    nonnegative: np.ndarray
+    failure: list
 
 
 class _MomentProblem:
@@ -106,88 +121,143 @@ class _MomentProblem:
         self.freq = self.counts / self.n
         self.model = model
 
-    def u(self, th: np.ndarray, feasibility: str | None) -> np.ndarray:
-        """u at the atoms, once theta is in the domain and, unless
-        ``feasibility`` is None, the zero moment is attainable: strictly
-        inside the hull of the u rows ("interior"), or on its boundary too
-        ("boundary")."""
-        if not self.model.domain.contains(th):
-            raise ThetaOutOfDomain(f"theta {th} outside the parameter domain")
-        umat = self.model.u_matrix(self.atoms, th)
+    def u(self, ths: np.ndarray, feasibility: str | None) -> tuple[np.ndarray, list]:
+        """u at the atoms for each row of ``ths``, (G, m, J), and per node
+        the error class where the fit cannot exist: theta outside the domain
+        or, unless ``feasibility`` is None, the zero moment not attainable,
+        that is, not strictly inside the hull of the u rows ("interior") or
+        not in it ("boundary").  Rows outside the domain are left zero."""
+        umat = np.zeros((len(ths), self.counts.size, self.model.n_constraints))
+        failure: list = [None] * len(ths)
+        for i, th in enumerate(ths):
+            if self.model.domain.contains(th):
+                umat[i] = self.model.u_matrix(self.atoms, th)
+            else:
+                failure[i] = ThetaOutOfDomain
         if feasibility is not None:
             status, _ = moment_feasibility(umat)
-            if status == "infeasible" or (status == "boundary" and feasibility == "interior"):
-                raise InfeasibleMoment(f"0 outside the convex hull of u values at theta={th}")
-        return umat
+            unattainable = (status == "infeasible") | (
+                (status == "boundary") & (feasibility == "interior")
+            )
+            for i in np.flatnonzero(unattainable):
+                failure[i] = failure[i] or InfeasibleMoment
+        return umat, failure
 
-    def gradient(self, th: np.ndarray, sol: _Solution) -> np.ndarray:
-        return envelope_gradient(sol.q, sol.mu, self.model.du_matrix(self.atoms, th))
+    def gradient(self, th: np.ndarray, sol: _Solution, i: int) -> np.ndarray:
+        return envelope_gradient(sol.q[i], sol.mu[i], self.model.du_matrix(self.atoms, th))
 
-    def fit(self, th: np.ndarray, sol: _Solution) -> DualFit:
-        """DualFit from a solve: each observation gets its atom's weight
-        shared equally among the atom's observations."""
+    def fit(self, th: np.ndarray, sol: _Solution, i: int) -> DualFit:
+        """DualFit from node i of a solve: each observation gets its atom's
+        weight shared equally among the atom's observations."""
+        if sol.failure[i] is not None:
+            raise node_error(sol.failure[i], th)
+        nonnegative = bool(sol.nonnegative[i])
         pmf = None
-        if self.scalar and sol.nonnegative:
-            pmf = make_pmf(self.atoms, sol.q)
+        if self.scalar and nonnegative:
+            pmf = make_pmf(self.atoms, sol.q[i])
         return DualFit(
-            lam=sol.lam,
-            w=(sol.q / self.counts)[self.inverse],
-            profile_value=float(sol.value),
+            lam=sol.lam[i],
+            w=(sol.q[i] / self.counts)[self.inverse],
+            profile_value=float(sol.value[i]),
             pmf=pmf,
-            nonnegative=sol.nonnegative,
-            profile_grad=self.gradient(th, sol),
+            nonnegative=nonnegative,
+            profile_grad=self.gradient(th, sol, i),
         )
 
+    def root(self, theta0: np.ndarray) -> np.ndarray | None:
+        """The root of the sample estimating equations sum_a freq_a u(a;
+        theta) = 0 of a just-identified model, by Newton's method on the
+        Jacobian ``du_matrix`` from theta0; None where Newton leaves the
+        domain, meets a singular Jacobian or does not settle."""
+        th = np.asarray(theta0, dtype=float)
+        for _ in range(_ROOT_STEPS):
+            if not self.model.domain.contains(th):
+                return None
+            mean_u = self.freq @ self.model.u_matrix(self.atoms, th)
+            jac = np.einsum("a,ajk->jk", self.freq, self.model.du_matrix(self.atoms, th))
+            try:
+                step = np.linalg.solve(jac, mean_u)
+            except np.linalg.LinAlgError:
+                return None
+            th = th - step
+            if np.max(np.abs(step)) <= REFINE_TOL * max(1.0, float(np.max(np.abs(th)))):
+                return th if self.model.domain.contains(th) else None
+        return None
 
-def _el(mp: _MomentProblem, th: np.ndarray) -> _Solution:
+
+def _dual(mp: _MomentProblem, ths: np.ndarray, gamma: float, offset: float = 0.0) -> _Solution:
+    """Cressie-Read fits at a stack of theta values by the dual kernel, with
+    profile value offset + n CR_gamma(q, freq) and mu = -n lam.  For gamma
+    > 0 the zero moment may sit on the hull's boundary."""
+    umat, failure = mp.u(ths, "boundary" if gamma > 0.0 else "interior")
+    nodes, m, j = umat.shape
+    ok = np.array([f is None for f in failure], dtype=bool)
+    value = np.full(nodes, math.inf)
+    lam = np.full((nodes, j), np.nan)
+    q = np.full((nodes, m), np.nan)
+    if ok.any():
+        lam[ok], q[ok], _, v = dual_newton(mp.freq, umat[ok], gamma)
+        value[ok] = offset + mp.n * v
+    for i in np.flatnonzero(ok & ~np.isfinite(value)):
+        failure[i] = NotConverged
+    return _Solution(value, lam, q, -mp.n * lam, np.ones(nodes, dtype=bool), failure)
+
+
+def _el(mp: _MomentProblem, ths: np.ndarray) -> _Solution:
     # -sum_i log w_i = n log n + n KL(freq || q), the kernel's value at gamma = -1
-    lam, q, _, kl = dual_newton(mp.freq, mp.u(th, "interior"), -1.0)
-    return _Solution(mp.n * math.log(mp.n) + mp.n * kl, lam, q, -mp.n * lam)
+    return _dual(mp, ths, -1.0, mp.n * math.log(mp.n))
 
 
-def _et(mp: _MomentProblem, th: np.ndarray) -> _Solution:
-    lam, pi, kl = tilt_dual(mp.freq, mp.u(th, "interior"))
-    return _Solution(mp.n * kl, lam, pi, -mp.n * lam)
+def _et(mp: _MomentProblem, ths: np.ndarray) -> _Solution:
+    return _dual(mp, ths, 0.0)
 
 
-def _cr(mp: _MomentProblem, th: np.ndarray, gamma: float) -> _Solution:
-    umat = mp.u(th, "boundary" if gamma > 0.0 else "interior")
-    lam, q, _, value = dual_newton(mp.freq, umat, gamma)
-    return _Solution(mp.n * value, lam, q, -mp.n * lam)
+def _cr(mp: _MomentProblem, ths: np.ndarray, gamma: float) -> _Solution:
+    return _dual(mp, ths, gamma)
 
 
-def _euclidean(mp: _MomentProblem, th: np.ndarray) -> _Solution:
-    umat = mp.u(th, None)
+def _euclidean(mp: _MomentProblem, ths: np.ndarray) -> _Solution:
+    """Closed-form least-squares weights at a stack of theta values: the
+    normal equations of every node in one batched solve, +inf where they
+    are singular or inconsistent."""
+    umat, failure = mp.u(ths, None)
+    nodes, m, j = umat.shape
     n, counts = mp.n, mp.counts
-    live = np.any(umat != 0.0, axis=0)  # identically-zero constraints are vacuous
-    arows = np.hstack([np.ones((counts.size, 1)), umat[:, live]])
-    target = np.concatenate([[1.0], np.zeros(int(live.sum()))])
-    gram = (arows * counts[:, None]).T @ arows / n
-    rhs = (counts / n) @ arows - target
+    arows = np.concatenate([np.ones((nodes, m, 1)), umat], axis=2)
+    target = np.zeros(j + 1)
+    target[0] = 1.0
+    gram = np.matmul(arows.transpose(0, 2, 1) * counts, arows) / n
+    rhs = np.matmul(counts / n, arows) - target
+    # An identically-zero constraint is vacuous: its equation becomes z = 0.
+    node, col = np.nonzero(~np.any(umat != 0.0, axis=1))
+    gram[node, col + 1, col + 1] = 1.0
+    z = np.zeros((nodes, j + 1))
     try:
-        z = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularConstraints(str(exc)) from None
-    delta = -(arows @ z) / n  # per-observation shift from 1/n
+        z = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        for i in range(nodes):
+            try:
+                z[i] = np.linalg.solve(gram[i], rhs[i])
+            except np.linalg.LinAlgError:
+                failure[i] = failure[i] or SingularConstraints
+    delta = -np.matmul(arows, z[:, :, None])[:, :, 0] / n  # per-observation shift from 1/n
     w_atom = 1.0 / n + delta
-    resid = np.abs(counts @ (w_atom[:, None] * arows) - target)
-    if not np.all(np.isfinite(w_atom)) or np.max(resid) > 1e-8:
-        raise SingularConstraints(
-            f"normal equations inconsistent at theta={th} (residual {np.max(resid):.2e})"
-        )
-    lam = np.zeros(umat.shape[1])
-    lam[live] = z[1:]
+    resid = np.abs(np.matmul((counts * w_atom)[:, None, :], arows)[:, 0, :] - target).max(axis=1)
+    for i in np.flatnonzero(~np.all(np.isfinite(w_atom), axis=1) | ~(resid <= 1e-8)):
+        failure[i] = failure[i] or SingularConstraints
+    lam = z[:, 1:]
+    value = n * (counts * delta**2).sum(axis=1)
+    value[[f is not None for f in failure]] = math.inf
     # n sum_i delta_i^2 has derivative -2 a_i . z in w_i, so mu = 2 lam
     return _Solution(
-        n * float(counts @ delta**2), lam, counts * w_atom, 2.0 * lam,
-        nonnegative=bool(np.all(w_atom >= 0.0)),
+        value, lam, counts * w_atom, 2.0 * lam, np.all(w_atom >= 0.0, axis=1), failure
     )
 
 
 def _inner(sample: Sample, model: EstimatingModel, theta, solve) -> DualFit:
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     mp = _MomentProblem(sample, model)
-    return mp.fit(th, solve(mp, th))
+    return mp.fit(th, solve(mp, th[None]), 0)
 
 
 def el_inner(sample: Sample, model: EstimatingModel, theta) -> DualFit:
@@ -204,9 +274,10 @@ def tilt_dual(freq: np.ndarray, umat: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Exponential tilting of freq to the zero moment: min_lam log sum_x
     freq_x exp(lam.u_x), solved by the Cressie-Read dual kernel at gamma = 0.
 
-    Returns (lam, tilted weights, KL of the tilt from freq).  The caller is
-    responsible for checking that the zero moment lies strictly inside the
-    hull of the u rows, otherwise the dual is unbounded below.
+    Returns (lam, tilted weights, KL of the tilt from freq), per node for a
+    stack of u matrices as ``dual_newton`` does.  The caller is responsible
+    for checking that the zero moment lies strictly inside the hull of the
+    u rows, otherwise the dual is unbounded below.
     """
     lam, pi, _, kl = dual_newton(freq, umat, 0.0)
     return lam, pi, kl
@@ -231,53 +302,60 @@ def euclidean_inner(sample: Sample, model: EstimatingModel, theta) -> DualFit:
     return _inner(sample, model, theta, _euclidean)
 
 
-def _data_bounds(sample: Sample, k: int) -> list[tuple[float, float]]:
+def _data_bounds(atoms: np.ndarray, k: int) -> list[tuple[float, float]]:
     """Fallback search interval per coordinate when the domain box is
     unbounded: the observed data range with a small margin."""
-    vals = sample.values()
-    flat = vals.reshape(-1)
-    lo, hi = float(flat.min()), float(flat.max())
+    lo, hi = float(atoms.min()), float(atoms.max())
     span = (hi - lo) or 1.0
     return [(lo - 0.05 * span, hi + 0.05 * span)] * k
 
 
 def _profile_search(
-    objective,
-    model: EstimatingModel,
-    sample: Sample,
-    grid_points: int,
-    bounds,
+    mp: _MomentProblem, solve, grid_points: int, bounds
 ) -> tuple[np.ndarray, float, list]:
-    """Minimize ``objective`` over the model's parameter domain: a grid
-    over each domain box, then ``refine_min`` from the best node.
+    """Minimize the profile of ``solve`` over the model's parameter domain:
+    a grid over each domain box, then ``refine_min`` from the best node.
 
-    ``objective(theta)`` returns (value, gradient thunk) and raises where
-    the inner fit does not exist; such values score +inf.  The grid's axes
-    span each box, or the data range with a margin (or ``bounds``) where
-    the box is unbounded, and for scalar models they include the data
-    values, which keeps degenerate point-feasible problems (constant
-    samples) solvable.  Ties within 1e-12 go to the lexicographically
-    smallest node.  The grid is the global start because the profile is
-    +inf off the hull; the refinement stays in the best node's box and
-    follows the envelope gradient.  Every evaluation appends one
-    (theta, value) record to the returned trace.
+    ``solve(mp, thetas)`` fits a stack of theta values, scoring +inf where
+    the inner fit does not exist; each box's grid goes through it in stacks
+    of at most ``projection.blocks`` size.  The grid's axes span each box,
+    or the data range with a margin (or ``bounds``) where the box is
+    unbounded.  For scalar models they include the data values, which keeps
+    degenerate point-feasible problems (constant samples) solvable; for
+    other just-identified models the root of the sample estimating
+    equations, when it lies in the box, is one extra node.  Ties within
+    1e-12 go to the lexicographically smallest node.  The grid is the
+    global start because the profile is +inf off the hull; the refinement
+    stays in the best node's box and follows the envelope gradient.  Every
+    evaluation inside the domain appends one (theta, value) record to the
+    returned trace, grid nodes in order.
     """
+    model = mp.model
     k = model.domain.k
-    fallback = bounds if bounds is not None else _data_bounds(sample, k)
+    fallback = bounds if bounds is not None else _data_bounds(mp.atoms, k)
     trace: list = []
 
-    def safe(th: np.ndarray):
-        if not model.domain.contains(th):
+    def evaluate(ths: np.ndarray) -> _Solution:
+        sol = solve(mp, ths)
+        trace.extend(
+            (tuple(th), v)
+            for th, v, f in zip(ths.tolist(), sol.value.tolist(), sol.failure)
+            if f is not ThetaOutOfDomain
+        )
+        return sol
+
+    def one(th: np.ndarray):
+        sol = evaluate(th[None])
+        if sol.failure[0] is not None:
             return math.inf, None
-        try:
-            val, grad = objective(th)
-        except (InfeasibleMoment, SupportCondition, NotConverged, SingularConstraints):
-            val, grad = math.inf, None
-        trace.append((tuple(float(t) for t in th), float(val)))
-        return val, grad
+        return float(sol.value[0]), lambda: mp.gradient(th, sol, 0)
 
-    extra = np.unique(sample.values()) if k == 1 and sample.is_scalar else None
-
+    extra = mp.atoms if k == 1 and mp.scalar else None
+    root = None
+    if extra is None and model.n_constraints == k:
+        # Newton from the middle of the range the grid spans off the boxes
+        middle = [sum(fallback[min(c, len(fallback) - 1)]) / 2.0 for c in range(k)]
+        root = mp.root(np.array(middle))
     best_theta = None
     best_val = math.inf
     for box in model.domain.boxes:
@@ -296,22 +374,26 @@ def _profile_search(
             axes.append(axis)
         mesh = np.meshgrid(*axes, indexing="ij") if k > 1 else [axes[0]]
         pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        for row in pts:
-            v, grad = safe(row)
-            if v == math.inf:
-                continue
-            better = v < best_val - 1e-12
-            tie_smaller = v <= best_val + 1e-12 and (
-                best_theta is None or tuple(row) < tuple(best_theta)
-            )
-            if better or tie_smaller:
-                best_val = min(best_val, v)
-                best_theta = row.copy()
-                start = (v, grad, box, steps)
+        if root is not None and all(lo <= t <= hi for t, (lo, hi) in zip(root, box)):
+            pts = np.vstack([pts, root])
+        for block in blocks(len(pts)):
+            ths = pts[block]
+            sol = evaluate(ths)
+            for i in np.flatnonzero(np.isfinite(sol.value)):
+                v = float(sol.value[i])
+                better = v < best_val - 1e-12
+                tie_smaller = v <= best_val + 1e-12 and (
+                    best_theta is None or tuple(ths[i]) < tuple(best_theta)
+                )
+                if better or tie_smaller:
+                    best_val = min(best_val, v)
+                    best_theta = ths[i].copy()
+                    start = (v, sol, i, box, steps)
     if best_theta is None:
         raise AllThetaInfeasible("profile objective infinite on the whole grid")
-    value, grad, box, steps = start
-    theta, value = refine_min(safe, best_theta, value, grad(), box, steps)
+    value, sol, i, box, steps = start
+    grad = mp.gradient(best_theta, sol, i)
+    theta, value = refine_min(one, best_theta, value, grad, box, steps)
     return theta, value, trace
 
 
@@ -324,13 +406,8 @@ def _estimate(
     bounds,
 ) -> ELFit:
     mp = _MomentProblem(sample, model)
-
-    def objective(th: np.ndarray):
-        sol = solve(mp, th)
-        return sol.value, lambda: mp.gradient(th, sol)
-
-    theta, _, trace = _profile_search(objective, model, sample, grid_points, bounds)
-    fit = mp.fit(theta, solve(mp, theta))
+    theta, _, trace = _profile_search(mp, solve, grid_points, bounds)
+    fit = mp.fit(theta, solve(mp, theta[None]), 0)
     return ELFit(theta_hat=theta, inner=fit, trace=tuple(trace), method=method)
 
 

@@ -5,8 +5,13 @@ The main route is convex duality.  One damped Newton kernel
 p onto {q : sum q = 1, sum q u(x; theta) = 0}, over the multipliers (eta,
 lam) of both constraints.  Its gamma = -1 member is empirical likelihood:
 the L-projection, the minimizer of L(q || r), has q_i = r_i / (1 - lam.u_i)
-and value entropy(r) + KL(r || q); gamma = 0 is exponential tilting.  An
-independent primal oracle (entropic mirror descent with an augmented
+and value entropy(r) + KL(r || q); gamma = 0 is exponential tilting.  The
+kernel takes one problem or a stack of problems on one base, one per node
+of a theta grid, and runs the whole stack in lock-step; ``l_project_stack``
+is its L-projection form.  ``moment_feasibility`` decides, per node,
+whether the zero moment is attainable: by min/max for one constraint, by a
+closed-form planar hull test for two, and by a linear program for more.
+An independent primal oracle (entropic mirror descent with an augmented
 Lagrangian, plus a local equality-constrained Newton polish) shares no code
 with the dual; it cross-checks it and also handles the Euclidean and
 reinforced-urn discrepancies.
@@ -16,9 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .divergences import DivergenceSpec, entropy
 from .errors import (
@@ -26,6 +31,7 @@ from .errors import (
     Infeasible,
     InfeasibleMoment,
     NotConverged,
+    SingularConstraints,
     SupportCondition,
     ThetaOutOfDomain,
 )
@@ -35,13 +41,19 @@ from .rng import rng_from
 GRAD_TOL = 1e-10
 MAX_ITER = 200
 _BOUNDARY_T = 1e-9
+# A u row within this distance (relative to its length) of the line through
+# 0 and the rows' centroid counts as on it in the planar hull test.
+_COLLINEAR = 1e-12
+# Nodes of a theta grid are solved in stacks of at most this many.
+_BLOCK = 256
 # Relative resolution of an objective value (dual_newton's dual, refine_min's
 # profile), and dual_newton's curvature (per unit of base mass) given to atoms
 # clipped at zero weight.
 _RESOLUTION = 4.0 * np.finfo(float).eps
 _CLIP_CURVATURE = 1e-9
 # refine_min: steps stop below REFINE_TOL; Armijo's sufficient-decrease
-# constant; caps on quasi-Newton steps and on backtracks per step.
+# constant; caps on quasi-Newton steps and (in dual_newton too) on
+# backtracks per step.
 REFINE_TOL = 1e-9
 _ARMIJO = 1e-4
 _REFINE_STEPS = 100
@@ -58,24 +70,99 @@ class ProjectionResult:
     grad_norm: float
 
 
-def moment_feasibility(umat: np.ndarray, tol: float = _BOUNDARY_T) -> tuple[str, float]:
+def blocks(count: int):
+    """Slices that cut ``count`` grid nodes into stacks of at most _BLOCK."""
+    return (slice(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK))
+
+
+def moment_feasibility(umat: np.ndarray, tol: float = _BOUNDARY_T):
     """Classify whether 0 lies in the convex hull of the rows of umat.
 
     Returns ("interior", t), ("boundary", t) or ("infeasible", 0): t is the
     largest minimum weight of a hull representation of 0, so t > 0 means a
-    strictly positive representation exists.
+    strictly positive representation exists, and t <= tol counts as the
+    boundary.  A stack (G, m, J) gives a (G,) array of those labels and a
+    (G,) array of t.  One constraint is decided by the sign of the extreme
+    rows (t is then 1/m inside), two by the closed form ``_planar_hull_t``,
+    and more by one linear program per node.  The closed form extends t
+    below zero outside the hull, and a t in [-tol, 0) (zero on the hull's
+    edge up to rounding) also counts as the boundary.
     """
-    m, j = umat.shape
+    stacked = umat.ndim == 3
+    u = umat if stacked else umat[None]
+    nodes, m, j = u.shape
     if j == 0:
-        return "interior", 1.0 / m
-    if j == 1:
-        col = umat[:, 0]
-        lo, hi = float(col.min()), float(col.max())
-        if lo < 0.0 < hi or (lo == 0.0 == hi):
-            return "interior", 1.0 / m
-        if lo == 0.0 or hi == 0.0:
-            return "boundary", 0.0
-        return "infeasible", 0.0
+        t = np.full(nodes, 1.0 / m)
+    elif j == 1:
+        lo, hi = u[:, :, 0].min(axis=1), u[:, :, 0].max(axis=1)
+        inside = ((lo < 0.0) & (hi > 0.0)) | ((lo == 0.0) & (hi == 0.0))
+        t = np.where(inside, 1.0 / m, np.where((lo == 0.0) | (hi == 0.0), 0.0, -np.inf))
+    elif j == 2:
+        t = _planar_hull_t(u)
+    else:
+        t = np.array([_hull_lp_t(node) for node in u])
+    status = np.where(t < -tol, "infeasible", np.where(t <= tol, "boundary", "interior"))
+    t = np.where(t < -tol, 0.0, np.maximum(t, 0.0))
+    if stacked:
+        return status, t
+    return str(status[0]), float(t[0])
+
+
+def _planar_hull_t(u: np.ndarray) -> np.ndarray:
+    """The largest minimum weight t of a representation of 0 by the rows of
+    each (m, 2) node of a stack; -inf where 0 is outside their hull.
+
+    Write the weights as t + v with v >= 0: sum v_i u_i = -t m c, c the
+    rows' centroid, so t = rho / (m (|c| + rho)) with rho the distance the
+    hull reaches beyond 0 along the ray from c through 0.  That ray's line
+    meets the hull in a segment that holds c, so rho < 0 means 0 is outside,
+    rho = 0 that it is on the boundary (zero rows included), and rho > 0
+    that it is inside, collinear rows on both sides of 0 included.  rho is
+    the farthest point where the line is crossed by a row on it or by a
+    segment between rows on its two sides; Dinkelbach's iteration finds the
+    farthest segment exactly (it is Newton's method on a convex, piecewise
+    linear function), in a few passes over the rows.  c = 0 gives t = 1/m.
+    """
+    nodes, m, _ = u.shape
+    rows = np.arange(nodes)
+    c = u.mean(axis=1)
+    cn = np.hypot(c[:, 0], c[:, 1])
+    away = cn > 0.0
+    e = np.where(away[:, None], -c / np.where(away, cn, 1.0)[:, None], [1.0, 0.0])
+    along = u[:, :, 0] * e[:, None, 0] + u[:, :, 1] * e[:, None, 1]
+    side = u[:, :, 1] * e[:, None, 0] - u[:, :, 0] * e[:, None, 1]
+    side[np.abs(side) <= _COLLINEAR * np.hypot(u[:, :, 0], u[:, :, 1])] = 0.0
+    left, right = side > 0.0, side < 0.0
+    crossed = left.any(axis=1) & right.any(axis=1)
+    on_line = np.where(side == 0.0, along, -np.inf).max(axis=1)
+    # Dinkelbach: the segment (i, k) that maximizes (along_i - x) / side_i
+    # + (along_k - x) / -side_k crosses the line beyond x unless x is the
+    # farthest crossing; every crossing lies above the smallest row value.
+    x = along.min(axis=1)
+    dist = np.abs(side)
+    while True:
+        gain = (along - x[:, None]) / np.where(dist > 0.0, dist, 1.0)
+        i = np.argmax(np.where(left, gain, -np.inf), axis=1)
+        k = np.argmax(np.where(right, gain, -np.inf), axis=1)
+        si, sk = dist[rows, i], dist[rows, k]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cross = (sk * along[rows, i] + si * along[rows, k]) / (si + sk)
+        farther = crossed & (cross > x)
+        if not farther.any():
+            break
+        x = np.where(farther, cross, x)
+    rho = np.maximum(np.where(crossed, x, -np.inf), on_line)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.where(cn + rho > 0.0, rho / (m * (cn + rho)), -np.inf)
+    return np.where(away, t, 1.0 / m)
+
+
+def _hull_lp_t(umat: np.ndarray) -> float:
+    """The largest minimum weight of a representation of 0 by the rows of
+    umat, by a linear program; -inf where there is none."""
+    from scipy.optimize import linprog
+
+    m, j = umat.shape
     c = np.zeros(m + 1)
     c[-1] = -1.0
     a_eq = np.zeros((j + 1, m + 1))
@@ -95,18 +182,13 @@ def moment_feasibility(umat: np.ndarray, tol: float = _BOUNDARY_T) -> tuple[str,
         method="highs",
     )
     if res.status == 2:
-        return "infeasible", 0.0
+        return -math.inf
     if not res.success:
         raise NotConverged(f"feasibility LP failed: {res.message}")
-    t = float(res.x[-1])
-    if t <= tol:
-        return "boundary", t
-    return "interior", t
+    return float(res.x[-1])
 
 
-def dual_newton(
-    p: np.ndarray, umat: np.ndarray, gamma: float
-) -> tuple[np.ndarray, np.ndarray, int, float]:
+def dual_newton(p: np.ndarray, umat: np.ndarray, gamma: float):
     """Cressie-Read projection of p onto {q : sum q = 1, sum q u = 0}.
 
     Damped Newton over the multipliers (eta, lam) of the two constraints
@@ -123,137 +205,254 @@ def dual_newton(
     and gamma = 0 is exponential tilting, z_i = eta + lam . u_i with
     q_i = p_i exp(z_i).
 
-    Returns (lam, q, iterations, value) with value CR_gamma(q, p); its limits
-    are KL(p || q) at gamma = -1 and KL(q || p) at gamma = 0.  The caller
-    checks that the zero moment is attainable: inside the hull of the u rows
-    for gamma <= 0, in it for gamma > 0.  Raises NotConverged when the
-    gradient, taken with each u column scaled to unit maximum, stays above
-    1e-8.
+    ``umat`` is one problem, (m, J), or a stack of G problems on the same
+    base, (G, m, J), one per node of a theta grid.  The stack runs in
+    lock-step; each node has its own Armijo step, iteration count and
+    least-squares fallback (used only where its Newton matrix is singular),
+    and leaves the stack when it stops.
+
+    For one problem, returns (lam, q, iterations, value) with value
+    CR_gamma(q, p); its limits are KL(p || q) at gamma = -1 and KL(q || p)
+    at gamma = 0.  It raises NotConverged when the gradient, taken with each
+    u column scaled to unit maximum, stays above 1e-8.  For a stack, returns
+    lam (G, J), q (G, m), the iterations summed over the nodes, and value
+    (G,), with value +inf (lam and q NaN) at the nodes that do not converge.
+    The caller checks that the zero moment is attainable: inside the hull
+    of the u rows for gamma <= 0, in it for gamma > 0.
     """
-    m, j = umat.shape
+    stacked = umat.ndim == 3
+    u = umat if stacked else umat[None]
+    nodes, m, j = u.shape
     # Unit-scaled constraint columns keep eta and lam on one footing.
-    scale = np.abs(umat).max(axis=0, initial=0.0)
+    scale = np.abs(u).max(axis=1, initial=0.0)
     scale[scale == 0.0] = 1.0
-    amat = np.hstack([np.ones((m, 1)), umat / scale])
+    amat = np.empty((nodes, m, j + 1))
+    amat[:, :, 0] = 1.0
+    amat[:, :, 1:] = u / scale[:, None, :]
+    first = np.zeros(j + 1)
+    first[0] = 1.0
     # z moves by dz_dv per unit of eta + lam . u (the tilting limit carries
-    # v = eta + lam . u itself).
-    dz_dv = gamma if gamma != 0.0 else 1.0
+    # v = eta + lam . u itself), so by dz_da @ step for a Newton step.
+    dz_da = (gamma if gamma != 0.0 else 1.0) * amat
+    rowsum = np.add.reduce
+    minus_p = -p
 
     def evaluate(eta, z):
-        """D, q and the per-atom curvature dq/d eta at the carried z."""
+        """D, q and the per-atom curvature dq/d eta at the carried z.  For
+        gamma < 0, D is +inf, or NaN from the logarithm at gamma = -1,
+        unless every z_i > 0; either fails every test that a trial point
+        must pass."""
         if gamma == 0.0:
-            with np.errstate(over="ignore", invalid="ignore"):
-                q = p * np.exp(z)
-            return float(q.sum()) - eta, q, q
+            q = p * np.exp(z)
+            return rowsum(q, 1) - eta, q, q
         if gamma < 0.0:
-            if np.any(z <= 0.0):
-                return math.inf, None, None
             q = p * z ** (1.0 / gamma)
             if gamma == -1.0:
-                return -float(p @ np.log(z)) - eta, q, q / z
-            return float(q @ z) / (gamma + 1.0) - eta, q, q / z
+                return rowsum(minus_p * np.log(z), 1) - eta, q, q / z
+            d = rowsum(q * z, 1) / (gamma + 1.0) - eta
+            d[(z <= 0.0).any(axis=1)] = math.inf
+            return d, q, q / z
         live = z > 0.0
         q = p * np.maximum(z, 0.0) ** (1.0 / gamma)
         # A clipped atom has no curvature; the floor keeps the Newton system
         # regular when too few atoms are live to span the constraints, so
         # the step can bring clipped atoms back.
         h = np.where(live, q / np.where(live, z, 1.0), _CLIP_CURVATURE * p)
-        return float(q @ z) / (gamma + 1.0) - eta, q, h
+        return rowsum(q * z, 1) / (gamma + 1.0) - eta, q, h
 
-    def gradient(q):
-        g = amat.T @ q
-        g[0] -= 1.0
-        return g
+    def gradient(amat, q):
+        return np.matmul(q[:, None, :], amat)[:, 0, :] - first
 
     # z is carried by increments, not recomputed from x: near the hull's
     # edge some z_i are tiny, and 1 + gamma (A x)_i would lose their digits.
-    x = np.zeros(j + 1)
-    z = np.full(m, 1.0 if gamma != 0.0 else 0.0)
-    d, q, h = evaluate(0.0, z)
-    grad = gradient(q)
-    gnorm = float(np.linalg.norm(grad))
-    it = 0
-    for it in range(1, MAX_ITER + 1):
-        if gnorm == 0.0:
-            break
-        hess = (amat * h[:, None]).T @ amat
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-        dz = dz_dv * (amat @ step)
-        decrement = float(grad @ step)
-        if decrement <= _RESOLUTION * max(1.0, abs(d)):
-            # Armijo cannot see a decrease this small: take full steps while
-            # they still shrink the gradient, then stop.
+    x = np.zeros((nodes, j + 1))
+    z = np.full((nodes, m), 1.0 if gamma != 0.0 else 0.0)
+    # The working set holds the nodes still iterating (``active``, their
+    # index in the stack); a node that stops leaves its state in the *_end
+    # arrays.
+    active = np.arange(nodes)
+    x_end, q_end, g_end = np.empty_like(x), np.empty_like(z), np.empty_like(x)
+    it_end = np.full(nodes, MAX_ITER)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d, q, h = evaluate(x[:, 0], z)
+        grad = gradient(amat, q)
+        amat_t = amat.transpose(0, 2, 1)
+        for it in range(1, MAX_ITER + 1):
+            hess = np.matmul(amat_t * h[:, None, :], amat)
+            step = _newton_step(hess, grad)
+            dz = np.matmul(dz_da, step[:, :, None])[:, :, 0]
+            decrement = rowsum(grad * step, 1)
             xt, zt = x - step, z - dz
-            dt, qt, ht = evaluate(xt[0], zt)
-            if not math.isfinite(dt):
-                break
-            gt = gradient(qt)
-            gtnorm = float(np.linalg.norm(gt))
-            if gtnorm >= gnorm:
-                break
-            x, z, d, q, h, grad, gnorm = xt, zt, dt, qt, ht, gt, gtnorm
-            continue
-        alpha = 1.0
-        for _ in range(60):
-            xt, zt = x - alpha * step, z - alpha * dz
-            dt, qt, ht = evaluate(xt[0], zt)
-            if dt <= d - 1e-4 * alpha * decrement:
-                x, z, d, q, h = xt, zt, dt, qt, ht
-                grad = gradient(q)
-                gnorm = float(np.linalg.norm(grad))
-                break
-            alpha *= 0.5
+            dt, qt, ht = evaluate(xt[:, 0], zt)
+            gt = gradient(amat, qt)
+            accept = dt <= d - 1e-4 * decrement
+            # Below the resolution of D, Armijo cannot see a decrease: such a
+            # node takes full steps while they still shrink the gradient.
+            tiny = decrement <= _RESOLUTION * np.maximum(1.0, np.abs(d))
+            if np.count_nonzero(tiny):
+                shrinks = rowsum(gt * gt, 1) < rowsum(grad * grad, 1)
+                accept = np.where(tiny, np.isfinite(dt) & shrinks, accept)
+            kept = np.count_nonzero(accept)
+            if kept < accept.size:
+                # Armijo backtracking, in lock-step from the full step
+                back = np.flatnonzero(~(tiny | accept))
+                alpha = 1.0
+                for _ in range(_BACKTRACKS - 1):
+                    if not back.size:
+                        break
+                    alpha *= 0.5
+                    xb, zb = x[back] - alpha * step[back], z[back] - alpha * dz[back]
+                    db, qb, hb = evaluate(xb[:, 0], zb)
+                    ok = db <= d[back] - 1e-4 * alpha * decrement[back]
+                    if np.count_nonzero(ok):
+                        took = back[ok]
+                        xt[took], zt[took], dt[took] = xb[ok], zb[ok], db[ok]
+                        qt[took], ht[took] = qb[ok], hb[ok]
+                        gt[took] = gradient(amat[took], qb[ok])
+                        accept[took] = True
+                        back = back[~ok]
+                kept = np.count_nonzero(accept)
+            if kept < accept.size:
+                stop = ~accept
+                done = active[stop]
+                x_end[done], q_end[done], g_end[done] = x[stop], q[stop], grad[stop]
+                it_end[done] = it
+                if not kept:
+                    break
+                active, amat, dz_da = active[accept], amat[accept], dz_da[accept]
+                amat_t = amat.transpose(0, 2, 1)
+                xt, zt, dt, qt, ht, gt = (
+                    xt[accept], zt[accept], dt[accept], qt[accept], ht[accept], gt[accept]
+                )
+            x, z, d, q, h, grad = xt, zt, dt, qt, ht, gt
         else:
-            break
-    if gnorm > 1e-8:
-        raise NotConverged(f"Cressie-Read dual gradient {gnorm:.2e} after {it} iterations")
-    q = q / q.sum()
-    pos = q > 0.0
-    ratio = q[pos] / p[pos]
-    if gamma == -1.0:
-        value = -float(p[pos] @ np.log(ratio))
-    elif gamma == 0.0:
-        value = float(q[pos] @ np.log(ratio))
-    else:
-        value = float(q[pos] @ (ratio**gamma - 1.0)) / (gamma * (gamma + 1.0))
-    return x[1:] / scale, q, it, value
+            x_end[active], q_end[active], g_end[active] = x, q, grad
+        gnorm = np.sqrt(rowsum(g_end * g_end, 1))
+        converged = gnorm <= 1e-8
+        if not stacked and not converged[0]:
+            raise NotConverged(
+                f"Cressie-Read dual gradient {gnorm[0]:.2e} after {it_end[0]} iterations"
+            )
+        q = q_end / rowsum(q_end, 1)[:, None]
+        ratio = np.where(q > 0.0, q / p, 1.0)
+        if gamma == -1.0:
+            value = -rowsum(p * np.log(ratio), 1)
+        elif gamma == 0.0:
+            value = rowsum(q * np.log(ratio), 1)
+        else:
+            value = rowsum(q * (ratio**gamma - 1.0), 1) / (gamma * (gamma + 1.0))
+    lam = x_end[:, 1:] / scale
+    if not stacked:
+        return lam[0], q[0], int(it_end[0]), float(value[0])
+    lam[~converged] = np.nan
+    q[~converged] = np.nan
+    value[~converged] = math.inf
+    return lam, q, int(it_end.sum()), value
 
 
-def _l_dual(
-    r: Pmf, model: EstimatingModel, th: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, float]:
-    """Dual of the L-projection of r at theta: the active atoms, u on them,
-    and dual_newton's (lam, q, iterations, KL(r || q)) at gamma = -1."""
-    if not model.domain.contains(th):
-        raise ThetaOutOfDomain(f"theta {th} outside the parameter domain")
+def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve each node's Newton system; least squares only for the nodes
+    whose matrix is singular."""
+    try:
+        return np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        step = np.empty_like(grad)
+        for i, (hi, gi) in enumerate(zip(hess, grad)):
+            try:
+                step[i] = np.linalg.solve(hi, gi)
+            except np.linalg.LinAlgError:
+                step[i] = np.linalg.lstsq(hi, gi, rcond=None)[0]
+        return step
+
+
+# What each kind of failure at a grid node means, for the callers that
+# raise it for a single theta.
+_FAILURES = {
+    ThetaOutOfDomain: "theta outside the parameter domain",
+    InfeasibleMoment: "zero moment outside the hull of the u values",
+    SupportCondition: "family support smaller than the support of the base",
+    NotConverged: "dual Newton did not converge",
+    SingularConstraints: "normal equations singular or inconsistent",
+}
+
+
+def node_error(failure: type, theta) -> Exception:
+    """The exception a single-theta call raises for a grid node's failure."""
+    return failure(f"{_FAILURES[failure]} at theta={np.asarray(theta)}")
+
+
+class ProjectionStack(NamedTuple):
+    """L-projections of one base at a stack of G theta values.
+
+    ``value`` is entropy(r) + KL(r || q), +inf at the nodes with no
+    projection, where ``failure`` holds the error class that
+    ``l_project_linear`` raises there (None elsewhere).  ``weights`` holds q
+    on the base's support (zero off its atoms), ``lam`` the multipliers, and
+    ``iterations`` the kernel's Newton iterations summed over the nodes.
+    """
+
+    value: np.ndarray
+    lam: np.ndarray
+    weights: np.ndarray
+    failure: list
+    iterations: int
+
+
+def l_project_stack(r: Pmf, model: EstimatingModel, thetas) -> ProjectionStack:
+    """Project r under L(. || r) onto the linear family at each row of
+    ``thetas`` (G, K), in stacks of the dual kernel at gamma = -1."""
+    ths = np.asarray(thetas, dtype=float).reshape(len(thetas), -1)
+    nodes = len(ths)
     active = r.weights > 0.0
-    umat = model.u_matrix(r.support, th)[active]
-    status, _ = moment_feasibility(umat)
-    if status == "infeasible":
-        raise InfeasibleMoment(f"zero moment unattainable at theta={th}")
-    if status == "boundary":
-        raise SupportCondition(
-            f"family support at theta={th} is smaller than the support of the base"
-        )
-    return (active, umat) + dual_newton(r.weights[active], umat, -1.0)
+    value = np.full(nodes, math.inf)
+    lam = np.full((nodes, model.n_constraints), np.nan)
+    weights = np.zeros((nodes, r.m))
+    failure: list = [None] * nodes
+    iterations = 0
+    base_entropy = entropy(r)
+    for block in blocks(nodes):
+        inside = []
+        for i in range(block.start, block.stop):
+            if model.domain.contains(ths[i]):
+                inside.append(i)
+            else:
+                failure[i] = ThetaOutOfDomain
+        if not inside:
+            continue
+        umat = np.stack([model.u_matrix(r.support, ths[i])[active] for i in inside])
+        status, _ = moment_feasibility(umat)
+        ok = status == "interior"
+        for i, s in zip(inside, status):
+            if s != "interior":
+                failure[i] = InfeasibleMoment if s == "infeasible" else SupportCondition
+        if not ok.any():
+            continue
+        idx = np.asarray(inside)[ok]
+        lam_b, q_b, its, kl = dual_newton(r.weights[active], umat[ok], -1.0)
+        iterations += its
+        lam[idx] = lam_b
+        weights[np.ix_(idx, np.flatnonzero(active))] = q_b
+        value[idx] = base_entropy + kl
+        for i in idx[~np.isfinite(kl)]:
+            failure[i] = NotConverged
+    return ProjectionStack(value, lam, weights, failure, iterations)
 
 
 def l_project_linear(r: Pmf, model: EstimatingModel, theta) -> ProjectionResult:
     """Project r onto the linear family at theta under L(. || r)."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    active, umat, lam, q_active, iters, kl = _l_dual(r, model, th)
-    q = np.zeros(r.m)
-    q[active] = q_active
-    gnorm = float(np.linalg.norm(umat.T @ q_active))
+    proj = l_project_stack(r, model, th[None])
+    if proj.failure[0] is not None:
+        raise node_error(proj.failure[0], th)
+    q = proj.weights[0]
+    active = r.weights > 0.0
+    gnorm = float(np.linalg.norm(model.u_matrix(r.support, th)[active].T @ q[active]))
     return ProjectionResult(
         qhat=make_pmf(r.support, q),
-        lam=lam,
-        value=entropy(r) + kl,
+        lam=proj.lam[0],
+        value=float(proj.value[0]),
         converged=gnorm <= GRAD_TOL,
-        iterations=iters,
+        iterations=proj.iterations,
         grad_norm=gnorm,
     )
 
@@ -527,23 +726,20 @@ def profile_l_projection(
     grid = [np.atleast_1d(np.asarray(t, dtype=float)) for t in theta_grid]
     if not grid:
         raise AllInfeasible("empty parameter grid")
-    base_entropy = entropy(r)
+    active = r.weights > 0.0
+
+    def gradient(proj: ProjectionStack, i: int, th: np.ndarray) -> np.ndarray:
+        q = proj.weights[i, active]
+        return envelope_gradient(q, -proj.lam[i], model.du_matrix(r.support[active], th))
 
     def value_at(th: np.ndarray):
-        if not model.domain.contains(th):
+        proj = l_project_stack(r, model, th[None])
+        if proj.failure[0] is not None:
             return math.inf, None
-        try:
-            active, _, lam, q, _, kl = _l_dual(r, model, th)
-        except (InfeasibleMoment, SupportCondition, NotConverged):
-            return math.inf, None
+        return float(proj.value[0]), lambda: gradient(proj, 0, th)
 
-        def gradient() -> np.ndarray:
-            return envelope_gradient(q, -lam, model.du_matrix(r.support[active], th))
-
-        return base_entropy + kl, gradient
-
-    evals = [value_at(th) for th in grid]
-    vals = np.array([v for v, _ in evals])
+    grid_proj = l_project_stack(r, model, grid)
+    vals = grid_proj.value
     if not np.any(np.isfinite(vals)):
         raise AllInfeasible("projection infeasible on the whole grid")
     vmin = float(np.min(vals))
@@ -557,7 +753,9 @@ def profile_l_projection(
     for coord in range(start.size):
         axis = np.unique([g[coord] for g in grid])
         step.append((axis[-1] - axis[0]) / (axis.size - 1) if axis.size > 1 else 1.0)
-    theta, _ = refine_min(value_at, start, float(vals[i0]), evals[i0][1](), box, step)
+    theta, _ = refine_min(
+        value_at, start, float(vals[i0]), gradient(grid_proj, i0, start), box, step
+    )
     return ProfileResult(
         theta_star=theta,
         result=l_project_linear(r, model, theta),

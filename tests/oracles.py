@@ -14,11 +14,17 @@ production code's counts form.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog, minimize, minimize_scalar
 from scipy.special import gammaln
+
+from elmap.censoring import _split
+from elmap.errors import NoEvents, NotConverged
+from elmap.prob import Pmf, make_pmf
+from elmap.rng import rng_from
 
 
 def interior_point(umat: np.ndarray) -> np.ndarray | None:
@@ -38,6 +44,27 @@ def interior_point(umat: np.ndarray) -> np.ndarray | None:
     if not res.success or res.x[-1] <= 1e-9:
         return None
     return res.x[:m]
+
+
+def hull_lp_t(umat: np.ndarray) -> float:
+    """The largest minimum weight t of a simplex point with zero u-moments,
+    by a linear program over (w, t); -inf when there is none.  The J = 2
+    oracle for the closed-form hull test of ``moment_feasibility``."""
+    m, j = umat.shape
+    c = np.zeros(m + 1)
+    c[-1] = -1.0
+    a_eq = np.zeros((j + 1, m + 1))
+    a_eq[0, :m] = 1.0
+    a_eq[1:, :m] = umat.T
+    b_eq = np.zeros(j + 1)
+    b_eq[0] = 1.0
+    a_ub = np.hstack([-np.eye(m), np.ones((m, 1))])
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq, b_eq=b_eq,
+                  bounds=[(0.0, 1.0)] * (m + 1), method="highs")
+    if res.status == 2:
+        return -math.inf
+    assert res.success, res.message
+    return float(res.x[-1])
 
 
 def el_primal_bruteforce(counts: np.ndarray, umat: np.ndarray) -> float:
@@ -217,3 +244,95 @@ def sequential_log_mass(log_prior, table, member, schedule) -> np.ndarray:
         done = n
         out.append(lse(total[member]) - lse(total))
     return np.array(out)
+
+
+def censored_el_bruteforce(data, support=None) -> Pmf:
+    """Direct minimizer of l_n over distributions on the event-time support
+    (plus one atom beyond the last censoring when needed): dense simplex
+    grid then local refinement.  Intended for small n as an oracle."""
+    times, cens = _split(data)
+    if not np.any(~cens):
+        raise NoEvents("need at least one event")
+    if times.size > 8:
+        raise ValueError("brute force is for n <= 8")
+    if support is None:
+        support = np.unique(times[~cens])
+    support = np.asarray(support, dtype=float)
+    if np.any(cens) and times[cens].max() >= support.max():
+        support = np.append(support, times.max() + 1.0)
+    k = support.size
+
+    ev_idx = np.searchsorted(support, times[~cens])
+    tail_from = np.searchsorted(support, times[cens], side="right")
+    ev_counts = np.bincount(ev_idx, minlength=k).astype(float)
+    tail_counts = np.bincount(tail_from, minlength=k + 1).astype(float)
+
+    def objective(w: np.ndarray) -> float:
+        suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
+        with np.errstate(divide="ignore"):
+            ev_part = -float(ev_counts @ np.log(np.maximum(w, 1e-300)))
+            tails = suffix[tail_from]
+            if np.any(tails <= 0):
+                return math.inf
+            tl_part = -float(np.log(tails).sum())
+        return ev_part + tl_part
+
+    def gradient(w: np.ndarray) -> np.ndarray:
+        suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
+        g = -ev_counts / np.maximum(w, 1e-300)
+        inv_tail = np.zeros(k + 1)
+        pos = suffix > 0
+        inv_tail[pos] = tail_counts[pos] / suffix[pos]
+        # atom j sits in every tail starting at index <= j
+        g -= np.cumsum(inv_tail[: k])
+        return g
+
+    # dense grid over the simplex
+    best_w = None
+    best_val = math.inf
+    steps = {1: 1, 2: 60, 3: 30, 4: 16, 5: 12, 6: 10}.get(k, 8)
+    for comp in _compositions(steps, k):
+        w = np.asarray(comp, dtype=float) / steps
+        val = objective(w)
+        if val < best_val:
+            best_val = val
+            best_w = w
+    starts = [np.full(k, 1.0 / k)]
+    if best_w is not None:
+        starts.insert(0, 0.9 * best_w + 0.1 / k)
+    rng = rng_from("censor.bruteforce", 0)
+    for _ in range(3):
+        starts.append(rng.dirichlet(np.ones(k)))
+    best_w = None
+    best_val = math.inf
+    for w0 in starts:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = minimize(
+                objective,
+                w0,
+                jac=gradient,
+                method="SLSQP",
+                bounds=[(1e-12, 1.0)] * k,
+                constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0,
+                              "jac": lambda w: np.ones_like(w)}],
+                options={"maxiter": 300, "ftol": 1e-14},
+            )
+        if res.fun < best_val:
+            best_val = float(res.fun)
+            best_w = np.asarray(res.x)
+    if best_w is None:
+        raise NotConverged("no refinement start succeeded")
+    best_w = np.maximum(best_w, 0.0)
+    best_w /= best_w.sum()
+    return make_pmf(support, best_w)
+
+
+def _compositions(total: int, parts: int):
+    """All nonnegative integer vectors of the given length summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest

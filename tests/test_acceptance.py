@@ -34,7 +34,6 @@ from elmap.censoring import (
     CensoringModel,
     censor_generate,
     censored_decay_experiment,
-    censored_el_bruteforce,
     censored_l_divergence,
     censored_loglik,
     kaplan_meier,
@@ -68,7 +67,12 @@ from elmap.projection import (
 )
 from elmap.rng import rng_from
 
-from oracles import el_primal_bruteforce, grid_posterior, posterior_mean_law
+from oracles import (
+    censored_el_bruteforce,
+    el_primal_bruteforce,
+    grid_posterior,
+    posterior_mean_law,
+)
 from scipy.special import gammaln
 
 R_BIN = make_pmf([0, 1], [0.5, 0.5])

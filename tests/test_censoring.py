@@ -13,7 +13,6 @@ from elmap.censoring import (
     SurvivalCurve,
     censor_generate,
     censored_decay_experiment,
-    censored_el_bruteforce,
     censored_l_divergence,
     censored_loglik,
     censored_posterior,
@@ -23,7 +22,7 @@ from elmap.divergences import l_divergence
 from elmap.errors import InfiniteRate, NoEvents
 from elmap.prob import Sample, empirical_pmf, make_pmf
 from elmap.rng import derive_seed
-from oracles import draw_log_masses, sequential_log_mass
+from oracles import censored_el_bruteforce, draw_log_masses, sequential_log_mass
 
 GRID = [1.0, 2.0, 3.0]
 F0 = make_pmf(GRID, [0.5, 0.3, 0.2])

@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -381,3 +384,14 @@ n = 100
         assert "FAIL" in out and "asymmetric split: component minima" in out
         lhs, rhs = out.split("component minima")[1].split(" vs ")
         assert float(lhs) != float(rhs.split()[0])  # both values printed
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the linear program of moment_feasibility (J >= 3) imports it on use
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, elmap; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert out.stdout.strip() == "False"

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from elmap.divergences import l_divergence
-from elmap.errors import AllInfinite, AllThetaInfeasible, InfeasibleMoment, NotConverged
+from elmap.errors import (
+    AllInfinite,
+    AllThetaInfeasible,
+    InfeasibleMoment,
+    NotConverged,
+    SingularConstraints,
+)
 from elmap.estimators import (
     cr_estimate,
     cr_inner,
@@ -396,11 +402,18 @@ class TestLinearPresetOls:
         y = np.array([1.232, 2.181, 2.152, 2.974, 1.648, 0.367, 0.688, 2.521])
         assert _linear_fit_error(x, y, 11) <= 1e-8
 
+    def test_feasible_region_between_grid_nodes(self):
+        # The region of (a, b) where the EL profile is finite falls between
+        # the nodes of the 11-point grid; the root of the sample estimating
+        # equations (OLS) is the fit's start node.
+        x = np.array([1.0, 3.0, 3.0, 1.0, 0.0, 3.0, 2.0, 0.0])
+        y = np.array([0.858, 2.187, 2.428, 1.254, 0.209, 2.092, 1.816, 0.486])
+        assert _linear_fit_error(x, y, 11) <= 1e-8
+
     def test_seeded_draws(self):
-        # n = 8 pairs, x on {0, 1, 2, 3}, y rounded to 3 decimals.  On some
-        # draws the region of (a, b) where the EL profile is finite falls
-        # between the nodes of the 11-point grid, so the fit has no start;
-        # those draws must end in AllThetaInfeasible and are counted apart.
+        # n = 8 pairs, x on {0, 1, 2, 3}, y rounded to 3 decimals.  Every
+        # draw must have a start node, even where the region of (a, b) with
+        # a finite EL profile falls between the nodes of the 11-point grid.
         rng = np.random.default_rng(2024)
         errors, no_start = [], 0
         while len(errors) < 20:
@@ -413,7 +426,7 @@ class TestLinearPresetOls:
             except AllThetaInfeasible:
                 no_start += 1
         print(f"{len(errors)} fits, {no_start} draws without a feasible grid node")
-        assert no_start <= 2
+        assert no_start == 0
         assert max(errors) <= 1e-8, errors
 
     def test_half_lattice_fifty_pairs(self):
@@ -432,6 +445,14 @@ def _central_difference(profile, theta, h=1e-5):
     return grad
 
 
+_ESTIMATES = {
+    "EL": el_estimate,
+    "ET": et_estimate,
+    "Euclidean": euclidean_estimate,
+    "CR(-0.5)": lambda s, m, k: cr_estimate(s, m, -0.5, k),
+    "CR(2.0)": lambda s, m, k: cr_estimate(s, m, 2.0, k),
+}
+
 _INNERS = [
     ("EL", el_inner),
     ("ET", et_inner),
@@ -439,6 +460,36 @@ _INNERS = [
 ] + [
     (f"CR({g})", lambda s, m, th, g=g: cr_inner(s, m, th, g)) for g in (-2.0, -0.5, 0.5, 2.0)
 ]
+
+
+_INNERS_BY_METHOD = [(m, f) for m, f in _INNERS if m in _ESTIMATES]
+
+
+class TestGridStack:
+    """The grid stage solves each domain box's grid as one stack and the
+    refinement solves stacks of one; every trace record matches a
+    single-theta inner fit."""
+
+    @pytest.mark.parametrize(
+        "method,inner", _INNERS_BY_METHOD, ids=[m for m, _ in _INNERS_BY_METHOD]
+    )
+    def test_grid_values_match_single_solves(self, method, inner):
+        rng = np.random.default_rng(3)
+        # the over-identified family needs the spread atom 3
+        obs = np.append(rng.choice([0.0, 1.0, 2.0, 3.0], p=[0.22, 0.38, 0.38, 0.02], size=59), 3.0)
+        for model, grid_points in ((mean_model(), 41), (overidentified_model(), 21)):
+            sample = Sample(tuple(obs))
+            fit = _ESTIMATES[method](sample, model, grid_points)
+            assert len(fit.trace) > grid_points
+            for th, value in fit.trace:
+                try:
+                    single = inner(sample, model, list(th)).profile_value
+                except (InfeasibleMoment, NotConverged, SingularConstraints):
+                    single = math.inf
+                if math.isinf(single):
+                    assert value == math.inf, (th, value)
+                else:
+                    assert abs(value - single) <= 1e-12 * abs(single), (th, value, single)
 
 
 def _gradient_cases(name, rng):

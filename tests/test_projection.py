@@ -18,12 +18,13 @@ from elmap.prob import EstimatingModel, ParamDomain, make_pmf, mean_model, momen
 from elmap.projection import (
     dual_newton,
     l_project_linear,
+    l_project_stack,
     moment_feasibility,
     profile_l_projection,
     project_oracle,
 )
 
-from oracles import bisect_lambda
+from oracles import bisect_lambda, hull_lp_t
 
 UNIFORM3 = make_pmf([0, 1, 2], [1 / 3, 1 / 3, 1 / 3])
 
@@ -178,6 +179,74 @@ class TestMomentFeasibility:
     def test_j2_interior(self):
         u = np.array([[-1.0, -1.0], [1.0, -1.0], [0.0, 2.0]])
         assert moment_feasibility(u)[0] == "interior"
+
+    @pytest.mark.parametrize("j", [0, 1, 2, 3])
+    def test_stack_matches_single_calls(self, j):
+        rng = np.random.default_rng(j)
+        stack = rng.normal(size=(40, 5, j)) + rng.normal(size=(40, 1, j))
+        stack[::7] = 0.0
+        status, t = moment_feasibility(stack)
+        for node, s, tk in zip(stack, status, t):
+            assert moment_feasibility(node) == (s, tk)
+
+
+def rotate(u, angle, scale=1.0):
+    c, s = math.cos(angle), math.sin(angle)
+    return scale * u @ np.array([[c, s], [-s, c]])
+
+
+def hull_cases():
+    """(label, u) pairs of (m, 2) rows: random rows, and the degenerate rows
+    on which the closed form must classify as the linear program does."""
+    rng = np.random.default_rng(7)
+    for _ in range(150):
+        m = int(rng.integers(2, 10))
+        yield "random", rng.normal(size=(m, 2)) + rng.normal(size=2) * rng.uniform(0, 2)
+    for _ in range(20):
+        angle, scale = rng.uniform(0, 2 * math.pi), 10 ** rng.uniform(-3, 3)
+        d = np.array([[math.cos(angle), math.sin(angle)]])
+        s = rng.uniform(0.2, 3.0, size=(4, 1))
+        one_side = s * d
+        yield "collinear, one side", one_side
+        yield "collinear, one side, zero row", np.vstack([one_side, np.zeros((1, 2))])
+        yield "collinear, both sides", np.vstack([one_side, -s[:2] * d]) * scale
+        yield "zero rows only", np.zeros((3, 2))
+        half = rotate(np.column_stack([rng.normal(size=4), rng.uniform(0.1, 2, 4)]), angle)
+        yield "open half-plane", half
+        yield "open half-plane, zero row", np.vstack([half, np.zeros((2, 2))])
+        # zero on an edge: exactly representable, then rotated
+        edge = np.array([[1.0, 0.0], [-2.0, 0.0], [0.5, 1.0], [-0.3, 2.0]])
+        yield "on an edge", edge
+        yield "on an edge, rotated", rotate(edge, angle, scale)
+        yield "at a vertex", np.array([[0.0, 0.0], [1.0, 0.5], [2.0, -0.5]])
+        # zero inside, with t = eps / (1 + 3 eps): 1e-10 is on the boundary,
+        # 1e-8 inside.  Unit scale, since the program's tolerances are
+        # absolute and would swallow a 1e-10 row scaled down.
+        for eps in (1e-10, 1e-8):
+            near = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -eps]])
+            yield f"t = {eps:g}", rotate(near, angle)
+
+
+class TestPlanarHull:
+    """The closed-form J = 2 test against the linear program it replaces."""
+
+    def test_matches_linear_program(self):
+        seen = set()
+        for label, u in hull_cases():
+            status, t = moment_feasibility(u)
+            t_lp = hull_lp_t(u)
+            want = "infeasible" if t_lp == -math.inf else "boundary" if t_lp <= 1e-9 else "interior"
+            assert status == want, (label, u, t, t_lp)
+            if status != "infeasible":
+                # the program's t carries the solver's tolerance, about 1e-11
+                assert abs(t - t_lp) <= 1e-10 + 1e-7 * t_lp, (label, t, t_lp)
+            if label.startswith("t = "):
+                eps = float(label[4:])
+                assert abs(t - eps / (1.0 + 3.0 * eps)) <= 1e-6 * eps, (label, t)
+            seen.add((label, status))
+        assert ("t = 1e-10", "boundary") in seen and ("t = 1e-08", "interior") in seen
+        assert ("collinear, both sides", "interior") in seen
+        assert ("on an edge, rotated", "boundary") in seen
 
 
 class TestProjectOracle:
@@ -407,6 +476,94 @@ class TestNearBoundary:
         assert np.max(np.abs(q @ umat)) <= 1e-12
         assert np.all(q > 0.0)
         assert abs(value - float(p @ np.log(p / q))) <= 1e-12
+
+
+def assert_stack_matches_single_calls(p, stack, gamma):
+    """dual_newton on the stack against one call per node: q, lam and the
+    value to 1e-12 relative, +inf exactly where a single call raises, and,
+    when every node converges, the iterations summed over the nodes."""
+    lam, q, iterations, value = dual_newton(p, stack, gamma)
+    assert lam.shape == stack.shape[::2] and q.shape == stack.shape[:2]
+    total = 0
+    for g, node in enumerate(stack):
+        try:
+            lam1, q1, it1, value1 = dual_newton(p, node, gamma)
+        except NotConverged:
+            assert value[g] == math.inf and np.isnan(q[g]).all() and np.isnan(lam[g]).all()
+            total = None
+            continue
+        assert math.isfinite(value[g])
+        total = None if total is None else total + it1
+        np.testing.assert_allclose(q[g], q1, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(lam[g], lam1, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(value[g], value1, rtol=1e-12, atol=0.0)
+    assert total is None or iterations == total
+
+
+class TestStackedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        atoms=st.lists(st.integers(-20, 20), min_size=3, max_size=8, unique=True),
+        raw=st.lists(st.floats(0.05, 1.0), min_size=8, max_size=8),
+        fracs=st.lists(st.floats(0.02, 0.98), min_size=1, max_size=12),
+        spread=st.floats(0.0, 0.5),
+        j=st.sampled_from((1, 2)),
+        gamma=st.sampled_from((-2.0, -1.0, -0.5, 0.0, 0.5, 2.0)),
+    )
+    def test_stack_matches_single_calls(self, atoms, raw, fracs, spread, j, gamma):
+        x = np.sort(np.asarray(atoms, dtype=float))
+        p = np.asarray(raw[: x.size]) / sum(raw[: x.size])
+        nodes = []
+        for frac in fracs:
+            theta = x[0] + frac * np.ptp(x)
+            # the second moment sits between theta^2 and the largest one
+            second = theta**2 + spread * (np.max(x**2) - theta**2)
+            nodes.append(np.column_stack([x - theta, x**2 - second])[:, :j])
+        stack = np.stack(nodes)
+        status, _ = moment_feasibility(stack)
+        keep = status != "infeasible" if gamma > 0.0 else status == "interior"
+        if keep.any():
+            assert_stack_matches_single_calls(p, stack[keep], gamma)
+
+    @pytest.mark.parametrize("draw", TestNearBoundary.DRAWS)
+    def test_near_boundary_draws_in_a_stack(self, draw):
+        # each hard draw between easy nodes on its base: moments centred at
+        # the base itself and at its mixtures with the uniform law
+        p, umat = next(itertools.islice(near_boundary_draws(draw + 1), draw, None))
+        m = p.size
+        easy = []
+        for mix in (0.0, 0.3, 0.7):
+            target = (1.0 - mix) * p + mix / m
+            easy.append(umat - target @ umat)
+        stack = np.stack([easy[0], umat, easy[1], easy[2]])
+        lam, q, iterations, value = dual_newton(p, stack, -1.0)
+        qh = q[1]
+        assert abs(qh.sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(qh @ umat)) <= 1e-12
+        assert np.all(qh > 0.0)
+        assert abs(value[1] - float(p @ np.log(p / qh))) <= 1e-12
+        assert dual_newton(p, umat, -1.0)[2] < 200
+        assert_stack_matches_single_calls(p, stack, -1.0)
+
+
+class TestLProjectStack:
+    def test_matches_single_projections(self):
+        r = make_pmf([0, 1, 2, 4], [0.1, 0.5, 0.3, 0.1])
+        model = mean_model(ParamDomain.box((-1.0, 3.5)))
+        thetas = np.array([-2.0, 0.0, 0.5, 1.3, 2.2, 3.9, 4.0])[:, None]
+        proj = l_project_stack(r, model, thetas)
+        for th, value, lam, weights, failure in zip(
+            thetas, proj.value, proj.lam, proj.weights, proj.failure
+        ):
+            if failure is None:
+                res = l_project_linear(r, model, th)
+                assert value == res.value and np.array_equal(lam, res.lam)
+                assert np.array_equal(make_pmf(r.support, weights).weights, res.qhat.weights)
+            else:
+                assert value == math.inf
+                with pytest.raises(failure):
+                    l_project_linear(r, model, th)
+        assert proj.failure[0] is ThetaOutOfDomain and proj.failure[1] is SupportCondition
 
 
 class TestProfile:
