@@ -318,7 +318,7 @@ def _profile_search(
 
     ``solve(mp, thetas)`` fits a stack of theta values, scoring +inf where
     the inner fit does not exist; each box's grid goes through it in stacks
-    of at most ``projection.blocks`` size.  The grid's axes span each box,
+    cut by ``projection.blocks``.  The grid's axes span each box,
     or the data range with a margin (or ``bounds``) where the box is
     unbounded.  For scalar models they include the data values, which keeps
     degenerate point-feasible problems (constant samples) solvable; for
@@ -353,7 +353,7 @@ def _profile_search(
     extra = mp.atoms if k == 1 and mp.scalar else None
     root = None
     if extra is None and model.n_constraints == k:
-        # Newton from the middle of the range the grid spans off the boxes
+        # Newton starts in the middle of the data range (or of ``bounds``)
         middle = [sum(fallback[min(c, len(fallback) - 1)]) / 2.0 for c in range(k)]
         root = mp.root(np.array(middle))
     best_theta = None

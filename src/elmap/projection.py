@@ -278,6 +278,8 @@ def dual_newton(p: np.ndarray, umat: np.ndarray, gamma: float):
         grad = gradient(amat, q)
         amat_t = amat.transpose(0, 2, 1)
         for it in range(1, MAX_ITER + 1):
+            if not active.size:
+                break
             hess = np.matmul(amat_t * h[:, None, :], amat)
             step = _newton_step(hess, grad)
             dz = np.matmul(dz_da, step[:, :, None])[:, :, 0]

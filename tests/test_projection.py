@@ -228,7 +228,7 @@ def hull_cases():
 
 
 class TestPlanarHull:
-    """The closed-form J = 2 test against the linear program it replaces."""
+    """The closed-form J = 2 test against the linear program, its oracle."""
 
     def test_matches_linear_program(self):
         seen = set()
