@@ -272,7 +272,7 @@ def dual_newton(p: np.ndarray, umat: np.ndarray, gamma: float):
     # arrays.
     active = np.arange(nodes)
     x_end, q_end, g_end = np.empty_like(x), np.empty_like(z), np.empty_like(x)
-    it_end = np.full(nodes, MAX_ITER)
+    it_end = np.empty(nodes, dtype=int)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         d, q, h = evaluate(x[:, 0], z)
         grad = gradient(amat, q)
@@ -315,20 +315,21 @@ def dual_newton(p: np.ndarray, umat: np.ndarray, gamma: float):
                         back = back[~ok]
                 kept = np.count_nonzero(accept)
             if kept < accept.size:
+                if not kept:
+                    break
                 stop = ~accept
                 done = active[stop]
                 x_end[done], q_end[done], g_end[done] = x[stop], q[stop], grad[stop]
                 it_end[done] = it
-                if not kept:
-                    break
                 active, amat, dz_da = active[accept], amat[accept], dz_da[accept]
                 amat_t = amat.transpose(0, 2, 1)
                 xt, zt, dt, qt, ht, gt = (
                     xt[accept], zt[accept], dt[accept], qt[accept], ht[accept], gt[accept]
                 )
             x, z, d, q, h, grad = xt, zt, dt, qt, ht, gt
-        else:
-            x_end[active], q_end[active], g_end[active] = x, q, grad
+        # the nodes left stopped together, or ran out of iterations
+        x_end[active], q_end[active], g_end[active] = x, q, grad
+        it_end[active] = it
         gnorm = np.sqrt(rowsum(g_end * g_end, 1))
         converged = gnorm <= 1e-8
         if not stacked and not converged[0]:
