@@ -1,10 +1,9 @@
 """Empirical-likelihood estimation, divergence projections and exact
 finite-grid Bayesian posterior decay experiments."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .divergences import (
-    DivergenceSpec,
     cressie_read,
     entropy,
     euclidean_discrepancy,
@@ -30,7 +29,6 @@ from .projection import (
     ProfileResult,
     l_project_linear,
     profile_l_projection,
-    project_oracle,
 )
 from .estimators import (
     DualFit,

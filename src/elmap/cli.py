@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bayes import (
+    PriorGrid,
     blln_check,
     decay_curve,
     example21,
@@ -128,7 +129,16 @@ class Config:
         sched = self.get("experiment", "n_schedule", _ints, default=None)
         if sched is not None and not sched:
             raise ConfigInvalid("empty [experiment] n_schedule")
+        if sched is not None and min(sched) <= 0:
+            raise ConfigInvalid(f"[experiment] n_schedule entry {min(sched)} is not positive")
         return sched
+
+    def positive(self, section: str, key: str, convert, default=_SENTINEL):
+        """``get`` for a value that must be positive."""
+        val = self.get(section, key, convert, default)
+        if not val > 0:
+            raise ConfigInvalid(f"[{section}] {key} = {val} is not positive")
+        return val
 
     def pmf(self, section: str, wkey: str = "weights", skey: str = "support") -> Pmf:
         support = self.get(section, skey, _floats)
@@ -151,16 +161,29 @@ class Config:
         support = self.get("grid", "support", _floats, default=None)
         return self.grid_pmfs(r.support if support is None else support)
 
+    def prior_grid(self, cands) -> PriorGrid:
+        """The candidates with the [grid] prior weights, uniform if absent."""
+        weights = self.get("grid", "prior", _floats, default=None)
+        if weights is not None and (len(weights) != len(cands) or min(weights, default=0) <= 0):
+            raise ConfigInvalid(
+                f"[grid] prior needs {len(cands)} positive weights, one per candidate"
+            )
+        return make_prior_grid(cands, weights)
+
     @functools.cached_property
     def split_prior(self):
         """The example21 split prior; built once, since both validation
         and the run need it."""
+        theta1 = self.get("split", "theta1", float)
+        theta2 = self.get("split", "theta2", float)
+        if not theta1 < theta2:
+            raise ConfigInvalid(f"[split] theta1 = {theta1} is not below theta2 = {theta2}")
         return split_mean_prior(
             self.pmf("truth"),
-            self.get("split", "theta1", float),
-            self.get("split", "theta2", float),
-            self.get("split", "per_side", int, default=8),
-            self.get("split", "spread", float, default=0.4),
+            theta1,
+            theta2,
+            self.positive("split", "per_side", int, default=8),
+            self.positive("split", "spread", float, default=0.4),
         )
 
 
@@ -266,11 +289,9 @@ def run_fit(cfg: Config, seeds, threads: int) -> list:
 
 def run_blln(cfg: Config, seeds, threads: int) -> list:
     r = cfg.pmf("truth")
-    cands = cfg.blln_candidates(r)
-    prior_w = cfg.get("grid", "prior", _floats, default=None)
-    prior = make_prior_grid(cands, prior_w)
+    prior = cfg.prior_grid(cfg.blln_candidates(r))
     q_idx = cfg.get("target", "q_indices", _ints)
-    epsilon = cfg.get("target", "epsilon", float, default=0.05)
+    epsilon = cfg.positive("target", "epsilon", float, default=0.05)
     schedule = cfg.schedule()
     if not schedule:
         raise ConfigInvalid("blln needs [experiment] n_schedule")
@@ -293,8 +314,8 @@ def run_example21(cfg: Config, seeds, threads: int) -> list:
     r = cfg.pmf("truth")
     theta1 = cfg.get("split", "theta1", float)
     theta2 = cfg.get("split", "theta2", float)
-    epsilon = cfg.get("split", "epsilon", float, default=0.05)
-    n = cfg.get("split", "n", int)
+    epsilon = cfg.positive("split", "epsilon", float, default=0.05)
+    n = cfg.positive("split", "n", int)
     rep = example21(theta1, theta2, r, cfg.split_prior, n, seeds, epsilon)
     rows = [["seed", "n", "target", "empirical_value", "theoretical_value"]]
     half_d = 0.5 * rep.projection_tv
@@ -353,8 +374,7 @@ def run_censor(cfg: Config, seeds, threads: int) -> list:
 
     model = _censor_model(cfg)
     grid_support = model.f0.support
-    cands = cfg.grid_pmfs(grid_support)
-    prior = make_prior_grid(cands, cfg.get("grid", "prior", _floats, default=None))
+    prior = cfg.prior_grid(cfg.grid_pmfs(grid_support))
     q_idx = cfg.get("target", "q_indices", _ints)
     schedule = cfg.schedule()
     if not schedule:
@@ -413,6 +433,8 @@ def validate(cfg: Config) -> list:
 
     try:
         if kind == "example21":
+            cfg.positive("split", "n", int)
+            cfg.positive("split", "epsilon", float, default=0.05)
             split_projections(
                 cfg.split_prior, cfg.pmf("truth"),
                 cfg.get("split", "theta1", float), cfg.get("split", "theta2", float),
@@ -441,6 +463,9 @@ def validate(cfg: Config) -> list:
             vals = [censored_l_divergence(cand, model) for cand in cands]
             if all(v == float("inf") for v in vals):
                 problems.append("every candidate has infinite censored divergence")
+            if not (cfg.schedule() or []):
+                problems.append("missing [experiment] n_schedule")
+            cfg.prior_grid(cands)
             check_q(cands)
         elif kind == "blln":
             r = cfg.pmf("truth")
@@ -449,6 +474,8 @@ def validate(cfg: Config) -> list:
                 problems.append("no candidate dominates the support of r")
             if not (cfg.schedule() or []):
                 problems.append("missing [experiment] n_schedule")
+            cfg.positive("target", "epsilon", float, default=0.05)
+            cfg.prior_grid(cands)
             check_q(cands)
         elif kind == "fit":
             _load_sample(cfg)

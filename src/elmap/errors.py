@@ -57,8 +57,10 @@ class InfeasibleMoment(ElmapError):
     """The moment constraints admit no distribution on the given atoms."""
 
 
-class SupportCondition(ElmapError):
-    """The linear family's support is strictly smaller than the base's."""
+class SupportCondition(InfeasibleMoment):
+    """The moment constraints admit a distribution on the given atoms only
+    if some atom gets weight zero: the linear family's support is strictly
+    smaller than the base's (the zero moment is on the hull's boundary)."""
 
 
 class Infeasible(ElmapError):

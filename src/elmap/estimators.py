@@ -7,7 +7,10 @@ exponential tilting (KL) and the Cressie-Read family all minimize
 CR_gamma(q || empirical) through the one dual Newton kernel of
 :mod:`elmap.projection` (``dual_newton``) over the multipliers of sum q = 1
 and sum q u = 0: empirical likelihood is its gamma = -1 limit and tilting
-its gamma = 0 limit.  Euclidean weights have a closed form.
+its gamma = 0 limit.  Euclidean weights have a closed form.  The sample is
+the moment problem of :mod:`elmap.projection` on its atoms, with the
+frequencies as base weights and n the sample size, the same problem the
+L-projection solves with base r and n = 1.
 
 The outer search over theta minimizes the profile P(theta) on a coarse
 grid, which is the global start because P is +inf where the zero moment
@@ -20,7 +23,8 @@ envelope theorem: dP/dtheta = sum_a q_a mu . du_a/dtheta, with q the fitted
 atom weights and mu the moment multiplier of the primal (-n lam for EL, ET
 and Cressie-Read, 2 lam for the Euclidean closed form).  Atoms, counts and
 the observation-to-atom index are computed once per fit; each theta
-evaluation solves only the inner dual.
+evaluation solves only the inner dual.  ``profile_l_projection`` runs the
+same search.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +39,6 @@ from .errors import (
     AllInfinite,
     AllThetaInfeasible,
     EmptySample,
-    InfeasibleMoment,
     NotConverged,
     SingularConstraints,
     ThetaOutOfDomain,
@@ -44,12 +46,11 @@ from .errors import (
 from .prob import EstimatingModel, Pmf, Sample, counts_loglik, log_mass_table, make_pmf
 from .projection import (
     REFINE_TOL,
-    blocks,
+    ProjectionStack,
+    _MomentProblem,
+    _profile_min,
     dual_newton,
-    envelope_gradient,
-    moment_feasibility,
     node_error,
-    refine_min,
 )
 
 GRID_POINTS = 201
@@ -87,77 +88,37 @@ class ELFit:
     method: str
 
 
-class _Solution(NamedTuple):
-    """Inner solves at a stack of G parameter values.  Per node: the
-    profile value, +inf where the fit does not exist, with the error class
-    ``failure`` holds there (None elsewhere); the dual multiplier; the
-    fitted weight q_a of each atom; the multiplier mu of the moment
-    constraint in the primal Lagrangian, so that the profile's gradient is
-    sum_a q_a mu . du_a/dtheta; and whether the weights are nonnegative."""
-
-    value: np.ndarray
-    lam: np.ndarray
-    q: np.ndarray
-    mu: np.ndarray
-    nonnegative: np.ndarray
-    failure: list
-
-
-class _MomentProblem:
+class _SampleProblem(_MomentProblem):
     """A sample reduced, once per fit, to its distinct atoms, their counts
-    and the atom index of each observation, with the model's u on them."""
+    and the atom index of each observation; the base weights are the
+    frequencies and n the sample size, so that the gamma = -1 value is
+    -sum_i log w_i = n log n + n KL(freq || q)."""
 
     def __init__(self, sample: Sample, model: EstimatingModel):
         if sample.n == 0:
             raise EmptySample("estimation needs at least one observation")
         vals = sample.values()
         self.scalar = vals.ndim == 1
-        self.atoms, inverse, counts = np.unique(
+        atoms, inverse, counts = np.unique(
             vals, axis=None if self.scalar else 0, return_inverse=True, return_counts=True
         )
         self.inverse = inverse.reshape(-1)
         self.counts = counts.astype(float)
-        self.n = float(sample.n)
-        self.freq = self.counts / self.n
-        self.model = model
+        n = float(sample.n)
+        super().__init__(atoms, self.counts / n, n, model, n * math.log(n))
 
-    def u(self, ths: np.ndarray, feasibility: str | None) -> tuple[np.ndarray, list]:
-        """u at the atoms for each row of ``ths``, (G, m, J), and per node
-        the error class where the fit cannot exist: theta outside the domain
-        or, unless ``feasibility`` is None, the zero moment not attainable,
-        that is, not strictly inside the hull of the u rows ("interior") or
-        not in it ("boundary").  Rows outside the domain are left zero."""
-        umat = np.zeros((len(ths), self.counts.size, self.model.n_constraints))
-        failure: list = [None] * len(ths)
-        for i, th in enumerate(ths):
-            if self.model.domain.contains(th):
-                umat[i] = self.model.u_matrix(self.atoms, th)
-            else:
-                failure[i] = ThetaOutOfDomain
-        if feasibility is not None:
-            status, _ = moment_feasibility(umat)
-            unattainable = (status == "infeasible") | (
-                (status == "boundary") & (feasibility == "interior")
-            )
-            for i in np.flatnonzero(unattainable):
-                failure[i] = failure[i] or InfeasibleMoment
-        return umat, failure
-
-    def gradient(self, th: np.ndarray, sol: _Solution, i: int) -> np.ndarray:
-        return envelope_gradient(sol.q[i], sol.mu[i], self.model.du_matrix(self.atoms, th))
-
-    def fit(self, th: np.ndarray, sol: _Solution, i: int) -> DualFit:
+    def fit(self, th: np.ndarray, sol: ProjectionStack, i: int) -> DualFit:
         """DualFit from node i of a solve: each observation gets its atom's
         weight shared equally among the atom's observations."""
         if sol.failure[i] is not None:
             raise node_error(sol.failure[i], th)
-        nonnegative = bool(sol.nonnegative[i])
+        nonnegative = bool(np.all(sol.weights[i] >= 0.0))
         pmf = None
         if self.scalar and nonnegative:
-            pmf = make_pmf(self.atoms, sol.q[i])
+            pmf = make_pmf(self.atoms, sol.weights[i])
         return DualFit(
             lam=sol.lam[i],
-            w=(sol.q[i] / self.counts)[self.inverse],
+            w=(sol.weights[i] / self.counts)[self.inverse],
             profile_value=float(sol.value[i]),
             pmf=pmf,
             nonnegative=nonnegative,
@@ -173,8 +134,8 @@ class _MomentProblem:
         for _ in range(_ROOT_STEPS):
             if not self.model.domain.contains(th):
                 return None
-            mean_u = self.freq @ self.model.u_matrix(self.atoms, th)
-            jac = np.einsum("a,ajk->jk", self.freq, self.model.du_matrix(self.atoms, th))
+            mean_u = self.base @ self.model.u_matrix(self.atoms, th)
+            jac = np.einsum("a,ajk->jk", self.base, self.model.du_matrix(self.atoms, th))
             try:
                 step = np.linalg.solve(jac, mean_u)
             except np.linalg.LinAlgError:
@@ -185,38 +146,13 @@ class _MomentProblem:
         return None
 
 
-def _dual(mp: _MomentProblem, ths: np.ndarray, gamma: float, offset: float = 0.0) -> _Solution:
-    """Cressie-Read fits at a stack of theta values by the dual kernel, with
-    profile value offset + n CR_gamma(q, freq) and mu = -n lam.  For gamma
-    > 0 the zero moment may sit on the hull's boundary."""
-    umat, failure = mp.u(ths, "boundary" if gamma > 0.0 else "interior")
-    nodes, m, j = umat.shape
-    ok = np.array([f is None for f in failure], dtype=bool)
-    value = np.full(nodes, math.inf)
-    lam = np.full((nodes, j), np.nan)
-    q = np.full((nodes, m), np.nan)
-    if ok.any():
-        lam[ok], q[ok], _, v = dual_newton(mp.freq, umat[ok], gamma)
-        value[ok] = offset + mp.n * v
-    for i in np.flatnonzero(ok & ~np.isfinite(value)):
-        failure[i] = NotConverged
-    return _Solution(value, lam, q, -mp.n * lam, np.ones(nodes, dtype=bool), failure)
+# The dual-kernel solves; ``_MomentProblem.dual`` adds n log n at gamma = -1,
+# which makes the EL value -sum_i log w_i.
+_el = functools.partial(_MomentProblem.dual, gamma=-1.0)
+_et = functools.partial(_MomentProblem.dual, gamma=0.0)
 
 
-def _el(mp: _MomentProblem, ths: np.ndarray) -> _Solution:
-    # -sum_i log w_i = n log n + n KL(freq || q), the kernel's value at gamma = -1
-    return _dual(mp, ths, -1.0, mp.n * math.log(mp.n))
-
-
-def _et(mp: _MomentProblem, ths: np.ndarray) -> _Solution:
-    return _dual(mp, ths, 0.0)
-
-
-def _cr(mp: _MomentProblem, ths: np.ndarray, gamma: float) -> _Solution:
-    return _dual(mp, ths, gamma)
-
-
-def _euclidean(mp: _MomentProblem, ths: np.ndarray) -> _Solution:
+def _euclidean(mp: _SampleProblem, ths: np.ndarray) -> ProjectionStack:
     """Closed-form least-squares weights at a stack of theta values: the
     normal equations of every node in one batched solve, +inf where they
     are singular or inconsistent."""
@@ -249,14 +185,12 @@ def _euclidean(mp: _MomentProblem, ths: np.ndarray) -> _Solution:
     value = n * (counts * delta**2).sum(axis=1)
     value[[f is not None for f in failure]] = math.inf
     # n sum_i delta_i^2 has derivative -2 a_i . z in w_i, so mu = 2 lam
-    return _Solution(
-        value, lam, counts * w_atom, 2.0 * lam, np.all(w_atom >= 0.0, axis=1), failure
-    )
+    return ProjectionStack(value, lam, counts * w_atom, 2.0 * lam, failure, 0)
 
 
 def _inner(sample: Sample, model: EstimatingModel, theta, solve) -> DualFit:
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    mp = _MomentProblem(sample, model)
+    mp = _SampleProblem(sample, model)
     return mp.fit(th, solve(mp, th[None]), 0)
 
 
@@ -293,7 +227,7 @@ def cr_inner(sample: Sample, model: EstimatingModel, theta, gamma: float) -> Dua
     """Minimum of CR_gamma(q, empirical) under the moment constraints, by
     the Cressie-Read dual kernel.  For gamma > 0 some atoms may get zero
     weight, so the zero moment may also sit on the hull's boundary."""
-    return _inner(sample, model, theta, functools.partial(_cr, gamma=gamma))
+    return _inner(sample, model, theta, functools.partial(_MomentProblem.dual, gamma=gamma))
 
 
 def euclidean_inner(sample: Sample, model: EstimatingModel, theta) -> DualFit:
@@ -302,67 +236,44 @@ def euclidean_inner(sample: Sample, model: EstimatingModel, theta) -> DualFit:
     return _inner(sample, model, theta, _euclidean)
 
 
-def _data_bounds(atoms: np.ndarray, k: int) -> list[tuple[float, float]]:
-    """Fallback search interval per coordinate when the domain box is
-    unbounded: the observed data range with a small margin."""
-    lo, hi = float(atoms.min()), float(atoms.max())
-    span = (hi - lo) or 1.0
-    return [(lo - 0.05 * span, hi + 0.05 * span)] * k
+def _estimate(
+    sample: Sample,
+    model: EstimatingModel,
+    solve,
+    method: str,
+    grid_points: int,
+    bounds,
+) -> ELFit:
+    """Minimize the profile of ``solve`` over the model's parameter domain
+    by ``_profile_min``, on a grid over each domain box, and fit there.
 
-
-def _profile_search(
-    mp: _MomentProblem, solve, grid_points: int, bounds
-) -> tuple[np.ndarray, float, list]:
-    """Minimize the profile of ``solve`` over the model's parameter domain:
-    a grid over each domain box, then ``refine_min`` from the best node.
-
-    ``solve(mp, thetas)`` fits a stack of theta values, scoring +inf where
-    the inner fit does not exist; each box's grid goes through it in stacks
-    cut by ``projection.blocks``.  The grid's axes span each box,
-    or the data range with a margin (or ``bounds``) where the box is
-    unbounded.  For scalar models they include the data values, which keeps
-    degenerate point-feasible problems (constant samples) solvable; for
-    other just-identified models the root of the sample estimating
-    equations, when it lies in the box, is one extra node.  Ties within
-    1e-12 go to the lexicographically smallest node.  The grid is the
-    global start because the profile is +inf off the hull; the refinement
-    stays in the best node's box and follows the envelope gradient.  Every
-    evaluation inside the domain appends one (theta, value) record to the
-    returned trace, grid nodes in order.
+    The grid's axes span each box, or where it is unbounded ``bounds`` or
+    else the data range with a margin.  For scalar models they include
+    the data values, which keeps degenerate point-feasible problems
+    (constant samples) solvable; for other just-identified models the root
+    of the sample estimating equations, when it lies in the box, is one
+    extra node.  Every evaluation inside the domain appends one (theta,
+    value) record to the fit's trace, grid nodes in order.
     """
-    model = mp.model
+    mp = _SampleProblem(sample, model)
     k = model.domain.k
-    fallback = bounds if bounds is not None else _data_bounds(mp.atoms, k)
-    trace: list = []
-
-    def evaluate(ths: np.ndarray) -> _Solution:
-        sol = solve(mp, ths)
-        trace.extend(
-            (tuple(th), v)
-            for th, v, f in zip(ths.tolist(), sol.value.tolist(), sol.failure)
-            if f is not ThetaOutOfDomain
-        )
-        return sol
-
-    def one(th: np.ndarray):
-        sol = evaluate(th[None])
-        if sol.failure[0] is not None:
-            return math.inf, None
-        return float(sol.value[0]), lambda: mp.gradient(th, sol, 0)
+    if bounds is None:  # the observed data range with a small margin
+        lo, hi = float(mp.atoms.min()), float(mp.atoms.max())
+        span = (hi - lo) or 1.0
+        bounds = [(lo - 0.05 * span, hi + 0.05 * span)] * k
 
     extra = mp.atoms if k == 1 and mp.scalar else None
     root = None
     if extra is None and model.n_constraints == k:
         # Newton starts in the middle of the data range (or of ``bounds``)
-        middle = [sum(fallback[min(c, len(fallback) - 1)]) / 2.0 for c in range(k)]
+        middle = [sum(bounds[min(c, len(bounds) - 1)]) / 2.0 for c in range(k)]
         root = mp.root(np.array(middle))
-    best_theta = None
-    best_val = math.inf
+    stages = []
     for box in model.domain.boxes:
         axes = []
         steps = []
         for coord, (lo, hi) in enumerate(box):
-            flo, fhi = fallback[coord] if coord < len(fallback) else fallback[-1]
+            flo, fhi = bounds[coord] if coord < len(bounds) else bounds[-1]
             glo = lo if math.isfinite(lo) else flo
             ghi = hi if math.isfinite(hi) else fhi
             ghi = max(ghi, glo)
@@ -376,39 +287,13 @@ def _profile_search(
         pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
         if root is not None and all(lo <= t <= hi for t, (lo, hi) in zip(root, box)):
             pts = np.vstack([pts, root])
-        for block in blocks(len(pts)):
-            ths = pts[block]
-            sol = evaluate(ths)
-            for i in np.flatnonzero(np.isfinite(sol.value)):
-                v = float(sol.value[i])
-                better = v < best_val - 1e-12
-                tie_smaller = v <= best_val + 1e-12 and (
-                    best_theta is None or tuple(ths[i]) < tuple(best_theta)
-                )
-                if better or tie_smaller:
-                    best_val = min(best_val, v)
-                    best_theta = ths[i].copy()
-                    start = (v, sol, i, box, steps)
-    if best_theta is None:
+        stages.append((pts, steps))
+    theta, _, trace = _profile_min(mp, solve, stages)
+    if theta is None:
         raise AllThetaInfeasible("profile objective infinite on the whole grid")
-    value, sol, i, box, steps = start
-    grad = mp.gradient(best_theta, sol, i)
-    theta, value = refine_min(one, best_theta, value, grad, box, steps)
-    return theta, value, trace
-
-
-def _estimate(
-    sample: Sample,
-    model: EstimatingModel,
-    solve,
-    method: str,
-    grid_points: int,
-    bounds,
-) -> ELFit:
-    mp = _MomentProblem(sample, model)
-    theta, _, trace = _profile_search(mp, solve, grid_points, bounds)
     fit = mp.fit(theta, solve(mp, theta[None]), 0)
-    return ELFit(theta_hat=theta, inner=fit, trace=tuple(trace), method=method)
+    trace = tuple((tuple(th), v) for th, v, f in trace if f is not ThetaOutOfDomain)
+    return ELFit(theta_hat=theta, inner=fit, trace=trace, method=method)
 
 
 def el_estimate(
@@ -457,7 +342,7 @@ def cr_estimate(
     if gamma == -1.0:
         return el_estimate(sample, model, grid_points, bounds)
 
-    solve = functools.partial(_cr, gamma=gamma)
+    solve = functools.partial(_MomentProblem.dual, gamma=gamma)
     return _estimate(sample, model, solve, f"CR({gamma})", grid_points, bounds)
 
 

@@ -7,18 +7,29 @@ lam) of both constraints.  Its gamma = -1 member is empirical likelihood:
 the L-projection, the minimizer of L(q || r), has q_i = r_i / (1 - lam.u_i)
 and value entropy(r) + KL(r || q); gamma = 0 is exponential tilting.  The
 kernel takes one problem or a stack of problems on one base, one per node
-of a theta grid, and runs the whole stack in lock-step; ``l_project_stack``
-is its L-projection form.  ``moment_feasibility`` decides, per node,
-whether the zero moment is attainable: by min/max for one constraint, by a
-closed-form planar hull test for two, and by a linear program for more.
+of a theta grid, and runs the whole stack in lock-step.
+``moment_feasibility`` decides, per node, whether the zero moment is
+attainable: by min/max for one constraint, by a closed-form planar hull
+test for two, and by a linear program for more.
+
+One moment problem on weighted atoms (atoms, base weights, a scale n and
+the model) is the only place that solves a theta stack: it evaluates u
+over the stack, classifies each node and runs the kernel.  The estimators
+build it from a sample (frequencies, n the sample size), ``l_project_stack``
+from the atoms r charges (r's weights, n = 1).  One search, the grid
+minimum and then ``refine_min`` on the envelope gradient, serves
+``profile_l_projection`` and every estimator.
+
 An independent primal oracle (entropic mirror descent with an augmented
 Lagrangian, plus a local equality-constrained Newton polish) shares no code
-with the dual; it cross-checks it and also handles the Euclidean and
-reinforced-urn discrepancies.
+with the dual.  The tests use it to cross-check the dual and for the
+Euclidean and reinforced-urn discrepancies; it is not exported from the
+package.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -373,7 +384,7 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
 _FAILURES = {
     ThetaOutOfDomain: "theta outside the parameter domain",
     InfeasibleMoment: "zero moment outside the hull of the u values",
-    SupportCondition: "family support smaller than the support of the base",
+    SupportCondition: "zero moment on the hull's boundary: some atom needs weight zero",
     NotConverged: "dual Newton did not converge",
     SingularConstraints: "normal equations singular or inconsistent",
 }
@@ -385,60 +396,97 @@ def node_error(failure: type, theta) -> Exception:
 
 
 class ProjectionStack(NamedTuple):
-    """L-projections of one base at a stack of G theta values.
-
-    ``value`` is entropy(r) + KL(r || q), +inf at the nodes with no
-    projection, where ``failure`` holds the error class that
-    ``l_project_linear`` raises there (None elsewhere).  ``weights`` holds q
-    on the base's support (zero off its atoms), ``lam`` the multipliers, and
-    ``iterations`` the kernel's Newton iterations summed over the nodes.
-    """
+    """Fits of one moment problem at a stack of G parameter values.  Per
+    node: the profile value, +inf where the fit does not exist, with the
+    error class ``failure`` holds there (None elsewhere); the dual
+    multiplier; the fitted weight q_a of each atom; and the multiplier mu of
+    the moment constraint in the primal Lagrangian, so that the profile's
+    gradient is sum_a q_a mu . du_a/dtheta.  ``iterations`` sums the
+    kernel's Newton iterations over the nodes."""
 
     value: np.ndarray
     lam: np.ndarray
     weights: np.ndarray
+    mu: np.ndarray
     failure: list
     iterations: int
 
 
-def l_project_stack(r: Pmf, model: EstimatingModel, thetas) -> ProjectionStack:
-    """Project r under L(. || r) onto the linear family at each row of
-    ``thetas`` (G, K), in stacks of the dual kernel at gamma = -1."""
-    ths = np.asarray(thetas, dtype=float).reshape(len(thetas), -1)
-    nodes = len(ths)
-    active = r.weights > 0.0
-    value = np.full(nodes, math.inf)
-    lam = np.full((nodes, model.n_constraints), np.nan)
-    weights = np.zeros((nodes, r.m))
-    failure: list = [None] * nodes
-    iterations = 0
-    base_entropy = entropy(r)
-    for block in blocks(nodes):
-        inside = []
-        for i in range(block.start, block.stop):
-            if model.domain.contains(ths[i]):
-                inside.append(i)
+class _MomentProblem:
+    """The moment constraints sum_a q_a u(a; theta) = 0 on distinct atoms
+    with base weights, a scale n and the model.  ``offset`` is the constant
+    of the gamma = -1 value offset + n KL(base || q): n log n for a sample,
+    which makes the value -sum_i log w_i, and entropy(r) for a base r (n =
+    1), which makes it L(q || r)."""
+
+    def __init__(self, atoms, base, n: float, model: EstimatingModel, offset: float):
+        self.atoms, self.base, self.n, self.model, self.offset = atoms, base, n, model, offset
+
+    def u(self, ths: np.ndarray, feasibility: str | None) -> tuple[np.ndarray, list]:
+        """u at the atoms for each row of ``ths``, (G, m, J), and per node
+        the error class where the fit cannot exist: ThetaOutOfDomain, and
+        unless ``feasibility`` is None, InfeasibleMoment where the zero
+        moment is outside the hull of the u rows, and SupportCondition
+        where it is on the hull's boundary and ``feasibility`` is
+        "interior".  Rows outside the domain are left zero."""
+        umat = np.zeros((len(ths), self.base.size, self.model.n_constraints))
+        failure: list = [None] * len(ths)
+        for i, th in enumerate(ths):
+            if self.model.domain.contains(th):
+                umat[i] = self.model.u_matrix(self.atoms, th)
             else:
                 failure[i] = ThetaOutOfDomain
-        if not inside:
-            continue
-        umat = np.stack([model.u_matrix(r.support, ths[i])[active] for i in inside])
-        status, _ = moment_feasibility(umat)
-        ok = status == "interior"
-        for i, s in zip(inside, status):
-            if s != "interior":
-                failure[i] = InfeasibleMoment if s == "infeasible" else SupportCondition
-        if not ok.any():
-            continue
-        idx = np.asarray(inside)[ok]
-        lam_b, q_b, its, kl = dual_newton(r.weights[active], umat[ok], -1.0)
-        iterations += its
-        lam[idx] = lam_b
-        weights[np.ix_(idx, np.flatnonzero(active))] = q_b
-        value[idx] = base_entropy + kl
-        for i in idx[~np.isfinite(kl)]:
+        if feasibility is not None:
+            status, _ = moment_feasibility(umat)
+            for i in np.flatnonzero(status == "infeasible"):
+                failure[i] = failure[i] or InfeasibleMoment
+            if feasibility == "interior":
+                for i in np.flatnonzero(status == "boundary"):
+                    failure[i] = failure[i] or SupportCondition
+        return umat, failure
+
+    def gradient(self, th: np.ndarray, sol: ProjectionStack, i: int) -> np.ndarray:
+        return envelope_gradient(sol.weights[i], sol.mu[i], self.model.du_matrix(self.atoms, th))
+
+    def dual(self, ths: np.ndarray, gamma: float) -> ProjectionStack:
+        """Cressie-Read fits at a stack of theta values by the dual kernel,
+        in stacks cut by ``blocks``: value n CR_gamma(q, base), or offset +
+        n KL(base || q) at gamma = -1, and mu = -n lam.  For gamma > 0 the
+        zero moment may sit on the hull's boundary."""
+        umat, failure = self.u(ths, "boundary" if gamma > 0.0 else "interior")
+        nodes, m, j = umat.shape
+        ok = np.array([f is None for f in failure], dtype=bool)
+        value = np.full(nodes, math.inf)
+        lam = np.full((nodes, j), np.nan)
+        q = np.full((nodes, m), np.nan)
+        offset = self.offset if gamma == -1.0 else 0.0
+        iterations = 0
+        for block in blocks(nodes):
+            idx = block.start + np.flatnonzero(ok[block])
+            if idx.size:
+                lam[idx], q[idx], its, v = dual_newton(self.base, umat[idx], gamma)
+                value[idx] = offset + self.n * v
+                iterations += its
+        for i in np.flatnonzero(ok & ~np.isfinite(value)):
             failure[i] = NotConverged
-    return ProjectionStack(value, lam, weights, failure, iterations)
+        return ProjectionStack(value, lam, q, -self.n * lam, failure, iterations)
+
+
+def _l_problem(r: Pmf, model: EstimatingModel) -> _MomentProblem:
+    active = r.weights > 0.0
+    return _MomentProblem(r.support[active], r.weights[active], 1.0, model, entropy(r))
+
+
+def l_project_stack(r: Pmf, model: EstimatingModel, thetas) -> ProjectionStack:
+    """Project r under L(. || r) onto the linear family at each row of
+    ``thetas`` (G, K): value entropy(r) + KL(r || q), with ``weights`` q on
+    r's support (zero off the atoms r charges, NaN on them where the
+    projection fails)."""
+    ths = np.asarray(thetas, dtype=float).reshape(len(thetas), -1)
+    sol = _l_problem(r, model).dual(ths, -1.0)
+    weights = np.zeros((len(ths), r.m))
+    weights[:, r.weights > 0.0] = sol.weights
+    return sol._replace(weights=weights)
 
 
 def l_project_linear(r: Pmf, model: EstimatingModel, theta) -> ProjectionResult:
@@ -719,49 +767,74 @@ def refine_min(
     return x, f
 
 
+def _profile_min(mp: _MomentProblem, solve, stages):
+    """Minimize the profile of ``solve`` over theta: the grid minimum, then
+    ``refine_min`` from it on the envelope gradient.
+
+    ``solve(mp, thetas)`` returns the ProjectionStack of a stack of theta
+    values.  ``stages`` holds (points, steps) pairs: grid points (G, K),
+    solved in stacks cut by ``blocks``, and the refinement's first step per
+    coordinate from a start among them.  Ties within 1e-12 go to the
+    lexicographically smallest node.  The grid is the global start because
+    the profile is +inf off the hull; the refinement stays in the first
+    domain box that holds the start.  Returns (theta, value, trace), theta
+    None when no grid value is finite; the trace holds a (theta, value,
+    failure) record per evaluation, grid nodes first and in order.
+    """
+    best_theta = None
+    best_val = math.inf
+    trace: list = []
+    for pts, steps in stages:
+        for block in blocks(len(pts)):
+            ths = pts[block]
+            sol = solve(mp, ths)
+            trace.extend(zip(ths.tolist(), sol.value.tolist(), sol.failure))
+            for i in np.flatnonzero(np.isfinite(sol.value)):
+                v = float(sol.value[i])
+                better = v < best_val - 1e-12
+                tie_smaller = v <= best_val + 1e-12 and (
+                    best_theta is None or tuple(ths[i]) < tuple(best_theta)
+                )
+                if better or tie_smaller:
+                    best_val = min(best_val, v)
+                    best_theta = ths[i].copy()
+                    start = (v, sol, i, steps)
+    if best_theta is None:
+        return None, math.inf, trace
+    value, sol, i, steps = start
+    box = next(
+        b for b in mp.model.domain.boxes
+        if all(lo <= t <= hi for t, (lo, hi) in zip(best_theta, b))
+    )
+
+    def one(th: np.ndarray):
+        sol = solve(mp, th[None])
+        trace.append((th.tolist(), float(sol.value[0]), sol.failure[0]))
+        if sol.failure[0] is not None:
+            return math.inf, None
+        return float(sol.value[0]), lambda: mp.gradient(th, sol, 0)
+
+    grad = mp.gradient(best_theta, sol, i)
+    return (*refine_min(one, best_theta, value, grad, box, steps), trace)
+
+
 def profile_l_projection(
     r: Pmf, model: EstimatingModel, theta_grid
 ) -> ProfileResult:
-    """Minimize the projection value over a grid of parameter points, then
-    refine from the lexicographically smallest grid minimizer by
-    ``refine_min`` on the envelope gradient.  All grid minimizers within
-    1e-9 of the minimum are reported (there may be several)."""
-    grid = [np.atleast_1d(np.asarray(t, dtype=float)) for t in theta_grid]
-    if not grid:
-        raise AllInfeasible("empty parameter grid")
-    active = r.weights > 0.0
-
-    def gradient(proj: ProjectionStack, i: int, th: np.ndarray) -> np.ndarray:
-        q = proj.weights[i, active]
-        return envelope_gradient(q, -proj.lam[i], model.du_matrix(r.support[active], th))
-
-    def value_at(th: np.ndarray):
-        proj = l_project_stack(r, model, th[None])
-        if proj.failure[0] is not None:
-            return math.inf, None
-        return float(proj.value[0]), lambda: gradient(proj, 0, th)
-
-    grid_proj = l_project_stack(r, model, grid)
-    vals = grid_proj.value
-    if not np.any(np.isfinite(vals)):
+    """Minimize the projection value over a grid of parameter points by
+    ``_profile_min``.  All grid minimizers within 1e-9 of the minimum are
+    reported (there may be several)."""
+    grid = np.array([np.atleast_1d(np.asarray(t, dtype=float)) for t in theta_grid])
+    steps = [(a[-1] - a[0]) / (a.size - 1) if a.size > 1 else 1.0 for a in map(np.unique, grid.T)]
+    solve = functools.partial(_MomentProblem.dual, gamma=-1.0)
+    theta, _, trace = _profile_min(_l_problem(r, model), solve, [(grid, steps)])
+    if theta is None:
         raise AllInfeasible("projection infeasible on the whole grid")
-    vmin = float(np.min(vals))
-    near = [i for i in range(len(grid)) if vals[i] <= vmin + 1e-9]
-    i0 = min(near, key=lambda i: tuple(grid[i]))
-    start = grid[i0]
-    box = next(
-        b for b in model.domain.boxes if all(lo <= t <= hi for t, (lo, hi) in zip(start, b))
-    )
-    step = []
-    for coord in range(start.size):
-        axis = np.unique([g[coord] for g in grid])
-        step.append((axis[-1] - axis[0]) / (axis.size - 1) if axis.size > 1 else 1.0)
-    theta, _ = refine_min(
-        value_at, start, float(vals[i0]), gradient(grid_proj, i0, start), box, step
-    )
+    vals = [v for _, v, _ in trace[: len(grid)]]
+    vmin = min(vals)
     return ProfileResult(
         theta_star=theta,
         result=l_project_linear(r, model, theta),
-        minimizers=tuple(grid[i] for i in near),
-        values=tuple(float(v) for v in vals),
+        minimizers=tuple(g for g, v in zip(grid, vals) if v <= vmin + 1e-9),
+        values=tuple(vals),
     )

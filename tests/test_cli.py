@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -310,6 +311,42 @@ def test_q_indices_out_of_range(tmp_path, capsys, kind, q):
     assert "FAIL: [target] q_indices out of range" in capsys.readouterr().out
     assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "[target] q_indices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("blln", "[grid] prior", "1, 0"),
+        ("blln", "[grid] prior", "1"),
+        ("censor", "[grid] prior", "1, -2"),
+        ("censor", "[grid] prior", "1, 1, 1"),
+        ("blln", "[target] epsilon", "-1"),
+        ("example21", "[split] n", "-5"),
+        ("example21", "[split] per_side", "0"),
+        ("example21", "[split] spread", "-1"),
+        ("example21", "[split] epsilon", "-1"),
+        ("example21", "[split] theta1", "1.3"),
+    ]
+    + [
+        (kind, "[experiment] n_schedule", f"10, {n}")
+        for kind in ("blln", "polya", "censor")
+        for n in (0, -10)
+    ],
+)
+def test_bad_numeric_values(tmp_path, capsys, kind, key, value):
+    section, name = key.split()
+    text = (SHIPPED / f"{kind}.cfg").read_text()
+    # set the key where the shipped config has it, else first in its section
+    text, found = re.subn(rf"(?m)^{name} = .*$", f"{name} = {value}", text)
+    if not found:
+        text = text.replace(f"{section}\n", f"{section}\n{name} = {value}\n")
+    cfg = write(tmp_path, f"{kind}.cfg", text)
+    assert main(["validate", "--config", str(cfg)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL: " in out and key in out
+    assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 class TestShippedConfigs:

@@ -10,6 +10,7 @@ from elmap.errors import (
     InfeasibleMoment,
     NotConverged,
     SingularConstraints,
+    SupportCondition,
 )
 from elmap.estimators import (
     cr_estimate,
@@ -31,7 +32,7 @@ from elmap.prob import (
     make_pmf,
     mean_model,
 )
-from elmap.projection import project_oracle
+from elmap.projection import l_project_linear, profile_l_projection, project_oracle
 from elmap.divergences import DivergenceSpec
 
 from oracles import el_primal_bruteforce
@@ -526,3 +527,32 @@ class TestEnvelopeGradient:
             fd = _central_difference(lambda t: inner(sample, model, t).profile_value, th)
             scale = max(float(np.abs(fd).max()), 1.0)
             assert np.abs(fit.profile_grad - fd).max() <= 1e-6 * scale, (th, fit.profile_grad, fd)
+
+
+class TestOneMomentProblem:
+    """Estimators and L-projections solve one moment problem on weighted
+    atoms and share one search."""
+
+    def test_boundary_raises_support_condition(self):
+        # at these theta the zero moment is on the hull's edge: an atom needs weight 0
+        r = make_pmf([0, 1, 2], [0.2, 0.6, 0.2])
+        for call in (
+            lambda: el_inner(Sample((0.0, 1.0)), mean_model(), [1.0]),
+            lambda: l_project_linear(r, mean_model(), [2.0]),
+        ):
+            with pytest.raises(SupportCondition):
+                call()
+            with pytest.raises(InfeasibleMoment):  # what callers catch
+                call()
+
+    def test_profile_l_projection_matches_el_estimate(self):
+        # r = counts / n: L(q || r) and -sum_i log w_i differ by a constant
+        # and a factor n, so both minimize at the same theta
+        counts = np.array([22, 38, 38, 2])
+        support = np.array([0.0, 1.0, 2.0, 3.0])
+        r = make_pmf(support, counts / counts.sum())
+        sample = Sample(tuple(np.repeat(support, counts)))
+        model = overidentified_model()
+        prof = profile_l_projection(r, model, [[t] for t in np.linspace(0.05, 2.95, 59)])
+        fit = el_estimate(sample, model)
+        assert abs(prof.theta_star[0] - fit.theta_hat[0]) <= 1e-7
