@@ -16,6 +16,7 @@ import configparser
 import csv
 import functools
 import hashlib
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
@@ -263,25 +264,33 @@ def _load_sample(cfg: Config) -> Sample:
     return Sample(tuple(_data_file(path, _observation)))
 
 
-def run_fit(cfg: Config, seeds, threads: int) -> list:
-    sample = _load_sample(cfg)
+_PRESETS = {"mean": mean_model, "linear": linear_model}
+_ESTIMATES = {
+    "el": el_estimate, "et": et_estimate, "euclidean": euclidean_estimate, "cr": cr_estimate,
+}
+
+
+def _fit_settings(cfg: Config) -> tuple:
+    """The [model] section of a fit config: (model, method, grid_points,
+    gamma).  gamma is required for method cr and must be finite when given."""
     preset = cfg.get("model", "preset", str.strip, default="mean")
-    model = {"mean": mean_model, "linear": linear_model}.get(preset, lambda: None)()
-    if model is None:
+    if preset not in _PRESETS:
         raise ConfigInvalid(f"unknown preset {preset!r} in [model] preset")
     method = cfg.get("model", "method", str.strip, default="el")
-    grid_points = cfg.get("model", "grid_points", int, default=201)
-    if method == "el":
-        fit = el_estimate(sample, model, grid_points)
-    elif method == "et":
-        fit = et_estimate(sample, model, grid_points)
-    elif method == "euclidean":
-        fit = euclidean_estimate(sample, model, grid_points)
-    elif method == "cr":
-        gamma = cfg.get("model", "gamma", float)
-        fit = cr_estimate(sample, model, gamma, grid_points)
-    else:
+    if method not in _ESTIMATES:
         raise ConfigInvalid(f"unknown method {method!r} in [model] method")
+    grid_points = cfg.positive("model", "grid_points", int, default=201)
+    gamma = cfg.get("model", "gamma", float, default=_SENTINEL if method == "cr" else None)
+    if gamma is not None and not math.isfinite(gamma):
+        raise ConfigInvalid(f"[model] gamma = {gamma} is not finite")
+    return _PRESETS[preset](), method, grid_points, gamma
+
+
+def run_fit(cfg: Config, seeds, threads: int) -> list:
+    sample = _load_sample(cfg)
+    model, method, grid_points, gamma = _fit_settings(cfg)
+    args = (gamma,) if method == "cr" else ()
+    fit = _ESTIMATES[method](sample, model, *args, grid_points)
     rows = [["method", "profile_value"] + [f"theta_{i}" for i in range(model.n_params)]]
     rows.append([fit.method, fmt(fit.inner.profile_value)] + [fmt(t) for t in fit.theta_hat])
     return [("fit.csv", rows)]
@@ -479,6 +488,7 @@ def validate(cfg: Config) -> list:
             check_q(cands)
         elif kind == "fit":
             _load_sample(cfg)
+            _fit_settings(cfg)
         elif kind == "project":
             cfg.pmf("truth")
     except ElmapError as exc:

@@ -75,7 +75,6 @@ class DualFit:
     w: np.ndarray
     profile_value: float
     pmf: Pmf | None
-    converged: bool = True
     nonnegative: bool = True
     profile_grad: np.ndarray | None = None
 

@@ -2,7 +2,9 @@
 
 Everything downstream runs on distributions with a fixed finite support,
 where the weak topology coincides with the simplex topology and total
-variation is an exact, cheap ball metric.  All objects are immutable after
+variation is an exact, cheap ball metric.  An estimating model's u takes
+all the points at once and broadcasts over a stack of parameter values, so
+a whole theta grid is one call.  All objects are immutable after
 construction, so they can be shared freely across concurrent tasks.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -238,13 +240,15 @@ class ParamDomain:
     def k(self) -> int:
         return len(self.boxes[0])
 
-    def contains(self, theta) -> bool:
+    def contains(self, theta):
+        """Whether theta (K,) lies in the domain; for a stack (..., K), one
+        answer per row.  Rows with NaN, or of the wrong length, are outside."""
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        if th.size != self.k:
-            return False
-        return any(
-            all(lo <= t <= hi for t, (lo, hi) in zip(th, box)) for box in self.boxes
-        )
+        if th.shape[-1] != self.k:
+            return np.zeros(th.shape[:-1], dtype=bool)
+        lo, hi = np.moveaxis(np.array(self.boxes), -1, 0)
+        t = th[..., None, :]
+        return np.any(np.all((lo <= t) & (t <= hi), axis=-1), axis=-1)
 
     @classmethod
     def box(cls, *intervals) -> "ParamDomain":
@@ -263,38 +267,35 @@ class ParamDomain:
 class EstimatingModel:
     """J estimating functions u(x; theta) with parameter domain Theta.
 
-    ``u`` maps one observation and a parameter vector to a length-J array.
-    The zero-moment conditions sum(q_i * u(x_i; theta)) = 0 define a linear
-    family of distributions for each theta.
+    ``u(X, theta)`` takes the points X, (m,) or (m, d), and broadcasts over
+    the leading axes of theta (..., K), giving (..., m, J): a single theta
+    (K,) gives (m, J) and a stack (G, K) gives (G, m, J).  The zero-moment
+    conditions sum(q_i * u(x_i; theta)) = 0 define a linear family of
+    distributions for each theta.
 
-    Two optional closed forms speed up the estimators' outer search:
-    ``u_batch(X, theta)`` evaluates u on an array of points at once, giving
-    (m, J), and ``du(X, theta)`` gives the Jacobian du/dtheta as (m, J, K).
-    Without ``u_batch``, u is stacked point by point; without ``du``, the
-    Jacobian comes from central differences of u.
+    The optional closed form ``du(X, theta)`` gives the Jacobian
+    du/dtheta at one theta as (m, J, K); without it, the Jacobian comes from
+    central differences of u.
     """
 
-    u: Callable[[object, np.ndarray], np.ndarray]
+    u: Callable[[np.ndarray, np.ndarray], np.ndarray]
     domain: ParamDomain
     n_constraints: int
     n_params: int
     name: str = ""
-    u_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     du: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
-    def u_matrix(self, points: Iterable, theta) -> np.ndarray:
-        """Stack u(x; theta) over the given points into an (m, J) array."""
+    def u_matrix(self, points, theta) -> np.ndarray:
+        """u at the given points for theta (K,) or a stack (..., K): an
+        (m, J) or (..., m, J) array."""
+        pts = np.asarray(points, dtype=float)
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self.u_batch is not None:
-            out = np.asarray(self.u_batch(np.asarray(points, dtype=float), th), dtype=float)
-        else:
-            rows = [np.asarray(self.u(x, th), dtype=float).reshape(-1) for x in points]
-            out = np.asarray(rows, dtype=float)
-            if out.ndim == 1:  # J == 0
-                out = out.reshape(len(rows), 0)
-        if out.shape[1] != self.n_constraints:
+        out = np.asarray(self.u(pts, th), dtype=float)
+        expected = th.shape[:-1] + (len(pts), self.n_constraints)
+        if out.shape != expected:
             raise ValueError(
-                f"u returned {out.shape[1]} components, expected {self.n_constraints}"
+                f"u returned shape {out.shape}, expected {expected} "
+                f"({self.n_constraints} components per point)"
             )
         if not np.all(np.isfinite(out)):
             raise ValueError("u produced non-finite values")
@@ -302,19 +303,16 @@ class EstimatingModel:
 
     def du_matrix(self, points, theta) -> np.ndarray:
         """Jacobian of u in theta at the given points, shape (m, J, K):
-        ``du`` when the model has it, else central differences of u."""
+        ``du`` when the model has it, else central differences of u from
+        one stacked call at the 2K nodes theta +- h e_i."""
         th = np.atleast_1d(np.asarray(theta, dtype=float))
         if self.du is not None:
             return np.asarray(self.du(np.asarray(points, dtype=float), th), dtype=float)
-        cols = []
-        for i in range(th.size):
-            h = _FD_STEP * max(1.0, abs(th[i]))
-            up, down = th.copy(), th.copy()
-            up[i] += h
-            down[i] -= h
-            diff = self.u_matrix(points, up) - self.u_matrix(points, down)
-            cols.append(diff / (up[i] - down[i]))
-        return np.stack(cols, axis=2)
+        step = np.diag(_FD_STEP * np.maximum(1.0, np.abs(th)))
+        up, down = th + step, th - step
+        diff = self.u_matrix(points, np.concatenate([up, down]))
+        diff = diff[: th.size] - diff[th.size :]
+        return np.moveaxis(diff / (np.diag(up) - np.diag(down))[:, None, None], 0, -1)
 
 
 def moments(q: Pmf, model: EstimatingModel, theta) -> np.ndarray:
@@ -332,12 +330,11 @@ def moments(q: Pmf, model: EstimatingModel, theta) -> np.ndarray:
 def mean_model(domain: ParamDomain | None = None) -> EstimatingModel:
     """Scalar location model, u(x; theta) = x - theta."""
     return EstimatingModel(
-        u=lambda x, th: np.array([x - th[0]]),
+        u=lambda xs, th: xs[:, None] - th[..., None, :1],
         domain=domain if domain is not None else ParamDomain.real_line(1),
         n_constraints=1,
         n_params=1,
         name="mean",
-        u_batch=lambda xs, th: (xs - th[0])[:, None],
         du=lambda xs, th: np.full((xs.shape[0], 1, 1), -1.0),
     )
 
@@ -347,14 +344,9 @@ def linear_model(domain: ParamDomain | None = None) -> EstimatingModel:
     u1 = y - (a + b x), u2 = x (y - (a + b x))."""
 
     def u(xy, th):
-        x, y = xy
-        resid = y - (th[0] + th[1] * x)
-        return np.array([resid, x * resid])
-
-    def u_batch(xy, th):
         x, y = xy[:, 0], xy[:, 1]
-        resid = y - (th[0] + th[1] * x)
-        return np.stack([resid, x * resid], axis=1)
+        resid = y - (th[..., :1] + th[..., 1:] * x)
+        return np.stack([resid, x * resid], axis=-1)
 
     def du(xy, th):
         x = xy[:, 0]
@@ -368,7 +360,6 @@ def linear_model(domain: ParamDomain | None = None) -> EstimatingModel:
         n_constraints=2,
         n_params=2,
         name="linear",
-        u_batch=u_batch,
         du=du,
     )
 

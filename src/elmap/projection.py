@@ -14,11 +14,11 @@ test for two, and by a linear program for more.
 
 One moment problem on weighted atoms (atoms, base weights, a scale n and
 the model) is the only place that solves a theta stack: it evaluates u
-over the stack, classifies each node and runs the kernel.  The estimators
-build it from a sample (frequencies, n the sample size), ``l_project_stack``
-from the atoms r charges (r's weights, n = 1).  One search, the grid
-minimum and then ``refine_min`` on the envelope gradient, serves
-``profile_l_projection`` and every estimator.
+over the whole stack in one call, classifies each node and runs the
+kernel.  The estimators build it from a sample (frequencies, n the sample
+size), ``l_project_stack`` from the atoms r charges (r's weights, n = 1).
+One search, the grid minimum and then ``refine_min`` on the envelope
+gradient, serves ``profile_l_projection`` and every estimator.
 
 An independent primal oracle (entropic mirror descent with an augmented
 Lagrangian, plus a local equality-constrained Newton polish) shares no code
@@ -429,13 +429,10 @@ class _MomentProblem:
         moment is outside the hull of the u rows, and SupportCondition
         where it is on the hull's boundary and ``feasibility`` is
         "interior".  Rows outside the domain are left zero."""
+        inside = self.model.domain.contains(ths)
         umat = np.zeros((len(ths), self.base.size, self.model.n_constraints))
-        failure: list = [None] * len(ths)
-        for i, th in enumerate(ths):
-            if self.model.domain.contains(th):
-                umat[i] = self.model.u_matrix(self.atoms, th)
-            else:
-                failure[i] = ThetaOutOfDomain
+        umat[inside] = self.model.u_matrix(self.atoms, ths[inside])
+        failure: list = [None if ok else ThetaOutOfDomain for ok in inside]
         if feasibility is not None:
             status, _ = moment_feasibility(umat)
             for i in np.flatnonzero(status == "infeasible"):

@@ -125,7 +125,8 @@ def _random_projection_instance(rng):
     t2 = float(qstar @ sup**2)
 
     def u(x, th, t1=t1, t2=t2, j=j):
-        return np.array([x - t1, x * x - t2][:j])
+        cols = np.stack([x - t1, x * x - t2][:j], axis=-1)
+        return np.broadcast_to(cols, th.shape[:-1] + cols.shape)
 
     model = EstimatingModel(
         u=u, domain=ParamDomain.real_line(1), n_constraints=j, n_params=1
@@ -165,7 +166,7 @@ def test_criterion_04_el_primal_dual():
     support = np.array([0.0, 1.0, 2.0])
     mean_m = mean_model()
     over_m = EstimatingModel(
-        u=lambda x, th: np.array([x - th[0], x * x - th[0] ** 2 - 0.5]),
+        u=lambda x, th: np.stack([x - th[..., :1], x * x - th[..., :1] ** 2 - 0.5], axis=-1),
         domain=ParamDomain.real_line(1), n_constraints=2, n_params=1,
     )
     cases = [(mean_m, [0.35, 1.0, 1.55]), (over_m, [0.8, 1.0, 1.2])]
@@ -204,7 +205,7 @@ def _population_profiles():
     var = float(r.support**2 @ r.weights) - r.mean() ** 2
     assert abs(var - 0.64) <= 1e-12
     model = EstimatingModel(
-        u=lambda x, th: np.array([x - th[0], x * x - th[0] ** 2 - 1.0]),
+        u=lambda x, th: np.stack([x - th[..., :1], x * x - th[..., :1] ** 2 - 1.0], axis=-1),
         domain=ParamDomain.real_line(1), n_constraints=2, n_params=1,
     )
 

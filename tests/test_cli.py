@@ -326,6 +326,12 @@ def test_q_indices_out_of_range(tmp_path, capsys, kind, q):
         ("example21", "[split] spread", "-1"),
         ("example21", "[split] epsilon", "-1"),
         ("example21", "[split] theta1", "1.3"),
+        ("fit", "[model] grid_points", "-1"),
+        ("fit", "[model] grid_points", "0"),
+        ("fit", "[model] gamma", "nan"),
+        ("fit", "[model] gamma", "inf"),
+        ("fit", "[model] method", "foo"),
+        ("fit", "[model] preset", "foo"),
     ]
     + [
         (kind, "[experiment] n_schedule", f"10, {n}")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +12,10 @@ from elmap.errors import (
     NotConverged,
     SingularConstraints,
     SupportCondition,
+    ThetaOutOfDomain,
 )
 from elmap.estimators import (
+    _SampleProblem,
     cr_estimate,
     cr_inner,
     el_estimate,
@@ -42,14 +45,14 @@ S012 = Sample((0.0, 1.0, 2.0))
 
 def null_model():
     return EstimatingModel(
-        u=lambda x, th: np.zeros(0), domain=ParamDomain.real_line(1),
+        u=lambda x, th: np.zeros(th.shape[:-1] + (len(x), 0)), domain=ParamDomain.real_line(1),
         n_constraints=0, n_params=1,
     )
 
 
 def overidentified_model():
     return EstimatingModel(
-        u=lambda x, th: np.array([x - th[0], x * x - th[0] ** 2 - 1.0]),
+        u=lambda x, th: np.stack([x - th[..., :1], x * x - th[..., :1] ** 2 - 1.0], axis=-1),
         domain=ParamDomain.real_line(1), n_constraints=2, n_params=1,
     )
 
@@ -140,7 +143,7 @@ class TestElInner:
         model = overidentified_model()
         amat = np.array([[1.5, -0.2], [0.7, 2.0]])
         model2 = EstimatingModel(
-            u=lambda x, th: amat @ model.u(x, th),
+            u=lambda x, th: model.u(x, th) @ amat.T,
             domain=model.domain, n_constraints=2, n_params=1,
         )
         f1 = el_inner(sample, model, [1.3])
@@ -304,7 +307,7 @@ class TestEuclidean:
         from elmap.errors import SingularConstraints
 
         model = EstimatingModel(
-            u=lambda x, th: np.array([x - th[0], 2.0 * (x - th[0])]),
+            u=lambda x, th: np.stack([x - th[..., :1], 2.0 * (x - th[..., :1])], axis=-1),
             domain=ParamDomain.real_line(1), n_constraints=2, n_params=1,
         )
         with pytest.raises(SingularConstraints):
@@ -556,3 +559,46 @@ class TestOneMomentProblem:
         prof = profile_l_projection(r, model, [[t] for t in np.linspace(0.05, 2.95, 59)])
         fit = el_estimate(sample, model)
         assert abs(prof.theta_star[0] - fit.theta_hat[0]) <= 1e-7
+
+
+class TestStackedU:
+    """The moment problem evaluates u over a whole theta stack in one call:
+    each node equals a per-theta ``u_matrix`` call bit for bit, and a node
+    off the domain is a zero block with ThetaOutOfDomain."""
+
+    @pytest.mark.parametrize("name", ["mean", "linear", "overidentified", "null"])
+    def test_matches_per_theta_calls(self, name):
+        rng = np.random.default_rng(23)
+        obs = rng.choice([0.0, 1.0, 2.0, 3.0], size=30)
+        model = {
+            "mean": mean_model, "linear": linear_model,
+            "overidentified": overidentified_model, "null": null_model,
+        }[name]()
+        k = model.n_params
+        sample = Sample(tuple(obs))
+        if name == "linear":
+            sample = Sample(tuple(zip(obs, 0.5 + 0.7 * obs + rng.normal(size=30))))
+        domain = ParamDomain.union(
+            ParamDomain.box(*[(-1.0, 0.8)] * k), ParamDomain.box(*[(1.2, 3.0)] * k)
+        )
+        model = dataclasses.replace(model, domain=domain)
+        ths = rng.uniform(-1.5, 3.5, size=(60, k))
+        ths[0] = np.nan
+        ths[1] = 0.8  # on a box's corner
+        mp = _SampleProblem(sample, model)
+        umat, failure = mp.u(ths, None)
+        assert umat.shape == (60, mp.atoms.shape[0], model.n_constraints)
+        inside = [
+            any(all(lo <= t <= hi for t, (lo, hi) in zip(th, box)) for box in domain.boxes)
+            for th in ths
+        ]
+        assert 0 < sum(inside) < 60 and inside[1] and not inside[0]
+        for th, ok, u_node, fail in zip(ths, inside, umat, failure):
+            if ok:
+                assert fail is None
+                assert np.array_equal(u_node, model.u_matrix(mp.atoms, th))
+            else:
+                assert fail is ThetaOutOfDomain
+                assert not u_node.any()
+        with pytest.raises(ThetaOutOfDomain):
+            el_inner(sample, model, np.full(k, 1.0))  # between the boxes

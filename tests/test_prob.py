@@ -203,46 +203,95 @@ class TestDomainsAndModels:
         assert np.allclose(u, [[1.0, 2.0]])
 
 
+def _in_boxes(dom, theta) -> bool:
+    """Per-row membership, written out box by box."""
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    return th.size == dom.k and any(
+        all(lo <= t <= hi for t, (lo, hi) in zip(th, box)) for box in dom.boxes
+    )
+
+
+class TestStackedDomain:
+    def test_stack_matches_rows(self):
+        dom = ParamDomain.union(
+            ParamDomain.box((-1.0, 0.5), (0.0, math.inf)),
+            ParamDomain.box((1.0, 2.0), (-math.inf, 1.0)),
+        )
+        rng = np.random.default_rng(3)
+        ths = rng.uniform(-2.0, 3.0, size=(40, 2))
+        ths[3] = [np.nan, 0.5]
+        ths[4] = [1.5, np.nan]
+        ths[5] = [0.5, 0.0]  # on a corner
+        ths[6] = [1.5, -math.inf]
+        inside = dom.contains(ths)
+        assert inside.shape == (40,) and inside.dtype == bool
+        assert inside.tolist() == [_in_boxes(dom, th) for th in ths]
+        assert inside.tolist() == [bool(dom.contains(th)) for th in ths]
+        assert inside[5] and inside[6] and not inside[3] and not inside[4]
+        grid = ths.reshape(4, 10, 2)
+        assert np.array_equal(dom.contains(grid), inside.reshape(4, 10))
+
+    def test_wrong_k(self):
+        dom = ParamDomain.real_line(2)
+        assert not dom.contains([0.0])
+        assert not dom.contains([0.0, 0.0, 0.0])
+        assert dom.contains(np.zeros((3, 3))).tolist() == [False] * 3
+        assert ParamDomain.real_line(1).contains(0.5)
+
+
 class TestBatchedModels:
-    """The presets' batched u and closed-form Jacobian against the
-    per-observation u they stand in for."""
+    """The presets' u on a stack of theta values and their closed-form
+    Jacobian, against per-point formulas written here."""
 
     @staticmethod
     def _cases():
         rng = np.random.default_rng(5)
         xs = rng.normal(size=12) * 3.0
         pairs = np.column_stack([rng.integers(0, 4, size=12), rng.normal(size=12)])
+
+        def mean_u(x, th):
+            return [x - th[0]]
+
+        def linear_u(xy, th):
+            resid = xy[1] - (th[0] + th[1] * xy[0])
+            return [resid, xy[0] * resid]
+
         return [
-            (mean_model(), xs, rng.normal(size=1) * 2.0),
-            (linear_model(), pairs, rng.normal(size=2)),
+            (mean_model(), xs, rng.normal(size=(6, 1)) * 2.0, mean_u),
+            (linear_model(), pairs, rng.normal(size=(6, 2)), linear_u),
         ]
 
     def test_batched_u_matches_stacked_u(self):
-        for model, points, th in self._cases():
-            stacked = np.stack([model.u(x, th) for x in points])
-            batched = model.u_batch(points, th)
-            assert batched.shape == stacked.shape
-            assert np.abs(batched - stacked).max() <= 1e-15
-            assert np.abs(model.u_matrix(points, th) - stacked).max() <= 1e-15
+        for model, points, ths, formula in self._cases():
+            expected = np.array([[formula(x, th) for x in points] for th in ths])
+            stacked = model.u_matrix(points, ths)
+            assert stacked.shape == (len(ths), len(points), model.n_constraints)
+            assert np.array_equal(stacked, expected)
+            assert np.array_equal(model.u_matrix(points, ths[2]), expected[2])
+            grid = ths.reshape(2, 3, -1)
+            grid_u = model.u_matrix(points, grid)
+            assert np.array_equal(grid_u, expected.reshape((2, 3) + expected.shape[1:]))
 
     def test_du_matches_central_differences(self):
         h = 1e-6
-        for model, points, th in self._cases():
+        for model, points, ths, formula in self._cases():
+            th = ths[0]
             jac = model.du(points, th)
             assert jac.shape == (len(points), model.n_constraints, model.n_params)
             for i in range(th.size):
                 step = np.zeros(th.size)
                 step[i] = h
-                fd = np.stack([
-                    (model.u(x, th + step) - model.u(x, th - step)) / (2.0 * h) for x in points
+                fd = np.array([
+                    (np.array(formula(x, th + step)) - np.array(formula(x, th - step))) / (2.0 * h)
+                    for x in points
                 ])
                 assert np.abs(jac[:, :, i] - fd).max() <= 1e-7
 
-    def test_per_observation_model_unchanged(self):
-        # a user model with only u: u_matrix stacks it point by point, and
-        # du_matrix falls back to central differences of u
+    def test_model_without_du(self):
+        # a user model with only u: du_matrix falls back to central
+        # differences of u, taken in one stacked call
         model = EstimatingModel(
-            u=lambda x, th: np.array([x - th[0], x * x - th[0] ** 2 - 1.0]),
+            u=lambda x, th: np.stack([x - th[..., :1], x * x - th[..., :1] ** 2 - 1.0], axis=-1),
             domain=ParamDomain.real_line(1), n_constraints=2, n_params=1,
         )
         points = [0.0, 1.0, 2.5, 3.0]
@@ -252,8 +301,46 @@ class TestBatchedModels:
         jac = model.du_matrix(points, th)
         assert np.abs(jac[:, :, 0] - np.array([[-1.0, -2.4]] * 4)).max() <= 1e-8
         empty = EstimatingModel(
-            u=lambda x, th: np.zeros(0), domain=ParamDomain.real_line(1),
-            n_constraints=0, n_params=1,
+            u=lambda x, th: np.zeros(th.shape[:-1] + (len(x), 0)),
+            domain=ParamDomain.real_line(1), n_constraints=0, n_params=1,
         )
         assert empty.u_matrix(points, th).shape == (4, 0)
+        assert empty.u_matrix(points, np.zeros((3, 1))).shape == (3, 4, 0)
         assert empty.du_matrix(points, th).shape == (4, 0, 1)
+
+    def test_central_differences_per_coordinate(self):
+        # the stacked difference quotient equals the one taken coordinate
+        # by coordinate, dividing by the steps as represented
+        model = linear_model()
+        model = EstimatingModel(u=model.u, domain=model.domain, n_constraints=2, n_params=2)
+        points = np.array([[0.0, 1.0], [1.0, 0.5], [3.0, 2.5]])
+        th = np.array([1e3, -0.3])
+        cols = []
+        for i in range(2):
+            h = float(np.finfo(float).eps) ** (1.0 / 3.0) * max(1.0, abs(th[i]))
+            up, down = th.copy(), th.copy()
+            up[i] += h
+            down[i] -= h
+            diff = model.u_matrix(points, up) - model.u_matrix(points, down)
+            cols.append(diff / (up[i] - down[i]))
+        assert np.array_equal(model.du_matrix(points, th), np.stack(cols, axis=2))
+
+    def test_bad_u_raises(self):
+        points = [0.0, 1.0, 2.0]
+        stack = np.array([[0.5], [1.0]])
+
+        def model(u, j):
+            return EstimatingModel(
+                u=u, domain=ParamDomain.real_line(1), n_constraints=j, n_params=1
+            )
+
+        wrong_j = model(lambda x, th: np.stack([x - th[..., :1]] * 3, axis=-1), 2)
+        non_finite = model(lambda x, th: np.log(x - th[..., :1])[..., None], 1)
+        ignores_stack = model(lambda x, th: (x - th[0])[:, None], 1)
+        for theta in (stack[0], stack):
+            with pytest.raises(ValueError, match="2 components"):
+                wrong_j.u_matrix(points, theta)
+            with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+                non_finite.u_matrix(points, theta)
+        with pytest.raises(ValueError, match="shape"):
+            ignores_stack.u_matrix(points, stack)

@@ -44,7 +44,8 @@ def random_instance(rng, m=None, j=None):
     t2 = float(qstar @ sup**2)
 
     def u(x, th, t1=t1, t2=t2, j=j):
-        return np.array([x - t1, x * x - t2][:j])
+        cols = np.stack([x - t1, x * x - t2][:j], axis=-1)
+        return np.broadcast_to(cols, th.shape[:-1] + cols.shape)
 
     model = EstimatingModel(u=u, domain=ParamDomain.real_line(1),
                             n_constraints=j, n_params=1)
@@ -139,7 +140,7 @@ class TestLProjectLinear:
         amat = np.array([[2.0, 0.3], [-0.4, 1.5]])
 
         def u2(x, th, model=model):
-            return amat @ model.u(x, th)
+            return model.u(x, th) @ amat.T
 
         model2 = EstimatingModel(u=u2, domain=model.domain, n_constraints=2, n_params=1)
         res1 = l_project_linear(r, model, [0.0])
@@ -263,7 +264,7 @@ class TestProjectOracle:
     def test_euclidean_unconstrained_returns_base(self):
         r = make_pmf([0, 1, 2], [0.2, 0.6, 0.2])
         model = EstimatingModel(
-            u=lambda x, th: np.zeros(0), domain=ParamDomain.real_line(1),
+            u=lambda x, th: np.zeros(th.shape[:-1] + (len(x), 0)), domain=ParamDomain.real_line(1),
             n_constraints=0, n_params=1,
         )
         orc = project_oracle(r, model, [0.0], DivergenceSpec.euclidean())
@@ -274,7 +275,7 @@ class TestProjectOracle:
         # the minimizer of L(. || r) is r itself
         r = make_pmf([0, 1, 2, 3], [0.1, 0.4, 0.3, 0.2])
         model = EstimatingModel(
-            u=lambda x, th: np.zeros(0), domain=ParamDomain.real_line(1),
+            u=lambda x, th: np.zeros(th.shape[:-1] + (len(x), 0)), domain=ParamDomain.real_line(1),
             n_constraints=0, n_params=1,
         )
         orc = project_oracle(r, model, [0.0], DivergenceSpec.l())
