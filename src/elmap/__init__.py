@@ -1,7 +1,7 @@
 """Empirical-likelihood estimation, divergence projections and exact
 finite-grid Bayesian posterior decay experiments."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .divergences import (
     cressie_read,
@@ -64,6 +64,7 @@ from .polya import (
     gamma_ratio_bounds,
     mnpl_asymptotic,
     mnpl_exact,
+    polya_counts,
     polya_decay_experiment,
     polya_draw,
     polya_log_prob,

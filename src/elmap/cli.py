@@ -42,7 +42,7 @@ from .censoring import (
     censored_l_divergence,
     kaplan_meier,
 )
-from .divergences import l_divergence
+from .divergences import l_divergence, polya_l_divergence
 from .errors import ConfigInvalid, DomainViolation, ElmapError
 from .estimators import cr_estimate, el_estimate, et_estimate, euclidean_estimate
 from .polya import polya_decay_experiment, rebuild_urn
@@ -465,7 +465,14 @@ def validate(cfg: Config) -> list:
                         f"(-{n}*{c} > {min(urn.alpha)})"
                     )
                     break
-            check_q(cfg.grid_pmfs(r.support))
+            cands = cfg.grid_pmfs(r.support)
+            check_q(cands)
+            if 0.0 < beta < 1.0:
+                try:  # the run's target rate needs every candidate's value
+                    for cand in cands:
+                        polya_l_divergence(cand, r, beta, c)
+                except DomainViolation as exc:
+                    problems.append(f"[urn] c = {c}, beta = {beta}: {exc}")
         elif kind == "censor" and cfg.get("data", "file", str.strip, default=None) is None:
             model = _censor_model(cfg)
             cands = cfg.grid_pmfs(model.f0.support)

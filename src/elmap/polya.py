@@ -11,7 +11,10 @@ with a single denominator product over all n draws; the same quantity has
 a log-Gamma form through eta = N / c, and the two must agree to 1e-9
 wherever both are defined.  The decay experiments rebuild the urn at every
 checkpoint so that n / N stays at a fixed ratio beta while the initial
-composition tracks a target distribution r.
+composition tracks a target distribution r.  Since only the counts enter
+the scores, they draw the counts from their exact law (``polya_counts``);
+``polya_draw``, which runs the urn one ball at a time, is the
+sequence-level reference.  The stream changed in version 0.7.0.
 """
 
 from __future__ import annotations
@@ -117,6 +120,51 @@ def polya_draw(config: UrnConfig, n: int, seed: int) -> PolyaPath:
         if weights[chosen] < 0.0:
             raise UrnExhausted(f"color {chosen} went negative")
     return PolyaPath(tuple(colors), tuple(counts))
+
+
+def polya_counts(config: UrnConfig, n: int, seed: int) -> tuple:
+    """Per-color counts after n draws, drawn from their exact law.
+
+    c > 0: a Dirichlet(alpha / c) mixture of multinomials (Blackwell and
+    MacQueen, 1973); c = 0: a multinomial.  c < 0: one color at a time,
+    whose count against the rest of the urn follows the two-color Polya
+    law given the counts already drawn (Johnson and Kotz, 1977).  The cost
+    does not grow with n for c >= 0.  Raises UrnExhausted when the horizon
+    check fails.
+    """
+    n = int(n)
+    if not config.valid_for_horizon(n):
+        raise UrnExhausted(f"urn cannot sustain {n} draws: -n c > min(alpha)")
+    rng = rng_from("polya.counts", seed)
+    alpha = np.asarray(config.alpha, dtype=float)
+    c = config.c
+    if c > 0:
+        return tuple(int(k) for k in rng.multinomial(n, rng.dirichlet(alpha / c)))
+    if c == 0:
+        return tuple(int(k) for k in rng.multinomial(n, alpha / config.n_total))
+    steps = c * np.arange(n, dtype=float)
+
+    def cum_log(a, left):  # sum_{j<k} log(a + j c), k = 0..left; zero factors give -inf
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.maximum(a + steps[:left], 0.0))
+        return np.concatenate(([0.0], np.cumsum(logs)))
+
+    counts = []
+    rest = float(config.n_total)
+    left = n
+    for a in alpha[:-1]:
+        rest -= a
+        k = np.arange(left + 1.0)
+        lp = (
+            gammaln(left + 1.0) - gammaln(k + 1.0) - gammaln(left - k + 1.0)
+            + cum_log(a, left) + cum_log(rest, left)[::-1]
+        )
+        cdf = np.cumsum(np.exp(lp - lp.max()))
+        pick = min(int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right")), left)
+        counts.append(pick)
+        left -= pick
+    counts.append(left)
+    return tuple(counts)
 
 
 def polya_log_prob(counts, config: UrnConfig, method: str = "product") -> float:
@@ -284,8 +332,8 @@ def polya_decay_experiment(
             grid = [
                 UrnConfig(apportion_counts(big_n, q.weights), c) for q in grid_pmfs
             ]
-            path = polya_draw(sampler, n, derive_seed("polya.decay", seed, n))
-            loglik[j] = [polya_log_prob(path.counts, cfg) for cfg in grid]
+            counts = polya_counts(sampler, n, derive_seed("polya.decay", seed, n))
+            loglik[j] = [polya_log_prob(counts, cfg) for cfg in grid]
         reports.append(decay_report(lp, loglik, target, schedule, seed))
     return PolyaDecayReport(
         checkpoints=tuple(schedule), beta=float(beta), c=int(c), reports=tuple(reports)

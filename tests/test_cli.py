@@ -355,6 +355,26 @@ def test_bad_numeric_values(tmp_path, capsys, kind, key, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("c, beta, ok", [(-1, 0.5, False), (-2, 0.1, False), (-1, 0.1, True)])
+def test_polya_negative_c_validate_agrees_with_run(tmp_path, capsys, c, beta, ok):
+    # q + beta c r must stay positive for every candidate, as the run's
+    # target rate needs; the horizon check alone passes all three
+    text = (SHIPPED / "polya.cfg").read_text()
+    text = text.replace("c = 1", f"c = {c}").replace("beta = 0.5", f"beta = {beta}")
+    cfg = write(tmp_path, "polya.cfg", text)
+    out = tmp_path / "o"
+    assert main(["validate", "--config", str(cfg)]) == (0 if ok else 1)
+    assert ("OK" if ok else "FAIL: [urn] c") in capsys.readouterr().out
+    assert main(["polya", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == (
+        0 if ok else 2
+    )
+    if ok:
+        assert len(read_rows(out / "polya.csv")) == 6
+    else:
+        assert "is not positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestShippedConfigs:
     CONFIG_DIR = Path(__file__).parent.parent / "configs"
 

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from elmap.bayes import make_prior_grid, posterior_update
@@ -14,6 +17,7 @@ from elmap.polya import (
     gamma_ratio_bounds,
     mnpl_asymptotic,
     mnpl_exact,
+    polya_counts,
     polya_decay_experiment,
     polya_draw,
     polya_log_prob,
@@ -65,6 +69,59 @@ class TestDraw:
         a = polya_draw(cfg, 50, seed=7)
         b = polya_draw(cfg, 50, seed=7)
         assert a.colors == b.colors
+
+
+def exact_counts_law(cfg, n) -> dict:
+    """Every count vector of n draws with its probability: multinomial
+    coefficient times the sequence probability of the product form."""
+    law = {}
+    for counts in itertools.product(range(n + 1), repeat=cfg.m):
+        if sum(counts) == n:
+            coef = gammaln(n + 1.0) - sum(gammaln(k + 1.0) for k in counts)
+            law[counts] = math.exp(coef + polya_log_prob(counts, cfg))
+    return law
+
+
+class TestCounts:
+    DRAWS = 4000
+
+    @pytest.mark.parametrize(
+        "alpha, c, n",
+        [((6, 7, 8), -2, 3), ((4, 5, 6), -1, 4), ((2, 3), -1, 2), ((1, 2, 3), 0, 5),
+         ((1, 2, 3), 1, 5), ((2, 1, 1), 3, 6)],
+    )
+    def test_law_matches_enumeration(self, alpha, c, n):
+        cfg = UrnConfig(alpha, c)
+        law = exact_counts_law(cfg, n)
+        assert abs(sum(law.values()) - 1.0) <= 1e-12
+        freq = {}
+        for seed in range(self.DRAWS):
+            counts = polya_counts(cfg, n, seed)
+            assert polya_log_prob(counts, cfg) > -math.inf
+            freq[counts] = freq.get(counts, 0) + 1
+        assert set(freq) <= set(law)
+        tv = 0.5 * sum(abs(freq.get(k, 0) / self.DRAWS - p) for k, p in law.items())
+        # P(TV >= t) <= 2^K exp(-2 D t^2) for D draws over K outcomes; at 1e-9
+        bound = math.sqrt((len(law) * math.log(2.0) - math.log(1e-9)) / (2 * self.DRAWS))
+        assert tv <= bound, (tv, bound)
+
+    @given(
+        alpha=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+        c=st.integers(-3, 4),
+        n=st.integers(0, 30),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_counts_properties(self, alpha, c, n, seed):
+        cfg = UrnConfig(tuple(alpha), c)
+        if c < 0 and not cfg.valid_for_horizon(n):
+            with pytest.raises(UrnExhausted):
+                polya_counts(cfg, n, seed)
+            return
+        counts = polya_counts(cfg, n, seed)
+        assert len(counts) == cfg.m and min(counts) >= 0 and sum(counts) == n
+        assert polya_counts(cfg, n, seed) == counts
+        assert polya_counts(UrnConfig(alpha[:1], c), n, seed) == (n,)
 
 
 class TestLogProb:
@@ -230,6 +287,24 @@ class TestDecay:
         rates = [r.empirical_rate[-1] for r in rep.reports]
         target = 0.49041462650586309
         assert abs(np.mean(rates) - target) <= 0.05 * target
+
+
+    @pytest.mark.parametrize("c", [1, 0])
+    def test_rate_at_one_million_within_clt_spread(self, c):
+        beta, n, seeds = 0.5, 10**6, 20
+        gap = polya_l_divergence(G2, R_BIN, beta, c) - polya_l_divergence(G1, R_BIN, beta, c)
+        rep = polya_decay_experiment([G1, G2], [1], R_BIN, beta, c, [n], range(seeds))
+        rates = [r.empirical_rate[-1] for r in rep.reports]
+        # Per draw, a count of x moves the log-likelihood ratio of G1 to G2
+        # by log((G1_x + beta c r_x) / (G2_x + beta c r_x)); reinforcement
+        # inflates the count variance by (1 + beta c), and the finite urns
+        # add O(log n / n).
+        t = beta * c
+        r = R_BIN.weights
+        llr = np.log((G1.weights + t * r) / (G2.weights + t * r))
+        sd = math.sqrt((1.0 + t) * float(r @ (llr - r @ llr) ** 2) / n)
+        finite_urn = 2 * r.size * (1.0 + np.abs(llr).max()) * math.log(n) / n
+        assert abs(np.mean(rates) - gap) <= 4.0 * sd / math.sqrt(seeds) + finite_urn
 
 
 class TestRebuild:
