@@ -1,12 +1,18 @@
 """Experiment runner: declarative configs, seeded runs, CSV emission.
 
-Configs are flat key-value text with typed sections (INI syntax, no
-nesting).  Each run writes one CSV per experiment plus a manifest that
-records the config hash, the effective seeds and package versions.  Given
-an identical config and seeds, the CSV bodies are byte-identical run to
-run; floats print with 17 significant digits.
+Usage: ``elmap COMMAND --config PATH [--out DIR] [--seed N]`` with COMMAND
+one of project, fit, blln, example21, polya, censor, validate.
 
-Subcommands: project, fit, blln, example21, polya, censor, validate.
+Configs are flat key-value text with typed sections (INI syntax, no
+nesting).  Each kind has one settings function that reads every key its run
+uses, makes every check the run relies on, cross-field checks included, and
+returns a frozen record of the parsed values and the objects built from
+them (pmfs, prior grid, schedule, model, data); a bad config raises
+ConfigInvalid.  The run and ``validate`` both call it, so they accept the
+same configs.  Each run writes one CSV per experiment plus a manifest that
+records the config hash, the effective seeds and package versions.  Seeds
+run in order; given an identical config and seeds, the CSV bodies are
+byte-identical run to run; floats print with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -14,11 +20,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import functools
 import hashlib
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import namedtuple
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,8 +41,8 @@ from .bayes import (
     split_projections,
 )
 from .censoring import (
-    CensoredObservation,
     CensoringModel,
+    CensoredObservation,
     censored_decay_experiment,
     censored_l_divergence,
     kaplan_meier,
@@ -60,12 +65,15 @@ def fmt(x: float) -> str:
 # -- config parsing -------------------------------------------------------------
 
 
+def _float(text: str) -> float:
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(f"non-finite value {val!r}")
+    return val
+
+
 def _floats(text: str) -> list:
-    vals = [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
-    bad = [v for v in vals if not np.isfinite(v)]
-    if bad:
-        raise ValueError(f"non-finite value {bad[0]!r}")
-    return vals
+    return [_float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
 
 def _ints(text: str) -> list:
@@ -83,8 +91,7 @@ def _ints(text: str) -> list:
 
 
 def _pmf_list(text: str) -> list:
-    groups = [grp for grp in text.split(";") if grp.strip()]
-    return [[float(tok) for tok in grp.split(",") if tok.strip()] for grp in groups]
+    return [_floats(grp) for grp in text.split(";") if grp.strip()]
 
 
 class Config:
@@ -97,7 +104,7 @@ class Config:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
         try:
             parser.read(self.path)
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigInvalid(f"cannot parse config: {exc}") from None
         self.parser = parser
         self.raw = self.path.read_bytes()
@@ -120,17 +127,11 @@ class Config:
             raise ConfigInvalid(f"unknown kind {kind!r} in [experiment] kind")
         return kind
 
-    def seeds(self) -> list:
-        seeds = self.get("experiment", "seeds", _ints, default=None)
-        if seeds is not None and not seeds:
-            raise ConfigInvalid("empty [experiment] seeds")
-        return seeds
-
     def schedule(self) -> list:
-        sched = self.get("experiment", "n_schedule", _ints, default=None)
-        if sched is not None and not sched:
+        sched = self.get("experiment", "n_schedule", _ints)
+        if not sched:
             raise ConfigInvalid("empty [experiment] n_schedule")
-        if sched is not None and min(sched) <= 0:
+        if min(sched) <= 0:
             raise ConfigInvalid(f"[experiment] n_schedule entry {min(sched)} is not positive")
         return sched
 
@@ -146,21 +147,17 @@ class Config:
         weights = self.get(section, wkey, _floats)
         try:
             return make_pmf(support, weights)
-        except ElmapError as exc:
-            raise ConfigInvalid(f"bad pmf in [{section}]: {exc}") from None
+        except (ElmapError, ValueError) as exc:
+            raise ConfigInvalid(f"bad pmf in [{section}] {skey}, {wkey}: {exc}") from None
 
     def grid_pmfs(self, support) -> list:
         rows = self.get("grid", "candidates", _pmf_list)
+        if not rows:
+            raise ConfigInvalid("empty [grid] candidates")
         try:
             return [make_pmf(support, row) for row in rows]
-        except ElmapError as exc:
-            raise ConfigInvalid(f"bad candidate in [grid]: {exc}") from None
-
-    def blln_candidates(self, r: Pmf) -> list:
-        """blln grid candidates, on [grid] support when given, else on the
-        support of the truth r."""
-        support = self.get("grid", "support", _floats, default=None)
-        return self.grid_pmfs(r.support if support is None else support)
+        except (ElmapError, ValueError) as exc:
+            raise ConfigInvalid(f"bad candidate in [grid] candidates: {exc}") from None
 
     def prior_grid(self, cands) -> PriorGrid:
         """The candidates with the [grid] prior weights, uniform if absent."""
@@ -171,59 +168,25 @@ class Config:
             )
         return make_prior_grid(cands, weights)
 
-    @functools.cached_property
-    def split_prior(self):
-        """The example21 split prior; built once, since both validation
-        and the run need it."""
-        theta1 = self.get("split", "theta1", float)
-        theta2 = self.get("split", "theta2", float)
-        if not theta1 < theta2:
-            raise ConfigInvalid(f"[split] theta1 = {theta1} is not below theta2 = {theta2}")
-        return split_mean_prior(
-            self.pmf("truth"),
-            theta1,
-            theta2,
-            self.positive("split", "per_side", int, default=8),
-            self.positive("split", "spread", float, default=0.4),
-        )
+    def q_indices(self, k: int) -> list:
+        """[target] q_indices, checked against the k candidates."""
+        q_idx = self.get("target", "q_indices", _ints)
+        try:
+            q_mask(q_idx, k)
+        except DomainViolation as exc:
+            raise ConfigInvalid(f"[target] q_indices out of range: {exc}") from None
+        return q_idx
 
 
-def config_hash(cfg: Config) -> str:
-    return hashlib.sha256(cfg.raw).hexdigest()
-
-
-# -- experiment bodies -----------------------------------------------------------
-
-
-def _parallel(seeds, worker, threads: int) -> list:
-    if threads <= 1:
-        return [worker(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, seeds))
-
-
-def run_project(cfg: Config, seeds, threads: int) -> list:
-    r = cfg.pmf("truth")
-    preset = cfg.get("model", "preset", str.strip, default="mean")
-    if preset != "mean":
-        raise ConfigInvalid("project supports the mean preset only")
-    model = mean_model()
-    grid = cfg.get("model", "theta_grid", _floats, default=None)
-    if grid is None:
-        grid = [cfg.get("model", "theta", float)]
-    rows = [["theta", "feasible", "value", "lambda", "qhat"]]
-    proj = l_project_stack(r, model, np.asarray(grid, dtype=float)[:, None])
-    for th, value, lam, weights, failure in zip(
-        grid, proj.value, proj.lam, proj.weights, proj.failure
-    ):
-        if failure is None:
-            qhat = make_pmf(r.support, weights)
-            rows.append(
-                [fmt(th), "1", fmt(value), fmt(lam[0]), " ".join(fmt(w) for w in qhat.weights)]
-            )
-        else:
-            rows.append([fmt(th), "0", "inf", "", ""])
-    return [("project.csv", rows)]
+def _seeds(cfg: Config) -> list:
+    """The [experiment] seeds, which every kind that draws data needs."""
+    seeds = cfg.get("experiment", "seeds", _ints, default=None)
+    draws = cfg.kind in ("blln", "example21", "polya") or (
+        cfg.kind == "censor" and not cfg.parser.has_option("data", "file")
+    )
+    if seeds == [] or (draws and seeds is None):
+        raise ConfigInvalid("missing or empty [experiment] seeds")
+    return seeds or [0]
 
 
 def _data_file(path: str, parse) -> list:
@@ -233,7 +196,7 @@ def _data_file(path: str, parse) -> list:
     if not fpath.is_file():
         raise ConfigInvalid(f"[data] file not found: {path}")
     rows = []
-    for lineno, line in enumerate(fpath.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(fpath.read_text(errors="replace").splitlines(), start=1):
         line = line.strip()
         if not line or line[0].isalpha():
             continue
@@ -254,14 +217,22 @@ def _censored_observation(row: str) -> CensoredObservation:
     return CensoredObservation(float(time), bool(int(censored)))
 
 
-def _load_sample(cfg: Config) -> Sample:
-    obs = cfg.get("data", "observations", _floats, default=None)
-    if obs is not None:
-        return Sample(tuple(obs))
-    path = cfg.get("data", "file", str.strip, default=None)
-    if path is None:
-        raise ConfigInvalid("[data] needs observations or file")
-    return Sample(tuple(_data_file(path, _observation)))
+# -- settings, one record per kind ----------------------------------------------
+
+
+ProjectSettings = namedtuple("ProjectSettings", "r model thetas")
+
+
+def project_settings(cfg: Config) -> ProjectSettings:
+    r = cfg.pmf("truth")
+    if cfg.get("model", "preset", str.strip, default="mean") != "mean":
+        raise ConfigInvalid("project supports the mean preset only")
+    thetas = cfg.get("model", "theta_grid", _floats, default=None)
+    if thetas is None:
+        thetas = [cfg.get("model", "theta", _float)]
+    if not thetas:
+        raise ConfigInvalid("empty [model] theta_grid")
+    return ProjectSettings(r, mean_model(), thetas)
 
 
 _PRESETS = {"mean": mean_model, "linear": linear_model}
@@ -270,135 +241,239 @@ _ESTIMATES = {
 }
 
 
-def _fit_settings(cfg: Config) -> tuple:
-    """The [model] section of a fit config: (model, method, grid_points,
-    gamma).  gamma is required for method cr and must be finite when given."""
+FitSettings = namedtuple("FitSettings", "sample model method grid_points gamma")
+
+
+def fit_settings(cfg: Config) -> FitSettings:
+    """gamma is required for method cr, else None unless given."""
+    obs = cfg.get("data", "observations", _floats, default=None)
+    if obs is None:
+        path = cfg.get("data", "file", str.strip, default=None)
+        if path is None:
+            raise ConfigInvalid("[data] needs observations or file")
+        obs = _data_file(path, _observation)
     preset = cfg.get("model", "preset", str.strip, default="mean")
     if preset not in _PRESETS:
         raise ConfigInvalid(f"unknown preset {preset!r} in [model] preset")
     method = cfg.get("model", "method", str.strip, default="el")
     if method not in _ESTIMATES:
         raise ConfigInvalid(f"unknown method {method!r} in [model] method")
-    grid_points = cfg.positive("model", "grid_points", int, default=201)
-    gamma = cfg.get("model", "gamma", float, default=_SENTINEL if method == "cr" else None)
-    if gamma is not None and not math.isfinite(gamma):
-        raise ConfigInvalid(f"[model] gamma = {gamma} is not finite")
-    return _PRESETS[preset](), method, grid_points, gamma
+    return FitSettings(
+        Sample(tuple(obs)),
+        _PRESETS[preset](),
+        method,
+        cfg.positive("model", "grid_points", int, default=201),
+        cfg.get("model", "gamma", _float, default=_SENTINEL if method == "cr" else None),
+    )
 
 
-def run_fit(cfg: Config, seeds, threads: int) -> list:
-    sample = _load_sample(cfg)
-    model, method, grid_points, gamma = _fit_settings(cfg)
-    args = (gamma,) if method == "cr" else ()
-    fit = _ESTIMATES[method](sample, model, *args, grid_points)
-    rows = [["method", "profile_value"] + [f"theta_{i}" for i in range(model.n_params)]]
+BllnSettings = namedtuple("BllnSettings", "r prior q_idx epsilon schedule")
+
+
+def blln_settings(cfg: Config) -> BllnSettings:
+    """The grid candidates live on [grid] support when given, else on the
+    support of the truth r."""
+    r = cfg.pmf("truth")
+    support = cfg.get("grid", "support", _floats, default=None)
+    cands = cfg.grid_pmfs(r.support if support is None else support)
+    if all(l_divergence(c, r) == math.inf for c in cands):
+        raise ConfigInvalid("no candidate dominates the support of r")
+    return BllnSettings(
+        r,
+        cfg.prior_grid(cands),
+        cfg.q_indices(len(cands)),
+        cfg.positive("target", "epsilon", _float, default=0.05),
+        cfg.schedule(),
+    )
+
+
+Example21Settings = namedtuple("Example21Settings", "r theta1 theta2 n epsilon prior")
+
+
+def example21_settings(cfg: Config) -> Example21Settings:
+    r = cfg.pmf("truth")
+    theta1 = cfg.get("split", "theta1", _float)
+    theta2 = cfg.get("split", "theta2", _float)
+    if not theta1 < theta2:
+        raise ConfigInvalid(f"[split] theta1 = {theta1} is not below theta2 = {theta2}")
+    n = cfg.positive("split", "n", int)
+    epsilon = cfg.positive("split", "epsilon", _float, default=0.05)
+    prior = split_mean_prior(
+        r,
+        theta1,
+        theta2,
+        cfg.positive("split", "per_side", int, default=8),
+        cfg.positive("split", "spread", _float, default=0.4),
+    )
+    split_projections(prior, r, theta1, theta2)  # the two component minima must tie
+    return Example21Settings(r, theta1, theta2, n, epsilon, prior)
+
+
+PolyaSettings = namedtuple("PolyaSettings", "r cands q_idx c beta schedule")
+
+
+def polya_settings(cfg: Config) -> PolyaSettings:
+    r = cfg.pmf("truth")
+    c = cfg.get("urn", "c", int)
+    beta = cfg.get("urn", "beta", _float)
+    if not 0.0 < beta < 1.0:
+        raise ConfigInvalid(f"[urn] beta={beta} outside (0, 1)")
+    schedule = cfg.schedule()
+    for n in schedule:
+        urn = rebuild_urn(r, n, beta, c)
+        if not urn.valid_for_horizon(n):
+            raise ConfigInvalid(
+                f"urn invalid at n={n}: constraint -n*c <= min(alpha) fails "
+                f"(-{n}*{c} > {min(urn.alpha)})"
+            )
+    cands = cfg.grid_pmfs(r.support)
+    q_idx = cfg.q_indices(len(cands))
+    try:  # the run's target rate needs every candidate's value
+        for cand in cands:
+            polya_l_divergence(cand, r, beta, c)
+    except DomainViolation as exc:
+        raise ConfigInvalid(f"[urn] c = {c}, beta = {beta}: {exc}") from None
+    return PolyaSettings(r, cands, q_idx, c, beta, schedule)
+
+
+# Kaplan-Meier mode when [data] file is given (data), else the decay experiment
+CensorSettings = namedtuple(
+    "CensorSettings", "data model prior q_idx schedule", defaults=(None,) * 4
+)
+
+
+def censor_settings(cfg: Config) -> CensorSettings:
+    path = cfg.get("data", "file", str.strip, default=None)
+    if path is not None:
+        return CensorSettings(_data_file(path, _censored_observation))
+    grid = cfg.get("model", "grid", _floats)
+    f0 = cfg.get("model", "f0", _floats)
+    g0 = cfg.get("model", "g0", _floats)
+    try:
+        model = CensoringModel.from_components(make_pmf(grid, f0), make_pmf(grid, g0))
+    except (ElmapError, ValueError) as exc:
+        raise ConfigInvalid(f"bad censoring model: {exc}") from None
+    cands = cfg.grid_pmfs(model.f0.support)
+    if all(censored_l_divergence(c, model) == math.inf for c in cands):
+        raise ConfigInvalid("every candidate has infinite censored divergence")
+    return CensorSettings(
+        None, model, cfg.prior_grid(cands), cfg.q_indices(len(cands)), cfg.schedule()
+    )
+
+
+_SETTINGS = {
+    "project": project_settings,
+    "fit": fit_settings,
+    "blln": blln_settings,
+    "example21": example21_settings,
+    "polya": polya_settings,
+    "censor": censor_settings,
+}
+
+
+def settings(cfg: Config):
+    """The settings record of the config's kind.  Every problem the run
+    would meet in the config raises ConfigInvalid, including a library
+    error from a cross-field check."""
+    try:
+        return _SETTINGS[cfg.kind](cfg)
+    except ConfigInvalid:
+        raise
+    except ElmapError as exc:
+        raise ConfigInvalid(str(exc)) from None
+
+
+def validate(cfg: Config) -> list:
+    """The config's problems, those of its seeds and its settings, as the
+    run raises them; empty when the run accepts the config."""
+    try:
+        cfg.kind
+    except ConfigInvalid as exc:
+        return [str(exc)]
+    problems = []
+    for check in (_seeds, settings):
+        try:
+            check(cfg)
+        except ConfigInvalid as exc:
+            problems.append(str(exc))
+    return problems
+
+
+# -- experiment bodies -----------------------------------------------------------
+
+
+def run_project(s: ProjectSettings, seeds) -> list:
+    rows = [["theta", "feasible", "value", "lambda", "qhat"]]
+    proj = l_project_stack(s.r, s.model, np.asarray(s.thetas, dtype=float)[:, None])
+    for th, value, lam, weights, failure in zip(
+        s.thetas, proj.value, proj.lam, proj.weights, proj.failure
+    ):
+        if failure is None:
+            qhat = make_pmf(s.r.support, weights)
+            rows.append(
+                [fmt(th), "1", fmt(value), fmt(lam[0]), " ".join(fmt(w) for w in qhat.weights)]
+            )
+        else:
+            rows.append([fmt(th), "0", "inf", "", ""])
+    return [("project.csv", rows)]
+
+
+def run_fit(s: FitSettings, seeds) -> list:
+    args = (s.gamma,) if s.method == "cr" else ()
+    fit = _ESTIMATES[s.method](s.sample, s.model, *args, s.grid_points)
+    rows = [["method", "profile_value"] + [f"theta_{i}" for i in range(s.model.n_params)]]
     rows.append([fit.method, fmt(fit.inner.profile_value)] + [fmt(t) for t in fit.theta_hat])
     return [("fit.csv", rows)]
 
 
-def run_blln(cfg: Config, seeds, threads: int) -> list:
-    r = cfg.pmf("truth")
-    prior = cfg.prior_grid(cfg.blln_candidates(r))
-    q_idx = cfg.get("target", "q_indices", _ints)
-    epsilon = cfg.positive("target", "epsilon", float, default=0.05)
-    schedule = cfg.schedule()
-    if not schedule:
-        raise ConfigInvalid("blln needs [experiment] n_schedule")
+def run_blln(s: BllnSettings, seeds) -> list:
     rows = [["seed", "n", "target", "empirical_value", "theoretical_value"]]
-
-    def worker(seed):
-        rep = decay_curve(prior, q_idx, r, schedule, seed)
-        ball = blln_check(prior, r, epsilon, schedule, [seed])
-        return rep, ball
-
-    for rep, ball in _parallel(seeds, worker, threads):
+    ball = blln_check(s.prior, s.r, s.epsilon, s.schedule, seeds)
+    for i, seed in enumerate(seeds):
+        rep = decay_curve(s.prior, s.q_idx, s.r, s.schedule, seed)
         for n, rate in zip(rep.checkpoints, rep.empirical_rate):
             rows.append([str(rep.seed), str(n), "Q", fmt(rate), fmt(rep.theoretical_rate)])
         for j, n in enumerate(ball.checkpoints):
-            rows.append([str(ball.seeds[0]), str(n), "U", fmt(ball.masses[0, j]), fmt(1.0)])
+            rows.append([str(ball.seeds[i]), str(n), "U", fmt(ball.masses[i, j]), fmt(1.0)])
     return [("blln.csv", rows)]
 
 
-def run_example21(cfg: Config, seeds, threads: int) -> list:
-    r = cfg.pmf("truth")
-    theta1 = cfg.get("split", "theta1", float)
-    theta2 = cfg.get("split", "theta2", float)
-    epsilon = cfg.positive("split", "epsilon", float, default=0.05)
-    n = cfg.positive("split", "n", int)
-    rep = example21(theta1, theta2, r, cfg.split_prior, n, seeds, epsilon)
+def run_example21(s: Example21Settings, seeds) -> list:
+    rep = example21(s.theta1, s.theta2, s.r, s.prior, s.n, seeds, s.epsilon)
     rows = [["seed", "n", "target", "empirical_value", "theoretical_value"]]
     half_d = 0.5 * rep.projection_tv
     for i, seed in enumerate(rep.seeds):
-        rows.append([str(seed), str(n), "U", fmt(rep.mass_sum[i]), fmt(1.0)])
+        rows.append([str(seed), str(s.n), "U", fmt(rep.mass_sum[i]), fmt(1.0)])
         rows.append(
-            [str(seed), str(n), "mean_dist",
+            [str(seed), str(s.n), "mean_dist",
              fmt(min(rep.tv_mean_low[i], rep.tv_mean_high[i])), fmt(half_d)]
         )
     return [("example21.csv", rows)]
 
 
-def run_polya(cfg: Config, seeds, threads: int) -> list:
-    r = cfg.pmf("truth")
-    cands = cfg.grid_pmfs(r.support)
-    q_idx = cfg.get("target", "q_indices", _ints)
-    c = cfg.get("urn", "c", int)
-    beta = cfg.get("urn", "beta", float)
-    schedule = cfg.schedule()
-    if not schedule:
-        raise ConfigInvalid("polya needs [experiment] n_schedule")
+def run_polya(s: PolyaSettings, seeds) -> list:
     rows = [["seed", "n", "c", "beta", "empirical_rate", "theoretical_rate"]]
-
-    def worker(seed):
-        return polya_decay_experiment(cands, q_idx, r, beta, c, schedule, [seed])
-
-    for rep in _parallel(seeds, worker, threads):
-        for sub in rep.reports:
-            for n, rate in zip(sub.checkpoints, sub.empirical_rate):
-                rows.append(
-                    [str(sub.seed), str(n), str(c), fmt(beta), fmt(rate),
-                     fmt(sub.theoretical_rate)]
-                )
+    rep = polya_decay_experiment(s.cands, s.q_idx, s.r, s.beta, s.c, s.schedule, seeds)
+    for sub in rep.reports:
+        for n, rate in zip(sub.checkpoints, sub.empirical_rate):
+            rows.append(
+                [str(sub.seed), str(n), str(s.c), fmt(s.beta), fmt(rate),
+                 fmt(sub.theoretical_rate)]
+            )
     return [("polya.csv", rows)]
 
 
-def _censor_model(cfg: Config) -> CensoringModel:
-    grid = cfg.get("model", "grid", _floats)
-    f0 = cfg.get("model", "f0", _floats)
-    g0 = cfg.get("model", "g0", _floats)
-    try:
-        return CensoringModel.from_components(make_pmf(grid, f0), make_pmf(grid, g0))
-    except (ElmapError, ValueError) as exc:
-        raise ConfigInvalid(f"bad censoring model: {exc}") from None
-
-
-def run_censor(cfg: Config, seeds, threads: int) -> list:
-    data_file = cfg.get("data", "file", str.strip, default=None)
-    if data_file is not None:
-        data = _data_file(data_file, _censored_observation)
-        curve = kaplan_meier(data)
+def run_censor(s: CensorSettings, seeds) -> list:
+    if s.data is not None:
+        curve = kaplan_meier(s.data)
         rows = [["time", "survival", "atom"]]
-        for t, s, a in zip(curve.event_times, curve.survival, curve.atoms):
-            rows.append([fmt(t), fmt(s), fmt(a)])
+        for t, surv, a in zip(curve.event_times, curve.survival, curve.atoms):
+            rows.append([fmt(t), fmt(surv), fmt(a)])
         return [("survival.csv", rows)]
-
-    model = _censor_model(cfg)
-    grid_support = model.f0.support
-    prior = cfg.prior_grid(cfg.grid_pmfs(grid_support))
-    q_idx = cfg.get("target", "q_indices", _ints)
-    schedule = cfg.schedule()
-    if not schedule:
-        raise ConfigInvalid("censor decay needs [experiment] n_schedule")
     rows = [["seed", "n", "target", "empirical_value", "theoretical_value"]]
-
-    def worker(seed):
-        return censored_decay_experiment(prior, q_idx, model, schedule, [seed])
-
-    for reps in _parallel(seeds, worker, threads):
-        for sub in reps:
-            for n, rate in zip(sub.checkpoints, sub.empirical_rate):
-                rows.append(
-                    [str(sub.seed), str(n), "Q", fmt(rate), fmt(sub.theoretical_rate)]
-                )
+    for sub in censored_decay_experiment(s.prior, s.q_idx, s.model, s.schedule, seeds):
+        for n, rate in zip(sub.checkpoints, sub.empirical_rate):
+            rows.append([str(sub.seed), str(n), "Q", fmt(rate), fmt(sub.theoretical_rate)])
     return [("censor.csv", rows)]
 
 
@@ -410,97 +485,6 @@ RUNNERS = {
     "polya": run_polya,
     "censor": run_censor,
 }
-
-
-# -- validation -----------------------------------------------------------------
-
-
-def validate(cfg: Config) -> list:
-    """Schema and cross-field diagnostics; returns a list of problems."""
-    problems = []
-    try:
-        kind = cfg.kind
-    except ConfigInvalid as exc:
-        return [str(exc)]
-    needs_seeds = kind in {"blln", "example21", "polya"} or (
-        kind == "censor"
-        and cfg.get("data", "file", str.strip, default=None) is None
-    )
-    seeds = None
-    try:
-        seeds = cfg.seeds()
-    except ConfigInvalid as exc:
-        problems.append(str(exc))
-    if needs_seeds and not seeds and not problems:
-        problems.append("missing or empty [experiment] seeds")
-
-    def check_q(cands) -> None:
-        try:
-            q_mask(cfg.get("target", "q_indices", _ints), len(cands))
-        except DomainViolation as exc:
-            problems.append(f"[target] q_indices out of range: {exc}")
-
-    try:
-        if kind == "example21":
-            cfg.positive("split", "n", int)
-            cfg.positive("split", "epsilon", float, default=0.05)
-            split_projections(
-                cfg.split_prior, cfg.pmf("truth"),
-                cfg.get("split", "theta1", float), cfg.get("split", "theta2", float),
-            )
-        elif kind == "polya":
-            r = cfg.pmf("truth")
-            c = cfg.get("urn", "c", int)
-            beta = cfg.get("urn", "beta", float)
-            if not 0.0 < beta < 1.0:
-                problems.append(f"[urn] beta={beta} outside (0, 1)")
-            schedule = cfg.schedule() or []
-            if not schedule:
-                problems.append("missing [experiment] n_schedule")
-            for n in schedule:
-                urn = rebuild_urn(r, n, beta, c)
-                if not urn.valid_for_horizon(n):
-                    problems.append(
-                        f"urn invalid at n={n}: constraint -n*c <= min(alpha) fails "
-                        f"(-{n}*{c} > {min(urn.alpha)})"
-                    )
-                    break
-            cands = cfg.grid_pmfs(r.support)
-            check_q(cands)
-            if 0.0 < beta < 1.0:
-                try:  # the run's target rate needs every candidate's value
-                    for cand in cands:
-                        polya_l_divergence(cand, r, beta, c)
-                except DomainViolation as exc:
-                    problems.append(f"[urn] c = {c}, beta = {beta}: {exc}")
-        elif kind == "censor" and cfg.get("data", "file", str.strip, default=None) is None:
-            model = _censor_model(cfg)
-            cands = cfg.grid_pmfs(model.f0.support)
-            vals = [censored_l_divergence(cand, model) for cand in cands]
-            if all(v == float("inf") for v in vals):
-                problems.append("every candidate has infinite censored divergence")
-            if not (cfg.schedule() or []):
-                problems.append("missing [experiment] n_schedule")
-            cfg.prior_grid(cands)
-            check_q(cands)
-        elif kind == "blln":
-            r = cfg.pmf("truth")
-            cands = cfg.blln_candidates(r)
-            if all(l_divergence(c, r) == float("inf") for c in cands):
-                problems.append("no candidate dominates the support of r")
-            if not (cfg.schedule() or []):
-                problems.append("missing [experiment] n_schedule")
-            cfg.positive("target", "epsilon", float, default=0.05)
-            cfg.prior_grid(cands)
-            check_q(cands)
-        elif kind == "fit":
-            _load_sample(cfg)
-            _fit_settings(cfg)
-        elif kind == "project":
-            cfg.pmf("truth")
-    except ElmapError as exc:
-        problems.append(str(exc))
-    return problems
 
 
 # -- entry point ----------------------------------------------------------------
@@ -515,9 +499,9 @@ def _write_outputs(out: Path, outputs, cfg: Config, seeds) -> None:
 
     manifest = [
         f"config = {cfg.path}",
-        f"config_sha256 = {config_hash(cfg)}",
+        f"config_sha256 = {hashlib.sha256(cfg.raw).hexdigest()}",
         f"kind = {cfg.kind}",
-        f"seeds = {','.join(str(s) for s in (seeds or []))}",
+        f"seeds = {','.join(str(s) for s in seeds)}",
         f"package = elmap {__version__}",
         f"python = {sys.version.split()[0]}",
         f"numpy = {np.__version__}",
@@ -532,13 +516,10 @@ def main(argv=None) -> int:
         prog="elmap",
         description="finite-support likelihood projections and posterior decay experiments",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in KINDS + ("validate",):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, type=Path)
-        p.add_argument("--out", type=Path, default=Path("out"))
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
+    parser.add_argument("command", choices=KINDS + ("validate",))
+    parser.add_argument("--config", required=True, type=Path)
+    parser.add_argument("--out", type=Path, default=Path("out"))
+    parser.add_argument("--seed", type=int, default=None, help="replaces the config's seeds")
     args = parser.parse_args(argv)
 
     try:
@@ -552,13 +533,13 @@ def main(argv=None) -> int:
             return 0 if not problems else 1
         if cfg.kind != args.command:
             raise ConfigInvalid(
-                f"config kind {cfg.kind!r} does not match subcommand {args.command!r}"
+                f"config kind {cfg.kind!r} does not match command {args.command!r}"
             )
-        problems = validate(cfg)
-        if problems:
-            raise ConfigInvalid("; ".join(problems))
-        seeds = [args.seed] if args.seed is not None else (cfg.seeds() or [0])
-        outputs = RUNNERS[cfg.kind](cfg, seeds, max(1, args.threads))
+        seeds = _seeds(cfg)
+        record = settings(cfg)
+        if args.seed is not None:
+            seeds = [args.seed]
+        outputs = RUNNERS[cfg.kind](record, seeds)
         _write_outputs(args.out, outputs, cfg, seeds)
         for name, _ in outputs:
             print(f"wrote {args.out / name}")

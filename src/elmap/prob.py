@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    DomainViolation,
     EmptySample,
     LengthMismatch,
     NegativeWeight,
@@ -127,14 +128,16 @@ class Pmf:
 
 
 def make_pmf(support: Sequence[float], weights: Sequence[float]) -> Pmf:
-    """Validating constructor: clamps round-off negatives and renormalizes
-    weight sums within 1e-9 of 1."""
+    """Validating constructor: rejects non-finite values, clamps round-off
+    negatives and renormalizes weight sums within 1e-9 of 1."""
     sup = np.asarray(support, dtype=float)
     w = np.asarray(weights, dtype=float).copy()
     if sup.ndim != 1 or w.ndim != 1 or sup.shape != w.shape:
         raise LengthMismatch(f"{sup.shape} vs {w.shape}")
     if sup.size == 0:
         raise LengthMismatch("empty support")
+    if not (np.all(np.isfinite(sup)) and np.all(np.isfinite(w))):
+        raise DomainViolation("support points and weights must be finite")
     if np.any(w < -CLAMP_TOL):
         raise NegativeWeight(f"weight {w.min()!r} below clamp tolerance")
     w[w < 0.0] = 0.0

@@ -1,13 +1,19 @@
+import contextlib
 import csv
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import traceback
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import elmap.cli as cli
 from elmap.cli import main
@@ -93,15 +99,6 @@ class TestRun:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main([kind, "--config", str(cfg), "--out", str(out1)]) == 0
         assert main([kind, "--config", str(cfg), "--out", str(out2)]) == 0
-        name = f"{kind}.csv"
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    @pytest.mark.parametrize("kind", SEEDED_KINDS)
-    def test_threads_do_not_change_output(self, tmp_path, kind):
-        cfg = seeded_config(tmp_path, kind, "0:6")
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main([kind, "--config", str(cfg), "--out", str(out1)]) == 0
-        assert main([kind, "--config", str(cfg), "--out", str(out2), "--threads", "4"]) == 0
         name = f"{kind}.csv"
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -286,6 +283,18 @@ class TestBadData:
         assert main(["censor", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"{data} line 3" in capsys.readouterr().err
 
+    def test_not_utf8(self, tmp_path, capsys):
+        data = tmp_path / "cens.csv"
+        data.write_bytes(b"time,censored\n1,0\n\xff,1\n")
+        cfg = write(
+            tmp_path, "censor.cfg", f"[experiment]\nkind = censor\n[data]\nfile = {data}\n"
+        )
+        assert main(["censor", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{data} line 3" in capsys.readouterr().err
+        cfg.write_bytes(cfg.read_bytes() + b"# \xff\n")
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert "cannot parse config" in capsys.readouterr().err
+
     def test_fit_file_bad_row(self, tmp_path, capsys):
         data = tmp_path / "obs.csv"
         data.write_text("x\n0\n1,abc\n2\n")
@@ -293,6 +302,15 @@ class TestBadData:
             "observations = 0, 1, 2, 1, 1, 0, 2, 1", f"file = {data}"))
         assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"{data} line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["censor", "fit"])
+    def test_missing_data_file_validate_agrees_with_run(self, tmp_path, capsys, kind):
+        cfg = write(tmp_path, f"{kind}.cfg",
+                    f"[experiment]\nkind = {kind}\n[data]\nfile = {tmp_path / 'nope.csv'}\n")
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert "FAIL: [data] file not found" in capsys.readouterr().out
+        assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "[data] file not found" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_fit_observations_not_finite(self, tmp_path, capsys, value):
@@ -332,6 +350,12 @@ def test_q_indices_out_of_range(tmp_path, capsys, kind, q):
         ("fit", "[model] gamma", "inf"),
         ("fit", "[model] method", "foo"),
         ("fit", "[model] preset", "foo"),
+        ("blln", "[truth] support", "0, 0"),
+        ("project", "[truth] support", "0, 1, 1"),
+        ("blln", "[grid] candidates", ";"),
+        ("censor", "[grid] candidates", ";"),
+        ("blln", "[grid] candidates", "nan, 0.4 ; 0.9, 0.1"),
+        ("project", "[model] theta_grid", ","),
     ]
     + [
         (kind, "[experiment] n_schedule", f"10, {n}")
@@ -373,6 +397,71 @@ def test_polya_negative_c_validate_agrees_with_run(tmp_path, capsys, c, beta, ok
     else:
         assert "is not positive" in capsys.readouterr().err
         assert not out.exists()
+
+
+# -- config fuzz: mutate one or two values of a shipped config ------------------
+
+SHIPPED_LINES = {
+    cfg.stem: cfg.read_text().splitlines() for cfg in sorted(SHIPPED.glob("*.cfg"))
+}
+MUTANTS = ["nan", "inf", "-inf", "-1", "0", "1", "2", "0.5", "1e308", "", "abc", ";", ","]
+
+
+@st.composite
+def mutated_config(draw):
+    """A shipped config with small seeds, n_schedule and n chosen here, then
+    one or two of its values replaced by a mutant, its first token replaced
+    by one, negated, or the line deleted."""
+    kind = draw(st.sampled_from(sorted(SHIPPED_LINES)))
+    small = {
+        "seeds": "0:2",
+        "n_schedule": ", ".join(
+            str(n) for n in draw(st.lists(st.integers(1, 60), min_size=1, max_size=3))
+        ),
+        "n": str(draw(st.integers(1, 200))),
+    }
+    lines = []
+    for line in SHIPPED_LINES[kind]:
+        key = line.split(" = ")[0]
+        lines.append(f"{key} = {small[key]}" if " = " in line and key in small else line)
+    keyed = [i for i, line in enumerate(lines) if " = " in line]
+    for i in draw(st.lists(st.sampled_from(keyed), min_size=1, max_size=2, unique=True)):
+        key, value = lines[i].split(" = ", 1)
+        rest = value[len(re.split("[,;]", value)[0]):]  # value after its first token
+        lines[i] = draw(st.sampled_from(
+            [f"{key} = {m}" for m in MUTANTS]
+            + [f"{key} = {m}{rest}" for m in MUTANTS]
+            + [f"{key} = -{value}", ""]
+        ))
+    return kind, "\n".join(lines) + "\n"
+
+
+def quiet_main(argv) -> tuple:
+    """main's exit code and its output, with any exception's traceback as
+    the code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            code = main(argv)
+        except Exception:  # any exception escaping main is the failure under test
+            code = traceback.format_exc()
+    return code, out.getvalue()
+
+
+@given(mutated_config())
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_config_fuzz_validate_agrees_with_run(case):
+    kind, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / f"{kind}.cfg"
+        cfg.write_text(text)
+        code, out = quiet_main(["validate", "--config", str(cfg)])
+        assert code in (0, 1), code
+        failed = "FAIL: " in out
+        assert failed == (code == 1), out
+        code, err = quiet_main([kind, "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+        assert code in (0, 2, 3), f"{text}\n{code}"
+        assert failed == (code == 2), f"{text}\nvalidate: {out}run: {code} {err}"
 
 
 class TestShippedConfigs:

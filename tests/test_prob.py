@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elmap.errors import (
+    DomainViolation,
     EmptySample,
     LengthMismatch,
     NegativeWeight,
@@ -85,6 +86,20 @@ class TestMakePmf:
     def test_duplicate_support_rejected(self):
         with pytest.raises(ValueError):
             make_pmf([0, 0, 1], [0.3, 0.3, 0.4])
+
+    @pytest.mark.parametrize(
+        "support, weights",
+        [
+            ([0, 1], [math.nan, 0.4]),  # abs(nan - 1) > tol is False: no sum check fires
+            ([0, 1], [math.nan, math.nan]),
+            ([0, 1], [math.inf, 0.0]),
+            ([0, math.nan], [0.6, 0.4]),
+            ([0, math.inf], [0.6, 0.4]),
+        ],
+    )
+    def test_non_finite_rejected(self, support, weights):
+        with pytest.raises(DomainViolation):
+            make_pmf(support, weights)
 
     def test_tail_beyond(self):
         p = make_pmf([0, 1, 2], [0.2, 0.3, 0.5])
