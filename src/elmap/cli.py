@@ -252,6 +252,8 @@ def fit_settings(cfg: Config) -> FitSettings:
         if path is None:
             raise ConfigInvalid("[data] needs observations or file")
         obs = _data_file(path, _observation)
+    if not obs:
+        raise ConfigInvalid("[data] observations or file holds no observation")
     preset = cfg.get("model", "preset", str.strip, default="mean")
     if preset not in _PRESETS:
         raise ConfigInvalid(f"unknown preset {preset!r} in [model] preset")

@@ -356,6 +356,7 @@ def test_q_indices_out_of_range(tmp_path, capsys, kind, q):
         ("censor", "[grid] candidates", ";"),
         ("blln", "[grid] candidates", "nan, 0.4 ; 0.9, 0.1"),
         ("project", "[model] theta_grid", ","),
+        ("fit", "[data] observations", ","),
     ]
     + [
         (kind, "[experiment] n_schedule", f"10, {n}")
