@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .divergences import l_divergence
 from .errors import AllZeroLikelihood, AsymmetricConfig, DomainViolation, InfiniteRate
@@ -30,6 +29,7 @@ from .prob import (
     Sample,
     counts_loglik,
     log_mass_table,
+    logsumexp,
     make_pmf,
     mean_model,
     tv_distance,

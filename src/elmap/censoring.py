@@ -23,11 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bayes import PriorGrid, decay_report, decay_target
 from .errors import AllZeroLikelihood, NoEvents
-from .prob import Pmf, counts_loglik
+from .prob import Pmf, counts_loglik, logsumexp
 from .rng import derive_seed, rng_from
 
 

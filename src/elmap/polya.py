@@ -23,12 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .bayes import decay_report, decay_target
 from .divergences import polya_l_divergence
 from .errors import AllZeroLikelihood, DomainViolation, UrnExhausted
-from .prob import Pmf
+from .prob import Pmf, logsumexp
 from .rng import derive_seed, rng_from
 
 TIE_TOL = 1e-12
@@ -142,6 +141,8 @@ def polya_counts(config: UrnConfig, n: int, seed: int) -> tuple:
         return tuple(int(k) for k in rng.multinomial(n, rng.dirichlet(alpha / c)))
     if c == 0:
         return tuple(int(k) for k in rng.multinomial(n, alpha / config.n_total))
+    from scipy.special import gammaln
+
     steps = c * np.arange(n, dtype=float)
 
     def cum_log(a, left):  # sum_{j<k} log(a + j c), k = 0..left; zero factors give -inf
@@ -202,6 +203,8 @@ def polya_log_prob(counts, config: UrnConfig, method: str = "product") -> float:
         return total - float(np.log(denom).sum())
     if method != "gamma":
         raise ValueError(f"unknown method {method!r}")
+    from scipy.special import gammaln
+
     eta = big_n / c
     eta_q = alpha / c
     if c > 0:

@@ -395,3 +395,27 @@ def counts_loglik(log_mass: np.ndarray, counts: np.ndarray) -> np.ndarray:
     out = counts @ np.where(finite, log_mass, 0.0).T
     out[(counts > 0) @ ~finite.T] = -np.inf
     return out
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over all entries (``axis=None``, an np.float64) or
+    along one axis, without overflow.
+
+    The algorithm of scipy.special.logsumexp (1.17) for real input, with
+    which it agrees bit for bit: the m entries equal to the maximum are
+    taken out of the shifted sum s, and the result is
+    log1p(s / m) + log(m) + max.  Where that is not finite (every entry
+    -inf, or an entry +inf) the direct log(sum(exp(a))) is returned, so
+    an all -inf input gives -inf with no warning.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(a, axis=axis, keepdims=True)
+        at_top = a == top
+        m = np.sum(at_top, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(at_top, -np.inf, a) - top), axis=axis, keepdims=True) / m
+        out = np.log1p(s) + np.log(m) + top
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))[bad]
+    return out.reshape(())[()] if axis is None else out.squeeze(axis)

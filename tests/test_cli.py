@@ -539,12 +539,29 @@ n = 100
         assert float(lhs) != float(rhs.split()[0])  # both values printed
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # the linear program of moment_feasibility (J >= 3) imports it on use
+def scipy_modules_after(code: str) -> str:
+    """The list, as printed, of scipy.special and scipy.optimize if loaded
+    after running ``code`` in a fresh interpreter."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import sys, elmap; print('scipy.optimize' in sys.modules)"
+    code += "\nprint([m for m in ('scipy.special', 'scipy.optimize') if m in sys.modules])"
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        [sys.executable, "-c", "import sys\n" + code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the linear program of moment_feasibility (J >= 3) imports scipy.optimize
+    # on use, and the gamma forms of polya import scipy.special on use
+    assert scipy_modules_after("import elmap") == "[]"
+    assert scipy_modules_after("import elmap.cli") == "[]"
+
+
+def test_shipped_runs_leave_scipy_special_and_optimize_unloaded(tmp_path):
+    code = "\n".join(
+        f"assert elmap.cli.main([{cfg.stem!r}, '--config', {str(cfg)!r}, "
+        f"'--out', {str(tmp_path / cfg.stem)!r}]) == 0"
+        for cfg in sorted(SHIPPED.glob("*.cfg"))
+    )
+    assert scipy_modules_after("import elmap.cli\n" + code) == "[]"

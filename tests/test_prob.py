@@ -1,10 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from elmap.errors import (
     DomainViolation,
@@ -21,6 +24,7 @@ from elmap.prob import (
     Sample,
     empirical_pmf,
     linear_model,
+    logsumexp,
     make_pmf,
     mean_model,
     moments,
@@ -359,3 +363,53 @@ class TestBatchedModels:
                 non_finite.u_matrix(points, theta)
         with pytest.raises(ValueError, match="shape"):
             ignores_stack.u_matrix(points, stack)
+
+
+
+# scipy.special.logsumexp is the oracle.  From 1.15 on (the fix of scipy's
+# gh-18295) it separates the maximal entries and sums the rest through
+# log1p, the algorithm the port copies, so results must agree bit for bit;
+# older releases (the floor is 1.10) compute log(sum(exp(a - max))) + max
+# and may differ by a few ulp.
+SCIPY_LSE_SEPARATES_MAX = tuple(int(p) for p in scipy.__version__.split(".")[:2]) >= (1, 15)
+LSE_EDGE_CASES = [
+    np.array([0.0, -40.0]),  # one entry dominates
+    np.array([1e3, 1e3, 1e3 - 1e-12]),  # tied maxima at the top magnitude
+    np.array([-np.inf, 2.0, -np.inf]),
+    np.full(3, -np.inf),
+    np.array([[0.5, -np.inf], [-np.inf, -np.inf], [3.0, 3.0]]),
+]
+
+
+def _lse_cases(seed: int, count: int):
+    """Random 1-D and (k, 2) arrays at magnitudes up to 1e3, some with -inf
+    entries, tied maxima or an all -inf row."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k = int(rng.integers(1, 10))
+        shape = (k,) if i % 2 else (k, 2)
+        a = rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if rng.random() < 0.3:
+            a = np.round(a)  # ties at the maximum
+        if rng.random() < 0.3:
+            a[rng.random(shape) < 0.4] = -np.inf
+        if a.ndim == 2 and rng.random() < 0.1:
+            a[int(rng.integers(k))] = -np.inf
+        yield a
+
+
+def test_logsumexp_matches_scipy():
+    eps = np.finfo(float).eps
+    for a in [*LSE_EDGE_CASES, *_lse_cases(seed=0, count=2000)]:
+        for axis in (None, 1) if a.ndim == 2 else (None,):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # all -inf gives -inf silently
+                got = logsumexp(a, axis=axis)
+            want = scipy_logsumexp(a, axis=axis)
+            assert type(got) is (np.float64 if axis is None else np.ndarray)
+            assert np.shape(got) == np.shape(want)
+            if SCIPY_LSE_SEPARATES_MAX:
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=8 * eps, atol=8 * eps)
+    assert logsumexp(np.full(3, -np.inf)) == -np.inf
