@@ -32,6 +32,7 @@ from .prob import (
     logsumexp,
     make_pmf,
     mean_model,
+    path_counts,
     tv_distance,
 )
 from .projection import l_project_stack, node_error
@@ -185,6 +186,14 @@ def decay_target(vals, q_set) -> tuple[np.ndarray, float, tuple]:
     return mask, min_q - vmin, projections
 
 
+def checkpoints(n_schedule) -> list:
+    """Sorted int sample sizes; DomainViolation if empty or any n < 1."""
+    schedule = sorted(int(n) for n in n_schedule)
+    if not schedule or schedule[0] < 1:
+        raise DomainViolation(f"n_schedule {schedule} must be nonempty with every n >= 1")
+    return schedule
+
+
 def _checkpoint_log_mass(log_prior, loglik: np.ndarray, mask: np.ndarray, schedule) -> np.ndarray:
     """Log posterior mass of the masked candidates at each checkpoint, from
     the (checkpoints, K) log-likelihood matrix; the decay rate is minus
@@ -211,23 +220,15 @@ def decay_report(log_prior, loglik, target: tuple, schedule, seed: int) -> Decay
     )
 
 
-def _path_loglik(prior: PriorGrid, r: Pmf, schedule: list, seed: int, label: str) -> np.ndarray:
-    """(checkpoints, K) log-likelihood of one i.i.d. path from r, from its
-    per-atom counts: the draws rng.choice(r.support, p=r.weights) makes,
-    taken as atom indices."""
-    idx = rng_from(label, seed).choice(r.m, p=r.weights, size=schedule[-1])
-    counts = np.stack([np.bincount(idx[:n], minlength=r.m) for n in schedule])
-    return counts_loglik(log_mass_table(prior.candidates, r.support), counts)
-
-
 def decay_curve(
     prior: PriorGrid, q_set, r: Pmf, n_schedule, seed: int
 ) -> DecayReport:
     """Empirical decay -(1/n) log posterior-mass(Q) along one simulated
     path, against the theoretical value min_Q L - min_grid L."""
     target = decay_target(grid_l_projections(prior, r)[0], q_set)
-    schedule = sorted(int(n) for n in n_schedule)
-    loglik = _path_loglik(prior, r, schedule, seed, "bayes.decay")
+    schedule = checkpoints(n_schedule)
+    counts = path_counts(rng_from("bayes.decay", seed), r.weights, schedule)
+    loglik = counts_loglik(log_mass_table(prior.candidates, r.support), counts)
     return decay_report(prior.log_prior, loglik, target, schedule, seed)
 
 
@@ -264,11 +265,12 @@ def blln_check(
         raise ValueError("epsilon must be positive")
     _, projections = grid_l_projections(prior, r)
     mask = _tv_ball(prior, projections, epsilon)
-    schedule = sorted(int(n) for n in n_schedule)
+    schedule = checkpoints(n_schedule)
     seeds = tuple(int(s) for s in seeds)
     masses = np.empty((len(seeds), len(schedule)))
+    table = log_mass_table(prior.candidates, r.support)
     for i, seed in enumerate(seeds):
-        loglik = _path_loglik(prior, r, schedule, seed, "bayes.blln")
+        loglik = counts_loglik(table, path_counts(rng_from("bayes.blln", seed), r.weights, schedule))
         masses[i] = np.exp(_checkpoint_log_mass(prior.log_prior, loglik, mask, schedule))
     medians = tuple(float(v) for v in np.median(masses, axis=0))
     return BllnReport(
@@ -389,8 +391,8 @@ def example21(
     map_in = np.zeros(len(seeds), dtype=bool)
     mean_stack = np.zeros(r.m)
     for i, seed in enumerate(seeds):
-        idx = rng_from("bayes.example21", seed).choice(r.m, p=r.weights, size=int(n))
-        state = _posterior(prior, np.bincount(idx, minlength=r.m))
+        counts = path_counts(rng_from("bayes.example21", seed), r.weights, [int(n)])
+        state = _posterior(prior, counts[-1])
         post = np.exp(state.log_posterior)
         mass_low[i] = float(post[ball_low].sum())
         mass_high[i] = float(post[ball_high].sum())

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import PriorGrid, decay_report, decay_target
-from .errors import AllZeroLikelihood, NoEvents
-from .prob import Pmf, counts_loglik, logsumexp
-from .rng import derive_seed, rng_from
+from .bayes import PriorGrid, checkpoints, decay_report, decay_target
+from .errors import AllZeroLikelihood, DomainViolation, NoEvents
+from .prob import Pmf, counts_loglik, logsumexp, path_counts
+from .rng import rng_from
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,10 @@ class SurvivalCurve:
         return float(max(0.0, 1.0 - self.atoms.sum()))
 
 
-def _censor_draw(model: CensoringModel, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """n observation times and censoring flags from the mixture mechanism."""
+def censor_generate(model: CensoringModel, n: int, seed: int) -> list:
+    """n observations from the mixture mechanism, deterministic in seed."""
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise DomainViolation(f"n = {n} must be at least 1")
     rng = rng_from("censor.generate", seed)
     uncensored = rng.random(n) < model.alpha_unc
     times = np.where(
@@ -119,12 +119,7 @@ def _censor_draw(model: CensoringModel, n: int, seed: int) -> tuple[np.ndarray, 
         rng.choice(model.f0.support, p=model.f0.weights, size=n),
         rng.choice(model.g0.support, p=model.g0.weights, size=n),
     )
-    return times, ~uncensored
-
-
-def censor_generate(model: CensoringModel, n: int, seed: int) -> list:
-    """n observations from the mixture mechanism, deterministic in seed."""
-    return [CensoredObservation(float(t), c) for t, c in zip(*_censor_draw(model, n, seed))]
+    return [CensoredObservation(float(t), not u) for t, u in zip(times, uncensored)]
 
 
 def _split(data) -> tuple[np.ndarray, np.ndarray]:
@@ -174,21 +169,26 @@ def kaplan_meier(data) -> SurvivalCurve:
     return SurvivalCurve(event_times, surv, -np.diff(surv, prepend=1.0))
 
 
-def censored_l_divergence(candidate: Pmf, model: CensoringModel) -> float:
-    """Population limit of l_n / n: the log-likelihood kernel applied to the
-    cell law of one observation, alpha F0 on the events and (1 - alpha) G0
-    on the tails."""
+def _cell_law(support: np.ndarray, model: CensoringModel) -> np.ndarray:
+    """Law of one observation over the 2m + 1 cells of the support: alpha F0
+    on the events and (1 - alpha) G0 on the tails."""
     f0, g0, alpha = model.f0, model.g0, model.alpha_unc
     cells = _cells(
-        candidate.support,
+        support,
         np.concatenate([f0.support, g0.support]),
         np.repeat([False, True], [f0.m, g0.m]),
     )
-    law = np.bincount(
+    return np.bincount(
         cells,
         weights=np.concatenate([alpha * f0.weights, (1.0 - alpha) * g0.weights]),
-        minlength=2 * candidate.m + 1,
+        minlength=2 * support.size + 1,
     )
+
+
+def censored_l_divergence(candidate: Pmf, model: CensoringModel) -> float:
+    """Population limit of l_n / n: the log-likelihood kernel applied to the
+    cell law of one observation."""
+    law = _cell_law(candidate.support, model)
     return float(-counts_loglik(_log_cell_masses(candidate.weights[None, :]), law)[0])
 
 
@@ -219,14 +219,12 @@ def censored_decay_experiment(
     censored-divergence gap; returns one DecayReport per seed."""
     vals = [censored_l_divergence(c, model) for c in prior.candidates]
     target = decay_target(vals, q_set)
-    schedule = sorted(int(n) for n in n_schedule)
-    m = prior.support.size
+    schedule = checkpoints(n_schedule)
+    law = _cell_law(prior.support, model)
     log_cells = _log_cell_masses(prior.weight_matrix())
     reports = []
     for seed in (int(s) for s in seeds):
-        times, cens = _censor_draw(model, schedule[-1], derive_seed("censor.decay", seed))
-        cells = _cells(prior.support, times, cens)
-        counts = np.stack([np.bincount(cells[:n], minlength=2 * m + 1) for n in schedule])
+        counts = path_counts(rng_from("censor.decay", seed), law, schedule)
         loglik = counts_loglik(log_cells, counts)
         reports.append(decay_report(prior.log_prior, loglik, target, schedule, seed))
     return tuple(reports)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import decay_report, decay_target
+from .bayes import checkpoints, decay_report, decay_target
 from .divergences import polya_l_divergence
 from .errors import AllZeroLikelihood, DomainViolation, UrnExhausted
 from .prob import Pmf, logsumexp
@@ -325,7 +325,7 @@ def polya_decay_experiment(
     vals = [polya_l_divergence(q, r, beta, c) for q in grid_pmfs]
     target = decay_target(vals, q_set)
     lp = np.zeros(len(grid_pmfs)) if log_prior is None else np.asarray(log_prior, float)
-    schedule = sorted(int(n) for n in n_schedule)
+    schedule = checkpoints(n_schedule)
     reports = []
     for seed in (int(s) for s in seeds):
         loglik = np.empty((len(schedule), len(grid_pmfs)))

@@ -5,7 +5,7 @@ where the weak topology coincides with the simplex topology and total
 variation is an exact, cheap ball metric.  An estimating model's u takes
 all the points at once and broadcasts over a stack of parameter values, so
 a whole theta grid is one call.  All objects are immutable after
-construction, so they can be shared freely across concurrent tasks.
+construction.
 """
 
 from __future__ import annotations
@@ -395,6 +395,13 @@ def counts_loglik(log_mass: np.ndarray, counts: np.ndarray) -> np.ndarray:
     out = counts @ np.where(finite, log_mass, 0.0).T
     out[(counts > 0) @ ~finite.T] = -np.inf
     return out
+
+
+def path_counts(rng: np.random.Generator, law, schedule) -> np.ndarray:
+    """Cell counts of an i.i.d. path from ``law`` at each sorted checkpoint,
+    shape (checkpoints, cells): one multinomial draw per increment, summed,
+    which is the law of the prefix counts at a cost that does not grow with n."""
+    return np.cumsum(rng.multinomial(np.diff(schedule, prepend=0), law), axis=0)
 
 
 def logsumexp(a, axis=None):

@@ -3,8 +3,8 @@
 Streams are counter-based (Philox) and keyed by hashing an arbitrary tuple
 of labels, typically (experiment, cell, replicate).  Two streams with
 different labels are statistically independent, and a given label tuple
-yields the same stream on every platform and in any execution order, which
-is what makes parallel experiment cells reproducible.
+yields the same stream on every platform and in any execution order, so
+each experiment cell reproduces on its own.
 """
 
 from __future__ import annotations

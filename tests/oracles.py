@@ -227,6 +227,19 @@ def draw_log_masses(candidates, values, censored=None) -> np.ndarray:
     return out
 
 
+def shuffled_path(rng, law, schedule, order) -> np.ndarray:
+    """Cell index of each observation of an i.i.d. path from ``law``: the
+    counts of one ``rng.multinomial`` per increment between the sorted
+    checkpoints, each increment expanded into observations in a uniformly
+    random order drawn from ``order`` (the law of a path given its counts)."""
+    cells, done = [], 0
+    for n in schedule:
+        counts = rng.multinomial(n - done, law)
+        cells.append(order.permutation(np.repeat(np.arange(len(law)), counts)))
+        done = n
+    return np.concatenate(cells)
+
+
 def sequential_log_mass(log_prior, table, member, schedule) -> np.ndarray:
     """Log posterior mass of the member candidates after the first n
     observations, for each n in schedule: the per-observation table summed

@@ -17,11 +17,11 @@ from elmap.bayes import (
     split_mean_prior,
 )
 from elmap.divergences import l_divergence
-from elmap.errors import AllZeroLikelihood, AsymmetricConfig, InfiniteRate
+from elmap.errors import AllZeroLikelihood, AsymmetricConfig, DomainViolation, InfiniteRate
 from elmap.estimators import mnpl_grid
 from elmap.prob import Sample, make_pmf
 from elmap.rng import rng_from
-from oracles import draw_log_masses, sequential_log_mass
+from oracles import draw_log_masses, sequential_log_mass, shuffled_path
 
 R_BIN = make_pmf([0, 1], [0.5, 0.5])
 CAND_A = make_pmf([0, 1], [0.6, 0.4])
@@ -100,15 +100,17 @@ def test_posterior_update_ignores_observation_order(data):
 
 class TestPerObservationOracle:
     """The counts form against one log mass per draw summed in observation
-    order, on the shipped blln setting (R_BIN, CAND_A, CAND_B, Q = {1})."""
+    order, on the shipped blln setting (R_BIN, CAND_A, CAND_B, Q = {1}).
+    The path has the library's multinomial increments, its observations
+    in a random order."""
 
     SCHEDULE = [10, 20, 40, 80, 160, 320, 640, 1280, 2560, 5000, 10000]
 
     def reference(self, prior, mask, label, seed):
-        draws = rng_from(label, seed).choice(
-            R_BIN.support, p=R_BIN.weights, size=self.SCHEDULE[-1]
+        cells = shuffled_path(
+            rng_from(label, seed), R_BIN.weights, self.SCHEDULE, rng_from("test.order", seed)
         )
-        table = draw_log_masses(prior.candidates, draws)
+        table = draw_log_masses(prior.candidates, R_BIN.support[cells])
         return sequential_log_mass(prior.log_prior, table, mask, self.SCHEDULE)
 
     def test_decay_curve(self):
@@ -231,8 +233,30 @@ class TestDecayCurve:
         rep = decay_curve(two_grid(), [1], r, [1000], seed=0)
         assert rep.theoretical_rate > 0
 
+    @pytest.mark.parametrize("schedule", [[], [0, 10], [10, -5]])
+    def test_rejects_bad_schedule(self, schedule):
+        with pytest.raises(DomainViolation):
+            decay_curve(two_grid(), [1], R_BIN, schedule, seed=0)
+
+    def test_rate_at_ten_million_within_clt_spread(self):
+        # Per draw x the log-likelihood ratio of CAND_A to CAND_B moves by
+        # log(A_x / B_x); with equal priors the rate is that ratio over n to
+        # within log 2 / n.
+        n = 10**7
+        llr = np.log(CAND_A.weights / CAND_B.weights)
+        gap = float(R_BIN.weights @ llr)
+        sd = math.sqrt(float(R_BIN.weights @ (llr - gap) ** 2))
+        for seed in range(5):
+            rate = decay_curve(two_grid(), [1], R_BIN, [n], seed).empirical_rate[-1]
+            assert abs(rate - gap) <= 6.0 * sd / math.sqrt(n) + math.log(2.0) / n
+
 
 class TestBlln:
+    @pytest.mark.parametrize("schedule", [[], [0, 10], [10, -5]])
+    def test_rejects_bad_schedule(self, schedule):
+        with pytest.raises(DomainViolation):
+            blln_check(two_grid(), R_BIN, 0.05, schedule, seeds=[0])
+
     def test_wellspecified_truth_on_grid(self):
         prior = make_prior_grid([CAND_A, CAND_B, R_BIN])
         rep = blln_check(prior, R_BIN, 0.05, [10, 100, 1000], seeds=[0, 1, 2])

@@ -19,10 +19,15 @@ from elmap.censoring import (
     kaplan_meier,
 )
 from elmap.divergences import l_divergence
-from elmap.errors import InfiniteRate, NoEvents
+from elmap.errors import DomainViolation, InfiniteRate, NoEvents
 from elmap.prob import Sample, empirical_pmf, make_pmf
-from elmap.rng import derive_seed
-from oracles import censored_el_bruteforce, draw_log_masses, sequential_log_mass
+from elmap.rng import rng_from
+from oracles import (
+    censored_el_bruteforce,
+    draw_log_masses,
+    sequential_log_mass,
+    shuffled_path,
+)
 
 GRID = [1.0, 2.0, 3.0]
 F0 = make_pmf(GRID, [0.5, 0.3, 0.2])
@@ -72,6 +77,17 @@ class TestGenerate:
         a = censor_generate(MODEL, 50, seed=3)
         b = censor_generate(MODEL, 50, seed=3)
         assert a == b
+
+    def test_stream_pinned(self):
+        data = censor_generate(MODEL, 8, seed=0)
+        assert [(o.time, o.censored) for o in data] == [
+            (1.0, False), (3.0, False), (1.0, False), (2.0, True),
+            (3.0, False), (1.0, False), (3.0, False), (3.0, False),
+        ]
+
+    def test_rejects_empty_sample(self):
+        with pytest.raises(DomainViolation):
+            censor_generate(MODEL, 0, seed=0)
 
 
 class TestLoglik:
@@ -241,19 +257,53 @@ class TestDecay:
 
     def test_rates_match_per_observation_oracle(self):
         # the shipped censor setting, against one log mass per observation
-        # summed in observation order
+        # summed in observation order; the path has the library's multinomial
+        # increments over the 2m + 1 cells, its observations in a random order
         prior = make_prior_grid([CAND_A, CAND_B])
         schedule = [10, 40, 160, 640, 2560, 5000]
         reps = censored_decay_experiment(prior, [1], MODEL, schedule, range(20))
+        # cells: an event at each atom, a censoring before the first atom
+        # (mass 0 under the model), a censoring at each atom
+        alpha = MODEL.alpha_unc
+        law = np.concatenate([alpha * F0.weights, [0.0], (1.0 - alpha) * G0.weights])
+        times = np.concatenate([GRID, [0.0], GRID])
+        censored = np.repeat([False, True], [len(GRID), len(GRID) + 1])
         for rep in reps:
-            data = censor_generate(MODEL, 5000, derive_seed("censor.decay", rep.seed))
-            table = draw_log_masses(
-                prior.candidates, [o.time for o in data], [o.censored for o in data]
+            cells = shuffled_path(
+                rng_from("censor.decay", rep.seed), law, schedule,
+                rng_from("test.order", rep.seed),
             )
+            table = draw_log_masses(prior.candidates, times[cells], censored[cells])
             ref = sequential_log_mass(prior.log_prior, table, [False, True], schedule)
             np.testing.assert_allclose(
                 rep.empirical_rate, -ref / schedule, rtol=1e-11, atol=0
             )
+
+    @pytest.mark.parametrize("schedule", [[], [0, 10], [10, -5]])
+    def test_rejects_bad_schedule(self, schedule):
+        prior = make_prior_grid([CAND_A, CAND_B])
+        with pytest.raises(DomainViolation):
+            censored_decay_experiment(prior, [1], MODEL, schedule, [0])
+
+    def test_rate_at_one_million_within_clt_spread(self):
+        # Per observation the log-likelihood ratio of CAND_A to CAND_B moves
+        # by the log ratio of their masses of it (an atom at an event, a tail
+        # at a censoring); with equal priors the rate is that ratio over n to
+        # within log 2 / n.
+        n = 10**6
+        alpha = MODEL.alpha_unc
+        prob = np.concatenate([alpha * F0.weights, (1.0 - alpha) * G0.weights])
+        keep = prob > 0.0
+        times = np.concatenate([GRID, GRID])[keep]
+        censored = np.repeat([False, True], len(GRID))[keep]
+        log_mass = draw_log_masses([CAND_A, CAND_B], times, censored)
+        llr = log_mass[0] - log_mass[1]
+        gap = float(prob[keep] @ llr)
+        sd = math.sqrt(float(prob[keep] @ (llr - gap) ** 2))
+        prior = make_prior_grid([CAND_A, CAND_B])
+        for rep in censored_decay_experiment(prior, [1], MODEL, [n], range(5)):
+            err = abs(rep.empirical_rate[-1] - gap)
+            assert err <= 6.0 * sd / math.sqrt(n) + math.log(2.0) / n
 
     def test_sequential_equals_concatenated(self):
         prior = make_prior_grid([CAND_A, CAND_B])

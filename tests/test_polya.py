@@ -288,6 +288,10 @@ class TestDecay:
         target = 0.49041462650586309
         assert abs(np.mean(rates) - target) <= 0.05 * target
 
+    @pytest.mark.parametrize("schedule", [[], [0, 10], [10, -5]])
+    def test_rejects_bad_schedule(self, schedule):
+        with pytest.raises(DomainViolation):
+            polya_decay_experiment([G1, G2], [1], R_BIN, 0.5, 1, schedule, [0])
 
     @pytest.mark.parametrize("c", [1, 0])
     def test_rate_at_one_million_within_clt_spread(self, c):

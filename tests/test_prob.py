@@ -28,9 +28,11 @@ from elmap.prob import (
     make_pmf,
     mean_model,
     moments,
+    path_counts,
     support_dominates,
     tv_distance,
 )
+from elmap.rng import rng_from
 
 
 def weights_strategy(m):
@@ -413,3 +415,33 @@ def test_logsumexp_matches_scipy():
             else:
                 np.testing.assert_allclose(got, want, rtol=8 * eps, atol=8 * eps)
     assert logsumexp(np.full(3, -np.inf)) == -np.inf
+
+
+class TestPathCounts:
+    LAW = np.array([0.3, 0.0, 0.5, 0.2, 0.0])
+    SCHEDULE = [1, 7, 7, 50, 1000, 1000, 123456]
+
+    def paths(self):
+        for seed in range(20):
+            yield path_counts(rng_from("test.path_counts", seed), self.LAW, self.SCHEDULE)
+
+    def test_rows_nondecreasing_and_sum_to_schedule(self):
+        for counts in self.paths():
+            assert counts.shape == (len(self.SCHEDULE), self.LAW.size)
+            assert np.all(np.diff(counts, axis=0) >= 0)
+            assert counts.sum(axis=1).tolist() == self.SCHEDULE
+
+    def test_zero_mass_cells_stay_zero(self):
+        for counts in self.paths():
+            assert not counts[:, self.LAW == 0.0].any()
+
+    def test_repeated_checkpoint_gives_equal_rows(self):
+        for counts in self.paths():
+            assert np.array_equal(counts[1], counts[2])
+            assert np.array_equal(counts[4], counts[5])
+
+    def test_frequencies_track_law(self):
+        n = self.SCHEDULE[-1]
+        sd = np.sqrt(self.LAW * (1.0 - self.LAW) / n)
+        for counts in self.paths():
+            assert np.all(np.abs(counts[-1] / n - self.LAW) <= 6.0 * sd)
