@@ -18,13 +18,24 @@ bit-identical results to one update with both, in any observation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .divergences import l_divergence
-from .errors import AllZeroLikelihood, AsymmetricConfig, DomainViolation, InfiniteRate
+from .errors import (
+    AllZeroLikelihood,
+    AsymmetricConfig,
+    DomainViolation,
+    InfiniteRate,
+    LengthMismatch,
+    NegativeWeight,
+    NotNormalized,
+    SupportMismatch,
+)
 from .prob import (
+    NORM_TOL,
     Pmf,
     Sample,
     counts_loglik,
@@ -32,8 +43,8 @@ from .prob import (
     logsumexp,
     make_pmf,
     mean_model,
+    normalize_rows,
     path_counts,
-    tv_distance,
 )
 from .projection import l_project_stack, node_error
 from .rng import rng_from
@@ -44,51 +55,88 @@ PROJECTION_TIE = 1e-9
 
 @dataclass(frozen=True)
 class PriorGrid:
-    """Finite candidate set with strictly positive prior weights."""
+    """Finite candidate set with strictly positive prior weights.
 
-    candidates: tuple
+    The candidates are the rows of one read-only (K, m) weight matrix on
+    the shared support; the matrix's elementwise log is built once, here,
+    and is the log-mass table of every posterior on that support.
+    """
+
+    support: np.ndarray
+    weights: np.ndarray
     log_prior: np.ndarray
+    log_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cands = tuple(self.candidates)
-        if not cands:
-            raise ValueError("empty candidate grid")
-        sup = cands[0].support
-        for cand in cands[1:]:
-            if not np.array_equal(cand.support, sup):
-                raise ValueError("candidates must share one support")
+        sup = np.array(self.support, dtype=float)
+        w = np.array(self.weights, dtype=float, order="C")
+        if w.ndim != 2 or w.shape[0] == 0:
+            raise LengthMismatch(f"weights of shape {w.shape}: need a nonempty (K, m) matrix")
+        if sup.ndim != 1 or w.shape[1:] != sup.shape:
+            raise LengthMismatch(f"support of shape {sup.shape}, weights {w.shape}")
+        if not (np.isfinite(sup).all() and np.isfinite(w).all()):
+            raise DomainViolation("support points and candidate weights must be finite")
+        if not (sup[1:] > sup[:-1]).all():
+            raise DomainViolation("support points must be unique and increasing")
+        if (w < 0.0).any():
+            raise NegativeWeight(f"negative candidate weight {w.min()!r}")
+        if (abs(w.sum(axis=1) - 1.0) > NORM_TOL).any():
+            raise NotNormalized("every candidate's weights must sum to 1")
         lp = np.asarray(self.log_prior, dtype=float)
-        if lp.shape != (len(cands),):
-            raise ValueError("one log prior weight per candidate")
-        if not np.all(np.isfinite(lp)):
-            raise ValueError("prior must be strictly positive on the grid")
+        if lp.shape != (w.shape[0],):
+            raise LengthMismatch(f"log prior of shape {lp.shape} for {w.shape[0]} candidates")
+        if not np.isfinite(lp).all():
+            raise DomainViolation("prior must be strictly positive on the grid")
         lp = lp - logsumexp(lp)
-        lp.setflags(write=False)
-        object.__setattr__(self, "candidates", cands)
+        with np.errstate(divide="ignore"):
+            log_w = np.log(w)
+        for arr in (sup, w, lp, log_w):
+            arr.setflags(write=False)
+        object.__setattr__(self, "support", sup)
+        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "log_prior", lp)
+        object.__setattr__(self, "log_weights", log_w)
 
     @property
     def k(self) -> int:
-        return len(self.candidates)
+        return self.weights.shape[0]
 
-    @property
-    def support(self) -> np.ndarray:
-        return self.candidates[0].support
+    @cached_property
+    def candidates(self) -> tuple:
+        """One Pmf per row of the weight matrix."""
+        return tuple(Pmf(self.support, row) for row in self.weights)
 
     def weight_matrix(self) -> np.ndarray:
-        return np.stack([c.weights for c in self.candidates])
+        """The read-only (K, m) weight matrix, one row per candidate."""
+        return self.weights
+
+    def log_masses(self, values) -> np.ndarray:
+        """The (K, len(values)) log-mass table at the given support values:
+        the stored log matrix when they are the grid's support."""
+        if np.array_equal(values, self.support):
+            return self.log_weights
+        return log_mass_table(self.candidates, values)
 
 
 def make_prior_grid(candidates, weights=None) -> PriorGrid:
+    """Grid of the given Pmfs, which must share one support, with prior
+    weights proportional to ``weights`` (uniform if None)."""
     cands = tuple(candidates)
+    if not cands:
+        raise LengthMismatch("empty candidate grid")
+    sup = cands[0].support
+    if any(not np.array_equal(c.support, sup) for c in cands[1:]):
+        raise SupportMismatch("candidates must share one support")
     if weights is None:
         lp = np.zeros(len(cands))
     else:
         w = np.asarray(weights, dtype=float)
-        if np.any(w <= 0):
-            raise ValueError("prior weights must be strictly positive")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise DomainViolation("prior weights must be finite and strictly positive")
         lp = np.log(w)
-    return PriorGrid(cands, lp)
+    grid = PriorGrid(sup, np.stack([c.weights for c in cands]), lp)
+    grid.__dict__["candidates"] = cands  # the rows as Pmfs already: fill the cache
+    return grid
 
 
 @dataclass(frozen=True)
@@ -116,7 +164,7 @@ class DecayReport:
 
 
 def _posterior(prior: PriorGrid, counts: np.ndarray) -> PosteriorState:
-    cum = counts_loglik(log_mass_table(prior.candidates, prior.support), counts)
+    cum = counts_loglik(prior.log_weights, counts)
     log_post = prior.log_prior + cum
     norm = logsumexp(log_post)
     if not math.isfinite(norm):
@@ -147,7 +195,7 @@ def map_candidate(state: PosteriorState) -> list:
 def posterior_mean(state: PosteriorState, prior: PriorGrid) -> Pmf:
     """Posterior-weighted mixture of the candidates."""
     wts = np.exp(state.log_posterior)
-    mix = wts @ prior.weight_matrix()
+    mix = wts @ prior.weights
     return make_pmf(prior.support, mix)
 
 
@@ -228,7 +276,7 @@ def decay_curve(
     target = decay_target(grid_l_projections(prior, r)[0], q_set)
     schedule = checkpoints(n_schedule)
     counts = path_counts(rng_from("bayes.decay", seed), r.weights, schedule)
-    loglik = counts_loglik(log_mass_table(prior.candidates, r.support), counts)
+    loglik = counts_loglik(prior.log_masses(r.support), counts)
     return decay_report(prior.log_prior, loglik, target, schedule, seed)
 
 
@@ -250,10 +298,16 @@ class BllnReport:
         return bool(np.all(np.diff(med) >= -1e-9))
 
 
+def _tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Total variation distance between weight rows on one support, over
+    the last axis; tv_distance's arithmetic, so the values agree bit for bit."""
+    return 0.5 * np.abs(a - b).sum(axis=-1)
+
+
 def _tv_ball(prior: PriorGrid, centers, epsilon: float) -> np.ndarray:
     """Mask of the candidates within TV distance epsilon of a center."""
-    cands = prior.candidates
-    return np.array([any(tv_distance(c, cands[p]) <= epsilon for p in centers) for c in cands])
+    w = prior.weights
+    return (_tv(w[:, None], w[list(centers)]) <= epsilon).any(axis=1)
 
 
 def blln_check(
@@ -261,14 +315,14 @@ def blln_check(
 ) -> BllnReport:
     """Posterior mass of the union of TV epsilon-balls centered at the grid
     minimizers of L(. || r), per checkpoint and seed."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:
+        raise DomainViolation(f"epsilon = {epsilon} must be positive")
     _, projections = grid_l_projections(prior, r)
     mask = _tv_ball(prior, projections, epsilon)
     schedule = checkpoints(n_schedule)
     seeds = tuple(int(s) for s in seeds)
     masses = np.empty((len(seeds), len(schedule)))
-    table = log_mass_table(prior.candidates, r.support)
+    table = prior.log_masses(r.support)
     for i, seed in enumerate(seeds):
         loglik = counts_loglik(table, path_counts(rng_from("bayes.blln", seed), r.weights, schedule))
         masses[i] = np.exp(_checkpoint_log_mass(prior.log_prior, loglik, mask, schedule))
@@ -339,22 +393,28 @@ def split_mean_prior(
     low = np.linspace(theta1 - spread, theta1, per_side)
     thetas = np.concatenate([low, np.linspace(theta2, theta2 + spread, per_side)])
     proj = l_project_stack(r, mean_model(), thetas[:, None])
-    for th, failure in zip(thetas, proj.failure):
-        if failure is not None:
-            raise node_error(failure, th)
-    return make_prior_grid([make_pmf(r.support, w) for w in proj.weights])
+    failed = np.flatnonzero(np.isinf(proj.value))  # the nodes with a failure class
+    if failed.size:
+        raise node_error(proj.failure[failed[0]], thetas[failed[0]])
+    return PriorGrid(*normalize_rows(r.support, proj.weights), np.zeros(thetas.size))
 
 
 def split_projections(prior: PriorGrid, r: Pmf, theta1: float, theta2: float) -> tuple:
     """Indices of the L-projections of r onto the low-mean (<= theta1) and
     the high-mean (>= theta2) candidates.  Raises AsymmetricConfig when the
-    two component minima differ by more than 1e-6."""
-    means = np.array([c.mean() for c in prior.candidates])
+    two component minima differ by more than 1e-6.
+
+    L(. || r) is scored here as -r @ log W.T, which can differ from
+    l_divergence in the last bits; these values reach no output, only the
+    argmin and the 1e-6 tie check."""
+    means = prior.weights @ prior.support
     low = means <= theta1 + 1e-9
     high = means >= theta2 - 1e-9
     if np.any(~(low | high)):
-        raise ValueError("candidate with mean inside the excluded band")
-    vals = np.array([l_divergence(c, r) for c in prior.candidates])
+        raise DomainViolation(
+            f"a candidate's mean lies inside the excluded band ({theta1}, {theta2})"
+        )
+    vals = -counts_loglik(prior.log_masses(r.support), r.weights)
     v_low = float(vals[low].min())
     v_high = float(vals[high].min())
     if abs(v_low - v_high) > 1e-6:
@@ -377,11 +437,16 @@ def example21(
     """Run the split-family experiment: posterior mass of the two balls,
     distance of the posterior mean from either component projection, and
     MAP membership.  Raises AsymmetricConfig when the two component minima
-    differ by more than 1e-6."""
+    differ by more than 1e-6, and DomainViolation when n < 1."""
+    schedule = checkpoints([n])
+    if not np.array_equal(r.support, prior.support):
+        raise SupportMismatch("r and the candidates must share one support")
     proj_low, proj_high = split_projections(prior, r, theta1, theta2)
-    d12 = tv_distance(prior.candidates[proj_low], prior.candidates[proj_high])
+    w = prior.weights
+    d12 = _tv(w[proj_low], w[proj_high])
     ball_low = _tv_ball(prior, [proj_low], epsilon)
     ball_high = _tv_ball(prior, [proj_high], epsilon)
+    union = ball_low | ball_high
 
     seeds = tuple(int(s) for s in seeds)
     mass_low = np.empty(len(seeds))
@@ -391,17 +456,16 @@ def example21(
     map_in = np.zeros(len(seeds), dtype=bool)
     mean_stack = np.zeros(r.m)
     for i, seed in enumerate(seeds):
-        counts = path_counts(rng_from("bayes.example21", seed), r.weights, [int(n)])
+        counts = path_counts(rng_from("bayes.example21", seed), r.weights, schedule)
         state = _posterior(prior, counts[-1])
         post = np.exp(state.log_posterior)
         mass_low[i] = float(post[ball_low].sum())
         mass_high[i] = float(post[ball_high].sum())
-        pm = posterior_mean(state, prior)
-        tv_lo[i] = tv_distance(pm, prior.candidates[proj_low])
-        tv_hi[i] = tv_distance(pm, prior.candidates[proj_high])
-        map_idx = map_candidate(state)
-        map_in[i] = all(bool(ball_low[j] or ball_high[j]) for j in map_idx)
-        mean_stack += pm.weights
+        pm = posterior_mean(state, prior).weights
+        tv_lo[i] = _tv(pm, w[proj_low])
+        tv_hi[i] = _tv(pm, w[proj_high])
+        map_in[i] = union[map_candidate(state)].all()
+        mean_stack += pm
     return Example21Report(
         theta1=float(theta1),
         theta2=float(theta2),

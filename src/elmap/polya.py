@@ -128,10 +128,12 @@ def polya_counts(config: UrnConfig, n: int, seed: int) -> tuple:
     MacQueen, 1973); c = 0: a multinomial.  c < 0: one color at a time,
     whose count against the rest of the urn follows the two-color Polya
     law given the counts already drawn (Johnson and Kotz, 1977).  The cost
-    does not grow with n for c >= 0.  Raises UrnExhausted when the horizon
-    check fails.
+    does not grow with n for c >= 0.  Raises DomainViolation when n < 0 and
+    UrnExhausted when the horizon check fails.
     """
     n = int(n)
+    if n < 0:
+        raise DomainViolation(f"n = {n} draws: must be nonnegative")
     if not config.valid_for_horizon(n):
         raise UrnExhausted(f"urn cannot sustain {n} draws: -n c > min(alpha)")
     rng = rng_from("polya.counts", seed)

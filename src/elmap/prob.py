@@ -38,12 +38,20 @@ _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
 def _exact_renormalize(w: np.ndarray) -> np.ndarray:
-    """Divide by the sum, then push the residual into a weight where the
-    addition registers, until ``w.sum() == 1.0`` exactly in floating point.
+    """Divide each row (the last axis) by its sum; then, in each row whose
+    sum is not exactly 1.0 in floating point, push the residual into a
+    weight where the addition registers, until it is."""
+    w = w / w.sum(axis=-1, keepdims=True)
+    rows = w.reshape(-1, w.shape[-1])
+    for i in (rows.sum(axis=1) != 1.0).nonzero()[0]:
+        _settle_residual(rows[i])
+    return w
 
-    Adding a sub-ulp residual to the largest weight can be a no-op, so the
-    correction walks candidate weights from the smallest up."""
-    w = w / w.sum()
+
+def _settle_residual(w: np.ndarray) -> None:
+    """Make ``w.sum() == 1.0`` in place, for weights already divided by
+    their sum.  Adding a sub-ulp residual to the largest weight can be a
+    no-op, so the correction walks candidate weights from the smallest up."""
     for _ in range(16):
         resid = 1.0 - w.sum()
         if resid == 0.0:
@@ -59,7 +67,6 @@ def _exact_renormalize(w: np.ndarray) -> np.ndarray:
                 break
         if not applied:
             break
-    return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,26 +137,42 @@ class Pmf:
 def make_pmf(support: Sequence[float], weights: Sequence[float]) -> Pmf:
     """Validating constructor: rejects non-finite values, clamps round-off
     negatives and renormalizes weight sums within 1e-9 of 1."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1:
+        raise LengthMismatch(f"weights have shape {w.shape}, not one row")
+    sup, rows = normalize_rows(support, w[None, :])
+    return Pmf(sup, rows[0])
+
+
+def normalize_rows(support: Sequence[float], weights) -> tuple:
+    """make_pmf over the rows of a (K, m) weight matrix on one support.
+
+    Returns the sorted support and the (K, m) rows, row k being the
+    weights of ``make_pmf(support, weights[k])`` bit for bit: round-off
+    negatives clamped, each row divided by its sum, and the residual loop
+    run on the rows whose sum is then not exactly 1.0.
+    """
     sup = np.asarray(support, dtype=float)
-    w = np.asarray(weights, dtype=float).copy()
-    if sup.ndim != 1 or w.ndim != 1 or sup.shape != w.shape:
+    w = np.array(weights, dtype=float)
+    if sup.ndim != 1 or w.ndim != 2 or w.shape[1:] != sup.shape:
         raise LengthMismatch(f"{sup.shape} vs {w.shape}")
     if sup.size == 0:
         raise LengthMismatch("empty support")
-    if not (np.all(np.isfinite(sup)) and np.all(np.isfinite(w))):
+    if not (np.isfinite(sup).all() and np.isfinite(w).all()):
         raise DomainViolation("support points and weights must be finite")
-    if np.any(w < -CLAMP_TOL):
+    if (w < -CLAMP_TOL).any():
         raise NegativeWeight(f"weight {w.min()!r} below clamp tolerance")
     w[w < 0.0] = 0.0
-    total = w.sum()
-    if abs(total - 1.0) > ACCEPT_TOL:
-        raise NotNormalized(f"weights sum to {total!r}")
+    total = w.sum(axis=1)
+    off = abs(total - 1.0) > ACCEPT_TOL
+    if off.any():
+        raise NotNormalized(f"weights sum to {total[off][0]!r}")
     order = np.argsort(sup, kind="stable")
     sup = sup[order]
-    w = w[order]
-    if np.any(np.diff(sup) == 0):
+    if (sup[1:] == sup[:-1]).any():
         raise ValueError("support points must be unique")
-    return Pmf(sup, _exact_renormalize(w))
+    # C order, so that each row's sums are those of a lone (m,) row
+    return sup, _exact_renormalize(np.ascontiguousarray(w[:, order]))
 
 
 @dataclass(frozen=True)

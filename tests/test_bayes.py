@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elmap.bayes import (
+    PriorGrid,
+    _posterior,
+    _tv_ball,
     blln_check,
     decay_curve,
     example21,
@@ -15,11 +18,30 @@ from elmap.bayes import (
     posterior_mean,
     posterior_update,
     split_mean_prior,
+    split_projections,
 )
 from elmap.divergences import l_divergence
-from elmap.errors import AllZeroLikelihood, AsymmetricConfig, DomainViolation, InfiniteRate
+from elmap.errors import (
+    AllZeroLikelihood,
+    AsymmetricConfig,
+    DomainViolation,
+    InfiniteRate,
+    LengthMismatch,
+    SupportMismatch,
+)
 from elmap.estimators import mnpl_grid
-from elmap.prob import Sample, make_pmf
+from elmap.prob import (
+    Sample,
+    counts_loglik,
+    log_mass_table,
+    logsumexp,
+    make_pmf,
+    mean_model,
+    normalize_rows,
+    path_counts,
+    tv_distance,
+)
+from elmap.projection import l_project_stack
 from elmap.rng import rng_from
 from oracles import draw_log_masses, sequential_log_mass, shuffled_path
 
@@ -330,3 +352,160 @@ class TestGridProjections:
         assert idx == [0]
         assert math.isclose(vals[0], 0.713558, abs_tol=5e-7)
         assert math.isclose(vals[1], 1.203973, abs_tol=5e-7)
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan])
+    def test_blln_epsilon_not_positive(self, epsilon):
+        with pytest.raises(DomainViolation):
+            blln_check(two_grid(), R_BIN, epsilon, [10], seeds=[0])
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_example21_n_below_one(self, config, n):
+        r, prior = config
+        with pytest.raises(DomainViolation):
+            example21(0.7, 1.3, r, prior, n, seeds=[0])
+
+    def test_example21_r_off_the_grid_support(self, config):
+        _, prior = config
+        with pytest.raises(SupportMismatch):
+            example21(0.7, 1.3, make_pmf([0, 1, 3], [0.2, 0.6, 0.2]), prior, 100, seeds=[0])
+
+    def test_empty_grid(self):
+        with pytest.raises(LengthMismatch):
+            make_prior_grid([])
+        with pytest.raises(LengthMismatch):
+            PriorGrid(R_BIN.support, np.zeros((0, 2)), np.zeros(0))
+
+    def test_log_prior_length(self):
+        with pytest.raises(LengthMismatch):
+            make_prior_grid([CAND_A, CAND_B], [1.0, 2.0, 3.0])
+        with pytest.raises(LengthMismatch):
+            PriorGrid(R_BIN.support, two_grid().weights, np.zeros(3))
+
+    def test_candidates_on_different_supports(self):
+        with pytest.raises(SupportMismatch):
+            make_prior_grid([CAND_A, make_pmf([0, 2], [0.5, 0.5])])
+
+    @pytest.mark.parametrize("w", [[1.0, 0.0], [1.0, -1.0], [1.0, math.nan], [1.0, math.inf]])
+    def test_prior_weight_not_positive_or_not_finite(self, w):
+        with pytest.raises(DomainViolation):
+            make_prior_grid([CAND_A, CAND_B], w)
+
+    def test_mean_inside_excluded_band(self):
+        r = make_pmf([0, 1, 2], [0.2, 0.6, 0.2])
+        prior = make_prior_grid([r, make_pmf([0, 1, 2], [0.5, 0.3, 0.2])])
+        with pytest.raises(DomainViolation):
+            split_projections(prior, r, 0.7, 1.3)
+
+
+# -- the array form against a per-candidate reference --------------------------
+
+
+def example21_per_candidate(theta1, theta2, r, n, seeds, epsilon, per_side=8, spread=0.4):
+    """example21 on split_mean_prior's grid, one candidate at a time: each
+    candidate a make_pmf, TV distances by tv_distance, log masses by
+    log_mass_table and the component minima by l_divergence."""
+    thetas = np.concatenate([np.linspace(theta1 - spread, theta1, per_side),
+                             np.linspace(theta2, theta2 + spread, per_side)])
+    cands = [make_pmf(r.support, w)
+             for w in l_project_stack(r, mean_model(), thetas[:, None]).weights]
+    means = np.array([c.mean() for c in cands])
+    vals = np.array([l_divergence(c, r) for c in cands])
+    low = np.flatnonzero(means <= theta1 + 1e-9)
+    high = np.flatnonzero(means >= theta2 - 1e-9)
+    p_lo, p_hi = int(low[np.argmin(vals[low])]), int(high[np.argmin(vals[high])])
+    ball_lo = [tv_distance(c, cands[p_lo]) <= epsilon for c in cands]
+    ball_hi = [tv_distance(c, cands[p_hi]) <= epsilon for c in cands]
+    table = log_mass_table(cands, r.support)
+    lp = np.zeros(len(cands)) - np.log(len(cands))
+    fields = {k: [] for k in ("mass_low", "mass_high", "tv_mean_low", "tv_mean_high",
+                              "map_in_union")}
+    mean_stack = np.zeros(r.m)
+    for seed in seeds:
+        counts = path_counts(rng_from("bayes.example21", seed), r.weights, [n])[-1]
+        log_post = lp + counts_loglik(table, counts)
+        log_post = log_post - logsumexp(log_post)
+        post = np.exp(log_post)
+        fields["mass_low"].append(float(post[ball_lo].sum()))
+        fields["mass_high"].append(float(post[ball_hi].sum()))
+        pm = make_pmf(r.support, post @ np.stack([c.weights for c in cands]))
+        fields["tv_mean_low"].append(tv_distance(pm, cands[p_lo]))
+        fields["tv_mean_high"].append(tv_distance(pm, cands[p_hi]))
+        modes = np.flatnonzero(log_post >= log_post.max() - 1e-12)
+        fields["map_in_union"].append(all(ball_lo[j] or ball_hi[j] for j in modes))
+        mean_stack += pm.weights
+    return cands, p_lo, p_hi, tv_distance(cands[p_lo], cands[p_hi]), fields, mean_stack
+
+
+class TestArrayFormAgreement:
+    """PriorGrid's weight matrix and its stored log against the
+    per-candidate computations they replace, bit for bit."""
+
+    def random_stacks(self, count):
+        rng = np.random.default_rng(20261019)
+        for _ in range(count):
+            m = int(rng.integers(2, 17))
+            support = np.sort(rng.choice(np.arange(-20, 21), size=m, replace=False)) / 4.0
+            law = rng.dirichlet(np.full(m, 0.7))
+            law[rng.random(m) < 0.15] = 0.0
+            if law.sum() == 0.0:
+                law[rng.integers(m)] = 1.0
+            r = make_pmf(support, law / law.sum())
+            on = r.support[r.weights > 0]
+            if on.size < 2:
+                continue
+            thetas = rng.uniform(on[0], on[-1], size=int(rng.integers(1, 20)))
+            proj = l_project_stack(r, mean_model(), thetas[:, None])
+            yield rng, r, proj.weights[np.isfinite(proj.value)]
+
+    def test_row_normaliser_matches_make_pmf(self):
+        rows = settled = 0
+        for rng, r, w in self.random_stacks(200):
+            perm = rng.permutation(r.m)  # unsorted input, as make_pmf accepts
+            sup, out = normalize_rows(r.support[perm], w[:, perm])
+            for k in range(len(w)):
+                ref = make_pmf(r.support[perm], w[k, perm])
+                assert np.array_equal(sup, ref.support)
+                assert np.array_equal(out[k], ref.weights), (r, k)
+            rows += len(w)
+            settled += int(np.sum((w / w.sum(axis=1, keepdims=True)).sum(axis=1) != 1.0))
+        assert rows > 1000 and settled > 50  # the residual loop ran on many rows
+
+    def test_tv_ball_matches_tv_distance_loop(self, config):
+        r, split = config
+        grids = [split] + [make_prior_grid([make_pmf(r.support, row) for row in w])
+                           for _, r, w in self.random_stacks(30) if len(w) >= 3]
+        for prior in grids:
+            cands = prior.candidates
+            d = np.array([[tv_distance(a, b) for b in cands] for a in cands])
+            for centers in ([0], [0, prior.k - 1]):
+                for eps in (0.05, float(d[0, prior.k // 2]), float(d[-1, 1])):
+                    ref = [any(d[i, p] <= eps for p in centers) for i in range(prior.k)]
+                    assert np.array_equal(_tv_ball(prior, centers, eps), ref)
+
+    def test_posterior_loglik_matches_log_mass_table(self, config):
+        _, split = config
+        rng = np.random.default_rng(7)
+        for prior in (split, GRID3, two_grid([0.3, 0.7])):
+            table = log_mass_table(prior.candidates, prior.support)
+            assert np.array_equal(prior.log_masses(prior.support), table)
+            for _ in range(50):
+                counts = rng.integers(0, 10**6, size=prior.support.size)
+                state = _posterior(prior, counts)
+                assert np.array_equal(state.cum_loglik, counts_loglik(table, counts))
+        wide = np.array([-1.0, 0.0, 1.0, 2.0])
+        assert np.array_equal(two_grid().log_masses(wide),
+                              log_mass_table(two_grid().candidates, wide))
+
+    def test_example21_report_on_shipped_settings(self, config):
+        r, prior = config
+        seeds = range(20)
+        cands, p_lo, p_hi, d12, ref, mean_stack = example21_per_candidate(
+            0.7, 1.3, r, 10000, seeds, 0.05)
+        assert all(a == b for a, b in zip(prior.candidates, cands))
+        rep = example21(0.7, 1.3, r, prior, n=10000, seeds=seeds, epsilon=0.05)
+        assert (rep.proj_low, rep.proj_high, rep.projection_tv) == (p_lo, p_hi, d12)
+        for name, values in ref.items():
+            assert np.array_equal(getattr(rep, name), values), name
+        assert rep.mean_of_means == make_pmf(r.support, mean_stack / len(seeds))

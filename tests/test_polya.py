@@ -123,6 +123,11 @@ class TestCounts:
         assert polya_counts(cfg, n, seed) == counts
         assert polya_counts(UrnConfig(alpha[:1], c), n, seed) == (n,)
 
+    @pytest.mark.parametrize("c", [-1, 0, 1])
+    def test_negative_n_rejected(self, c):
+        with pytest.raises(DomainViolation):
+            polya_counts(UrnConfig((4, 5), c), -1, 0)
+
 
 class TestLogProb:
     def test_c_zero_value(self):
