@@ -1,7 +1,7 @@
 """Empirical-likelihood estimation, divergence projections and exact
 finite-grid Bayesian posterior decay experiments."""
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .divergences import (
     cressie_read,
@@ -77,6 +77,7 @@ from .censoring import (
     SurvivalCurve,
     censor_generate,
     censored_decay_experiment,
+    censored_grid_divergences,
     censored_l_divergence,
     censored_loglik,
     censored_posterior,

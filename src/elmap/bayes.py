@@ -23,7 +23,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .divergences import l_divergence
 from .errors import (
     AllZeroLikelihood,
     AsymmetricConfig,
@@ -38,8 +37,8 @@ from .prob import (
     NORM_TOL,
     Pmf,
     Sample,
+    atom_index,
     counts_loglik,
-    log_mass_table,
     logsumexp,
     make_pmf,
     mean_model,
@@ -111,11 +110,12 @@ class PriorGrid:
         return self.weights
 
     def log_masses(self, values) -> np.ndarray:
-        """The (K, len(values)) log-mass table at the given support values:
-        the stored log matrix when they are the grid's support."""
-        if np.array_equal(values, self.support):
-            return self.log_weights
-        return log_mass_table(self.candidates, values)
+        """The (K, len(values)) log-mass table at the given values: columns
+        of the stored log matrix, -inf at a value that is not an atom."""
+        idx, hit = atom_index(self.support, values)
+        # take keeps C order (w[:, idx] would not), so products with this
+        # table round as products with the stored matrix do
+        return np.where(hit, self.log_weights.take(idx, axis=1), -np.inf)
 
 
 def make_prior_grid(candidates, weights=None) -> PriorGrid:
@@ -176,11 +176,10 @@ def posterior_update(
     prior: PriorGrid, sample: Sample, state: PosteriorState | None = None
 ) -> PosteriorState:
     """Absorb a sample into the (possibly already updated) posterior."""
-    sup, vals = prior.support, sample.values()
-    idx = np.minimum(np.searchsorted(sup, vals), sup.size - 1)
-    if not np.array_equal(sup[idx], vals):  # mass 0 under every candidate
+    idx, hit = atom_index(prior.support, sample.values())
+    if not hit.all():  # mass 0 under every candidate
         raise AllZeroLikelihood("every candidate assigns zero probability to the data")
-    counts = np.bincount(idx, minlength=sup.size)
+    counts = np.bincount(idx, minlength=prior.support.size)
     if state is not None:
         counts = counts + state.counts
     return _posterior(prior, counts)
@@ -200,8 +199,9 @@ def posterior_mean(state: PosteriorState, prior: PriorGrid) -> Pmf:
 
 
 def grid_l_projections(prior: PriorGrid, r: Pmf) -> tuple[np.ndarray, list]:
-    """L(. || r) per candidate and the indices attaining the grid minimum."""
-    vals = np.array([l_divergence(c, r) for c in prior.candidates])
+    """L(. || r) per candidate and the indices attaining the grid minimum:
+    the posterior's log-likelihood kernel with r's weights as the counts."""
+    vals = -counts_loglik(prior.log_masses(r.support), r.weights)
     vmin = float(vals.min())
     if math.isinf(vmin):
         raise InfiniteRate("no candidate dominates the support of r")
@@ -402,11 +402,7 @@ def split_mean_prior(
 def split_projections(prior: PriorGrid, r: Pmf, theta1: float, theta2: float) -> tuple:
     """Indices of the L-projections of r onto the low-mean (<= theta1) and
     the high-mean (>= theta2) candidates.  Raises AsymmetricConfig when the
-    two component minima differ by more than 1e-6.
-
-    L(. || r) is scored here as -r @ log W.T, which can differ from
-    l_divergence in the last bits; these values reach no output, only the
-    argmin and the 1e-6 tie check."""
+    two component minima differ by more than 1e-6."""
     means = prior.weights @ prior.support
     low = means <= theta1 + 1e-9
     high = means >= theta2 - 1e-9
@@ -414,7 +410,7 @@ def split_projections(prior: PriorGrid, r: Pmf, theta1: float, theta2: float) ->
         raise DomainViolation(
             f"a candidate's mean lies inside the excluded band ({theta1}, {theta2})"
         )
-    vals = -counts_loglik(prior.log_masses(r.support), r.weights)
+    vals, _ = grid_l_projections(prior, r)
     v_low = float(vals[low].min())
     v_high = float(vals[high].min())
     if abs(v_low - v_high) > 1e-6:

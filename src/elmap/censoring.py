@@ -26,7 +26,7 @@ import numpy as np
 
 from .bayes import PriorGrid, checkpoints, decay_report, decay_target
 from .errors import AllZeroLikelihood, DomainViolation, NoEvents
-from .prob import Pmf, counts_loglik, logsumexp, path_counts
+from .prob import Pmf, atom_index, counts_loglik, logsumexp, path_counts
 from .rng import rng_from
 
 
@@ -134,8 +134,8 @@ def _cells(support: np.ndarray, times: np.ndarray, cens: np.ndarray) -> np.ndarr
     cell m + searchsorted(support, y, "right").  An event off the support
     goes to the empty tail 2m: both have mass 0 under every candidate."""
     m = support.size
-    idx = np.minimum(np.searchsorted(support, times), m - 1)
-    events = np.where(support[idx] == times, idx, 2 * m)
+    idx, hit = atom_index(support, times)
+    events = np.where(hit, idx, 2 * m)
     return np.where(cens, m + np.searchsorted(support, times, side="right"), events)
 
 
@@ -192,6 +192,13 @@ def censored_l_divergence(candidate: Pmf, model: CensoringModel) -> float:
     return float(-counts_loglik(_log_cell_masses(candidate.weights[None, :]), law)[0])
 
 
+def censored_grid_divergences(prior: PriorGrid, model: CensoringModel) -> np.ndarray:
+    """censored_l_divergence of every candidate of the grid: one product of
+    the grid's (K, 2m + 1) log cell masses with the cell law."""
+    law = _cell_law(prior.support, model)
+    return -counts_loglik(_log_cell_masses(prior.weight_matrix()), law)
+
+
 def censored_posterior(prior: PriorGrid, data, carried=None) -> tuple:
     """Log posterior over lifetime candidates given censored data.
 
@@ -217,8 +224,7 @@ def censored_decay_experiment(
 ) -> tuple:
     """Empirical -(1/n) log posterior-mass(Q) on censored paths versus the
     censored-divergence gap; returns one DecayReport per seed."""
-    vals = [censored_l_divergence(c, model) for c in prior.candidates]
-    target = decay_target(vals, q_set)
+    target = decay_target(censored_grid_divergences(prior, model), q_set)
     schedule = checkpoints(n_schedule)
     law = _cell_law(prior.support, model)
     log_cells = _log_cell_masses(prior.weight_matrix())

@@ -35,6 +35,7 @@ from .bayes import (
     blln_check,
     decay_curve,
     example21,
+    grid_l_projections,
     make_prior_grid,
     q_mask,
     split_mean_prior,
@@ -44,10 +45,10 @@ from .censoring import (
     CensoringModel,
     CensoredObservation,
     censored_decay_experiment,
-    censored_l_divergence,
+    censored_grid_divergences,
     kaplan_meier,
 )
-from .divergences import l_divergence, polya_l_divergence
+from .divergences import polya_l_divergence
 from .errors import ConfigInvalid, DomainViolation, ElmapError
 from .estimators import cr_estimate, el_estimate, et_estimate, euclidean_estimate
 from .polya import polya_decay_experiment, rebuild_urn
@@ -147,7 +148,7 @@ class Config:
         weights = self.get(section, wkey, _floats)
         try:
             return make_pmf(support, weights)
-        except (ElmapError, ValueError) as exc:
+        except ElmapError as exc:
             raise ConfigInvalid(f"bad pmf in [{section}] {skey}, {wkey}: {exc}") from None
 
     def grid_pmfs(self, support) -> list:
@@ -156,7 +157,7 @@ class Config:
             raise ConfigInvalid("empty [grid] candidates")
         try:
             return [make_pmf(support, row) for row in rows]
-        except (ElmapError, ValueError) as exc:
+        except ElmapError as exc:
             raise ConfigInvalid(f"bad candidate in [grid] candidates: {exc}") from None
 
     def prior_grid(self, cands) -> PriorGrid:
@@ -278,11 +279,11 @@ def blln_settings(cfg: Config) -> BllnSettings:
     r = cfg.pmf("truth")
     support = cfg.get("grid", "support", _floats, default=None)
     cands = cfg.grid_pmfs(r.support if support is None else support)
-    if all(l_divergence(c, r) == math.inf for c in cands):
-        raise ConfigInvalid("no candidate dominates the support of r")
+    prior = cfg.prior_grid(cands)
+    grid_l_projections(prior, r)  # some candidate must dominate the support of r
     return BllnSettings(
         r,
-        cfg.prior_grid(cands),
+        prior,
         cfg.q_indices(len(cands)),
         cfg.positive("target", "epsilon", _float, default=0.05),
         cfg.schedule(),
@@ -356,11 +357,10 @@ def censor_settings(cfg: Config) -> CensorSettings:
     except (ElmapError, ValueError) as exc:
         raise ConfigInvalid(f"bad censoring model: {exc}") from None
     cands = cfg.grid_pmfs(model.f0.support)
-    if all(censored_l_divergence(c, model) == math.inf for c in cands):
+    prior = cfg.prior_grid(cands)
+    if np.isinf(censored_grid_divergences(prior, model)).all():
         raise ConfigInvalid("every candidate has infinite censored divergence")
-    return CensorSettings(
-        None, model, cfg.prior_grid(cands), cfg.q_indices(len(cands)), cfg.schedule()
-    )
+    return CensorSettings(None, model, prior, cfg.q_indices(len(cands)), cfg.schedule())
 
 
 _SETTINGS = {

@@ -7,10 +7,15 @@ The central quantity is the log-score divergence
 which is finite exactly when q covers the support of p, reduces to
 Kerridge's inaccuracy when p is an empirical pmf, and governs the decay
 rate of posterior mass in the experiments downstream.  Infinite values are
-meaningful results here, not errors.
+meaningful results here, not errors.  It is scored by the posterior's own
+kernel, :func:`~elmap.prob.counts_loglik`, with p's weights as the counts,
+so a candidate's L value and its posterior log-likelihood come from one
+computation.
 
 Also provided: Kullback-Leibler, squared Euclidean, the Cressie-Read power
 family, and the reinforced-urn variant of L used by the Polya experiments.
+Each is an array expression over the masses the two distributions give
+one set of atoms (:meth:`~elmap.prob.Pmf.masses`).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation, GammaSingular, SupportMismatch
-from .prob import Pmf
+from .prob import Pmf, counts_loglik
 
 _SINGULAR_TOL = 1e-12
 
@@ -34,29 +39,19 @@ def entropy(p: Pmf) -> float:
 
 def l_divergence(q: Pmf, p: Pmf) -> float:
     """-sum_i p_i log q(x_i); +inf unless q dominates the support of p."""
-    total = 0.0
-    for x, pw in zip(p.support, p.weights):
-        if pw == 0.0:
-            continue
-        qw = q.mass(float(x))
-        if qw <= 0.0:
-            return math.inf
-        total -= pw * math.log(qw)
-    return total
+    with np.errstate(divide="ignore"):
+        log_q = np.log(q.masses(p.support))
+    return float(-counts_loglik(log_q[None, :], p.weights)[0])
 
 
 def kl_divergence(q: Pmf, p: Pmf) -> float:
     """sum_i q_i log(q_i / p_i) with 0 log 0 = 0; +inf if q puts mass
     where p has none."""
-    total = 0.0
-    for x, qw in zip(q.support, q.weights):
-        if qw == 0.0:
-            continue
-        pw = p.mass(float(x))
-        if pw <= 0.0:
-            return math.inf
-        total += qw * math.log(qw / pw)
-    return total
+    on_q = q.weights > 0.0
+    qw, pw = q.weights[on_q], p.masses(q.support[on_q])
+    if (pw <= 0.0).any():
+        return math.inf
+    return float(qw @ np.log(qw / pw))
 
 
 def _require_common_support(q: Pmf, mu: Pmf) -> None:
@@ -83,21 +78,17 @@ def cressie_read(q: Pmf, mu: Pmf, gamma: float) -> float:
     if abs(gamma) < _SINGULAR_TOL or abs(gamma + 1.0) < _SINGULAR_TOL:
         raise GammaSingular(f"gamma={gamma} needs the KL limit form")
     _require_common_support(q, mu)
-    qw, mw = q.weights, mu.weights
-    total = 0.0
-    for qi, mi in zip(qw, mw):
-        if qi == 0.0:
-            # q_i^(1+gamma)/mu_i^gamma limit: zero for gamma > -1
-            if gamma < -1.0 and mi > 0.0:
-                return math.inf
-            continue
-        if mi == 0.0:
-            if gamma > 0.0:
-                return math.inf
-            total += -qi  # (q/mu)^gamma -> 0 for gamma < 0
-            continue
-        total += qi * ((qi / mi) ** gamma - 1.0)
-    return total / (gamma * (gamma + 1.0))
+    on_q, on_mu = q.weights > 0.0, mu.weights > 0.0
+    # q_i^(1+gamma)/mu_i^gamma at q_i = 0: zero for gamma > -1, else +inf
+    if gamma < -1.0 and (on_mu & ~on_q).any():
+        return math.inf
+    # at mu_i = 0 < q_i, (q_i/mu_i)^gamma is +inf for gamma > 0, else 0
+    if gamma > 0.0 and (on_q & ~on_mu).any():
+        return math.inf
+    both = on_q & on_mu
+    qw, mw = q.weights[both], mu.weights[both]
+    total = qw @ ((qw / mw) ** gamma - 1.0) - q.weights[on_q & ~on_mu].sum()
+    return float(total / (gamma * (gamma + 1.0)))
 
 
 def polya_l_divergence(q: Pmf, p: Pmf, beta: float, c: int) -> float:
@@ -113,24 +104,20 @@ def polya_l_divergence(q: Pmf, p: Pmf, beta: float, c: int) -> float:
     if not 0.0 < beta < 1.0:
         raise DomainViolation(f"beta={beta} outside (0, 1)")
     if c == 0:
-        val = l_divergence(q, p)
-        return val - 1.0
+        return l_divergence(q, p) - 1.0
     t = beta * float(c)
     sup = np.union1d(q.support, p.support)
-    total = 0.0
-    for x in sup:
-        qi = q.mass(float(x))
-        pi = p.mass(float(x))
-        mix = qi + t * pi
-        if (pi > 0.0 or qi > 0.0) and mix <= 0.0:
-            raise DomainViolation(
-                f"q + beta*c*p = {mix!r} at x={x} is not positive"
-            )
-        if pi > 0.0:
-            total -= pi * math.log(mix)
-        if qi > 0.0:
-            total += qi * math.log(qi / mix) / t
-    return total
+    qw, pw = q.masses(sup), p.masses(sup)
+    mix = qw + t * pw
+    on_p, on_q = pw > 0.0, qw > 0.0
+    bad = (on_p | on_q) & (mix <= 0.0)
+    if bad.any():
+        i = int(bad.argmax())
+        raise DomainViolation(
+            f"q + beta*c*p = {float(mix[i])!r} at x={float(sup[i])} is not positive"
+        )
+    total = -(pw[on_p] @ np.log(mix[on_p])) + qw[on_q] @ np.log(qw[on_q] / mix[on_q]) / t
+    return float(total)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ import numpy as np
 from .errors import (
     AllInfinite,
     AllThetaInfeasible,
+    DomainViolation,
     EmptySample,
     NotConverged,
     SingularConstraints,
@@ -335,7 +336,7 @@ def cr_estimate(
     """Power-divergence estimator; gamma = 0 dispatches to exponential
     tilting and gamma = -1 to empirical likelihood (the two limits)."""
     if not math.isfinite(gamma):
-        raise ValueError("gamma must be finite")
+        raise DomainViolation("gamma must be finite")
     if gamma == 0.0:
         return et_estimate(sample, model, grid_points, bounds)
     if gamma == -1.0:

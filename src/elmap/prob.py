@@ -56,17 +56,13 @@ def _settle_residual(w: np.ndarray) -> None:
         resid = 1.0 - w.sum()
         if resid == 0.0:
             break
-        applied = False
-        for k in np.argsort(w):
-            if w[k] <= 0.0 or w[k] + resid <= 0.0:
-                continue
-            cand = w[k] + resid
-            if cand != w[k]:
-                w[k] = cand
-                applied = True
-                break
-        if not applied:
+        order = np.argsort(w)
+        cand = w[order] + resid
+        takes = (w[order] > 0.0) & (cand > 0.0) & (cand != w[order])
+        if not takes.any():
             break
+        first = int(takes.argmax())
+        w[order[first]] = cand[first]
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +82,7 @@ class Pmf:
         if sup.size == 0:
             raise LengthMismatch("empty support")
         if not np.all(np.diff(sup) > 0):
-            raise ValueError("support points must be unique and increasing")
+            raise DomainViolation("support points must be unique and increasing")
         if np.any(w < 0.0):
             raise NegativeWeight(f"negative weight {w.min()!r}")
         if abs(w.sum() - 1.0) > NORM_TOL:
@@ -100,12 +96,15 @@ class Pmf:
     def m(self) -> int:
         return int(self.support.size)
 
+    def masses(self, values) -> np.ndarray:
+        """Weights of the atoms at the given values, 0.0 where a value is
+        not a support point."""
+        idx, hit = atom_index(self.support, values)
+        return np.where(hit, self.weights[idx], 0.0)
+
     def mass(self, x: float) -> float:
         """Weight of the atom at x, 0.0 if x is not a support point."""
-        i = int(np.searchsorted(self.support, x))
-        if i < self.m and self.support[i] == x:
-            return float(self.weights[i])
-        return 0.0
+        return float(self.masses(x))
 
     def mean(self) -> float:
         return float(self.support @ self.weights)
@@ -170,7 +169,7 @@ def normalize_rows(support: Sequence[float], weights) -> tuple:
     order = np.argsort(sup, kind="stable")
     sup = sup[order]
     if (sup[1:] == sup[:-1]).any():
-        raise ValueError("support points must be unique")
+        raise DomainViolation("support points must be unique")
     # C order, so that each row's sums are those of a lone (m,) row
     return sup, _exact_renormalize(np.ascontiguousarray(w[:, order]))
 
@@ -211,31 +210,31 @@ def empirical_pmf(sample: Sample) -> Pmf:
     if sample.n == 0:
         raise EmptySample("cannot form an empirical pmf from no observations")
     if not sample.is_scalar:
-        raise ValueError("empirical_pmf is defined for scalar observations")
+        raise DomainViolation("empirical_pmf is defined for scalar observations")
     vals, counts = np.unique(sample.values(), return_counts=True)
     return Pmf(vals, _exact_renormalize(counts.astype(float)))
+
+
+def atom_index(support: np.ndarray, values) -> tuple[np.ndarray, np.ndarray]:
+    """Where the values sit on a strictly increasing support: ``idx`` and
+    ``hit``, shaped like ``values``, with ``support[idx] == values`` exactly
+    where ``hit`` is True.  Elsewhere ``idx`` is a valid index that names
+    no atom, so ``weights[idx]`` can be read before masking."""
+    vals = np.asarray(values, dtype=float)
+    idx = np.minimum(np.searchsorted(support, vals), support.size - 1)
+    return idx, support[idx] == vals
 
 
 def tv_distance(p: Pmf, q: Pmf) -> float:
     """Total variation distance over the union of the two supports."""
     sup = np.union1d(p.support, q.support)
-
-    def lookup(d: Pmf) -> np.ndarray:
-        idx = np.searchsorted(d.support, sup)
-        idx_c = np.clip(idx, 0, d.m - 1)
-        hit = d.support[idx_c] == sup
-        return np.where(hit, d.weights[idx_c], 0.0)
-
-    return float(0.5 * np.abs(lookup(p) - lookup(q)).sum())
+    return float(0.5 * np.abs(p.masses(sup) - q.masses(sup)).sum())
 
 
 def support_dominates(p: Pmf, q: Pmf) -> bool:
     """True iff every atom of p with positive weight has positive weight
     under q."""
-    for x, w in zip(p.support, p.weights):
-        if w > 0.0 and q.mass(float(x)) <= 0.0:
-            return False
-    return True
+    return bool((q.masses(p.support)[p.weights > 0.0] > 0.0).all())
 
 
 # -- parameter domains -------------------------------------------------------
@@ -252,14 +251,14 @@ class ParamDomain:
             tuple((float(lo), float(hi)) for lo, hi in box) for box in self.boxes
         )
         if not boxes:
-            raise ValueError("domain needs at least one box")
+            raise LengthMismatch("domain needs at least one box")
         k = len(boxes[0])
         if any(len(b) != k for b in boxes):
-            raise ValueError("all boxes must share one dimension")
+            raise LengthMismatch("all boxes must share one dimension")
         for box in boxes:
             for lo, hi in box:
                 if not lo <= hi:
-                    raise ValueError(f"empty interval ({lo}, {hi})")
+                    raise DomainViolation(f"empty interval ({lo}, {hi})")
         object.__setattr__(self, "boxes", boxes)
 
     @property
@@ -319,12 +318,12 @@ class EstimatingModel:
         out = np.asarray(self.u(pts, th), dtype=float)
         expected = th.shape[:-1] + (len(pts), self.n_constraints)
         if out.shape != expected:
-            raise ValueError(
+            raise LengthMismatch(
                 f"u returned shape {out.shape}, expected {expected} "
                 f"({self.n_constraints} components per point)"
             )
         if not np.all(np.isfinite(out)):
-            raise ValueError("u produced non-finite values")
+            raise DomainViolation("u produced non-finite values")
         return out
 
     def du_matrix(self, points, theta) -> np.ndarray:
@@ -399,14 +398,9 @@ def log_mass_table(candidates: Sequence[Pmf], values: np.ndarray) -> np.ndarray:
     exact posterior updates and likelihood rankings see the data.
     """
     vals = np.asarray(values, dtype=float)
-    out = np.empty((len(candidates), vals.size))
+    masses = np.array([cand.masses(vals) for cand in candidates])
     with np.errstate(divide="ignore"):
-        for k, cand in enumerate(candidates):
-            idx = np.searchsorted(cand.support, vals)
-            idx_c = np.clip(idx, 0, cand.m - 1)
-            hit = cand.support[idx_c] == vals
-            out[k] = np.log(np.where(hit, cand.weights[idx_c], 0.0))
-    return out
+        return np.log(masses.reshape(len(candidates), vals.size))
 
 
 def counts_loglik(log_mass: np.ndarray, counts: np.ndarray) -> np.ndarray:

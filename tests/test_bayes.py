@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elmap.bayes import (
+    PROJECTION_TIE,
     PriorGrid,
     _posterior,
     _tv_ball,
@@ -509,3 +510,46 @@ class TestArrayFormAgreement:
         for name, values in ref.items():
             assert np.array_equal(getattr(rep, name), values), name
         assert rep.mean_of_means == make_pmf(r.support, mean_stack / len(seeds))
+
+    def random_grids(self, count):
+        """Grids of candidates with zero weights, each with an r on a
+        subset of the grid's support, in half the draws with an atom off it."""
+        rng = np.random.default_rng(17)
+        for _ in range(count):
+            m = int(rng.integers(2, 9))
+            support = np.sort(rng.choice(np.arange(-12, 13), size=m, replace=False)) / 4.0
+            w = rng.dirichlet(np.ones(m), size=int(rng.integers(1, 9)))
+            w[rng.random(w.shape) < 0.25] = 0.0
+            w = w[w.sum(axis=1) > 0.0]
+            r_sup = support[rng.random(m) < 0.8]
+            if rng.random() < 0.5:
+                r_sup = np.append(r_sup, 5.0)
+            if len(w) == 0 or r_sup.size == 0:
+                continue
+            r_w = rng.dirichlet(np.ones(r_sup.size))
+            yield make_prior_grid([make_pmf(support, row / row.sum()) for row in w]), \
+                make_pmf(r_sup, r_w)
+
+    def test_grid_l_projections_match_per_candidate_l_divergence(self, config):
+        r, split = config
+        ref = np.array([l_divergence(c, r) for c in split.candidates])  # 8 low, 8 high
+        low, high = int(np.argmin(ref[:8])), 8 + int(np.argmin(ref[8:]))
+        assert split_projections(split, r, 0.7, 1.3) == (low, high)
+        infinite = none_finite = 0
+        for prior, r in [(split, r)] + list(self.random_grids(400)):
+            ref = np.array([l_divergence(c, r) for c in prior.candidates])
+            if np.isinf(ref).all():
+                with pytest.raises(InfiniteRate):
+                    grid_l_projections(prior, r)
+                none_finite += 1
+                continue
+            vals, idx = grid_l_projections(prior, r)
+            # the scores split_projections took before, one log-mass row per candidate
+            table = log_mass_table(prior.candidates, r.support)
+            assert np.array_equal(vals, -counts_loglik(table, r.weights))
+            fin = np.isfinite(ref)
+            assert np.array_equal(np.isfinite(vals), fin)
+            assert np.allclose(vals[fin], ref[fin], rtol=1e-14, atol=0.0)
+            assert idx == [int(i) for i in np.flatnonzero(ref <= ref.min() + PROJECTION_TIE)]
+            infinite += int((~fin).sum())
+        assert infinite > 200 and none_finite > 50

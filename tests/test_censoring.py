@@ -13,6 +13,7 @@ from elmap.censoring import (
     SurvivalCurve,
     censor_generate,
     censored_decay_experiment,
+    censored_grid_divergences,
     censored_l_divergence,
     censored_loglik,
     censored_posterior,
@@ -313,6 +314,39 @@ class TestDecay:
         post_once, cum_once = censored_posterior(prior, data)
         assert np.array_equal(post_chain, post_once)
         assert np.array_equal(cum_chain, cum_once)
+
+
+class TestGridDivergences:
+    """The grid's censored divergences, one matrix product, against
+    censored_l_divergence one candidate at a time."""
+
+    def test_match_per_candidate(self):
+        rng = np.random.default_rng(29)
+
+        def rows(size, m):
+            w = rng.dirichlet(np.ones(m), size=size)
+            w[rng.random(w.shape) < 0.3] = 0.0
+            w[w.sum(axis=1) == 0.0, 0] = 1.0
+            return w / w.sum(axis=1, keepdims=True)
+
+        infinite = finite = 0
+        for _ in range(300):
+            m = int(rng.integers(1, 8))
+            grid = np.sort(rng.choice(np.arange(1, 20), size=m, replace=False)).astype(float)
+            f0, g0 = rows(2, m)
+            model = CensoringModel.from_components(make_pmf(grid, f0), make_pmf(grid, g0))
+            prior = make_prior_grid([make_pmf(grid, w) for w in rows(int(rng.integers(1, 9)), m)])
+            vals = censored_grid_divergences(prior, model)
+            ref = np.array([censored_l_divergence(c, model) for c in prior.candidates])
+            fin = np.isfinite(ref)
+            assert np.array_equal(np.isfinite(vals), fin)
+            assert np.allclose(vals[fin], ref[fin], rtol=1e-14, atol=0.0)
+            infinite += int((~fin).sum())
+            finite += int(fin.sum())
+            if fin.all():
+                rep, = censored_decay_experiment(prior, [prior.k - 1], model, [5], [0])
+                assert rep.theoretical_rate == vals[-1] - vals.min()
+        assert infinite > 200 and finite > 200
 
 
 class TestSurvivalCurveValidation:

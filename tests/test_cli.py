@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elmap
 import elmap.cli as cli
 from elmap.cli import main
 
@@ -537,6 +538,31 @@ n = 100
         assert "FAIL" in out and "asymmetric split: component minima" in out
         lhs, rhs = out.split("component minima")[1].split(" vs ")
         assert float(lhs) != float(rhs.split()[0])  # both values printed
+
+
+    @pytest.mark.parametrize("kind, old, new, message", [
+        ("blln", "candidates = 0.6, 0.4 ; 0.9, 0.1", "candidates = 1, 0 ; 0, 1",
+         "no candidate dominates the support of r"),
+        ("censor", "candidates = 0.5, 0.3, 0.2 ; 0.6, 0.3, 0.1",
+         "candidates = 0, 0.5, 0.5 ; 0, 0.9, 0.1",
+         "every candidate has infinite censored divergence"),
+    ])
+    def test_every_candidate_infinite(self, tmp_path, capsys, kind, old, new, message):
+        text = BLLN_CFG if kind == "blln" else (SHIPPED / "censor.cfg").read_text()
+        cfg = write(tmp_path, f"{kind}.cfg", text.replace(old, new))
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert f"FAIL: {message}" in capsys.readouterr().out
+        out = tmp_path / "o"
+        assert main([kind, "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_pyproject_version_is_package_version():
+    # a regex, not tomllib, which Python 3.10 lacks
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    match = re.search(r'^\[project\]$[^\[]*?^version = "([^"]+)"$', text, re.M | re.S)
+    assert match is not None and match.group(1) == elmap.__version__
 
 
 def scipy_modules_after(code: str) -> str:

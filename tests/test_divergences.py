@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -284,3 +285,135 @@ class TestDivergenceSpec:
 def test_entropy_matches_self_divergence():
     p = make_pmf([0, 1, 2], [0.2, 0.5, 0.3])
     assert math.isclose(entropy(p), l_divergence(p, p), rel_tol=1e-15)
+
+
+# -- the array forms against per-atom loops -----------------------------------
+#
+# Each reference walks the atoms one at a time, reading masses from a dict,
+# and returns its terms (None when the value is +inf).  The array forms sum
+# in another order, so they agree to within 1e-14 of the sum of the terms'
+# absolute values: at most a few dozen roundings of eps = 2.2e-16 each.  For
+# L, whose terms share one sign, that is plain rtol 1e-14.
+
+
+def atom_masses(d):
+    return dict(zip(d.support.tolist(), d.weights.tolist()))
+
+
+def l_terms(q, p):
+    qm, terms = atom_masses(q), []
+    for x, pw in atom_masses(p).items():
+        if pw == 0.0:
+            continue
+        if qm.get(x, 0.0) <= 0.0:
+            return None
+        terms.append(-pw * math.log(qm[x]))
+    return terms
+
+
+def kl_terms(q, p):
+    pm, terms = atom_masses(p), []
+    for x, qw in atom_masses(q).items():
+        if qw == 0.0:
+            continue
+        if pm.get(x, 0.0) <= 0.0:
+            return None
+        terms.append(qw * math.log(qw / pm[x]))
+    return terms
+
+
+def cr_terms(q, mu, gamma):
+    terms = []
+    for qi, mi in zip(q.weights.tolist(), mu.weights.tolist()):
+        if qi == 0.0:
+            if gamma < -1.0 and mi > 0.0:
+                return None
+        elif mi == 0.0:
+            if gamma > 0.0:
+                return None
+            terms.append(-qi / (gamma * (gamma + 1.0)))
+        else:
+            terms.append(qi * ((qi / mi) ** gamma - 1.0) / (gamma * (gamma + 1.0)))
+    return terms
+
+
+def polya_terms(q, p, beta, c):
+    if c == 0:
+        terms = l_terms(q, p)
+        return None if terms is None else terms + [-1.0]
+    t = beta * float(c)
+    qm, pm, terms = atom_masses(q), atom_masses(p), []
+    for x in sorted(set(qm) | set(pm)):
+        qi, pi = qm.get(x, 0.0), pm.get(x, 0.0)
+        mix = qi + t * pi
+        if (pi > 0.0 or qi > 0.0) and mix <= 0.0:
+            raise DomainViolation(f"q + beta*c*p = {mix!r} at x={x} is not positive")
+        if pi > 0.0:
+            terms.append(-pi * math.log(mix))
+        if qi > 0.0:
+            terms.append(qi * math.log(qi / mix) / t)
+    return terms
+
+
+def assert_sums(value, terms):
+    if terms is None:
+        assert value == math.inf
+    else:
+        assert math.isfinite(value)
+        assert abs(value - sum(terms)) <= 1e-14 * sum(abs(v) for v in terms)
+
+
+def random_pmfs(seed, count, same_support=False):
+    """Pairs of pmfs with zero weights, on one support (always when
+    same_support, else in two draws of three) or on two random ones."""
+    rng = np.random.default_rng(seed)
+    grid = np.arange(-12, 13) / 4.0
+    for _ in range(count):
+        m = int(rng.integers(1, 10))
+        sup = [np.sort(rng.choice(grid, size=m, replace=False)) for _ in range(2)]
+        if same_support or rng.random() < 2 / 3:
+            sup[1] = sup[0]
+        pair = []
+        for s in sup:
+            w = rng.dirichlet(np.full(s.size, 0.8))
+            w[rng.random(s.size) < 0.2] = 0.0
+            if w.sum() == 0.0:
+                w[rng.integers(s.size)] = 1.0
+            pair.append(make_pmf(s, w / w.sum()))
+        yield pair
+
+
+class TestArrayFormAgreement:
+    def test_l_and_kl_match_atom_loops(self):
+        infinite = finite = 0
+        for q, p in random_pmfs(11, 2000):
+            for div, terms in ((l_divergence, l_terms), (kl_divergence, kl_terms)):
+                ref = terms(q, p)
+                assert_sums(div(q, p), ref)
+                infinite += ref is None
+                finite += ref is not None
+        assert infinite > 1000 and finite > 1000
+
+    def test_cressie_read_matches_atom_loop(self):
+        infinite = 0
+        for q, mu in random_pmfs(12, 500, same_support=True):
+            for gamma in (-2.5, -1.5, -0.5, 0.5, 1.0, 2.0):
+                ref = cr_terms(q, mu, gamma)
+                assert_sums(cressie_read(q, mu, gamma), ref)
+                infinite += ref is None
+        assert infinite > 500
+
+    def test_polya_l_matches_atom_loop(self):
+        cases = {"finite": 0, "infinite": 0, "violation": 0}
+        for q, p in random_pmfs(13, 1000):
+            for beta, c in ((0.5, 0), (0.3, 1), (0.7, 3), (0.4, -1), (0.9, -2)):
+                try:
+                    ref = polya_terms(q, p, beta, c)
+                except DomainViolation as exc:
+                    with pytest.raises(DomainViolation, match=re.escape(str(exc))):
+                        polya_l_divergence(q, p, beta, c)
+                    cases["violation"] += 1
+                    continue
+                assert_sums(polya_l_divergence(q, p, beta, c), ref)
+                cases["infinite" if ref is None else "finite"] += 1
+        assert min(cases.values()) > 500

@@ -22,6 +22,8 @@ from elmap.prob import (
     ParamDomain,
     Pmf,
     Sample,
+    _settle_residual,
+    atom_index,
     empirical_pmf,
     linear_model,
     logsumexp,
@@ -90,7 +92,7 @@ class TestMakePmf:
         assert np.allclose(p.weights, [0.2, 0.3, 0.5])
 
     def test_duplicate_support_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainViolation):
             make_pmf([0, 0, 1], [0.3, 0.3, 0.4])
 
     @pytest.mark.parametrize(
@@ -201,6 +203,107 @@ class TestSupportDominates:
         q = make_pmf([0, 1, 2], [1 / 3, 1 / 3, 1 / 3])
         assert support_dominates(p, q)
         assert not support_dominates(q, p)
+
+
+# -- the one atom lookup against a scan of the support ---------------------------
+
+
+def scan(support, x):
+    """(j, True) for the atom support[j] == x, (None, False) if none is."""
+    for j, s in enumerate(support):
+        if s == x:
+            return j, True
+    return None, False
+
+
+def random_pmf(rng, grid):
+    m = int(rng.integers(1, 12))
+    support = np.sort(rng.choice(grid, size=m, replace=False))
+    w = rng.dirichlet(np.ones(m))
+    w[rng.random(m) < 0.2] = 0.0
+    if w.sum() == 0.0:
+        w[rng.integers(m)] = 1.0
+    return make_pmf(support, w / w.sum())
+
+
+class TestAtomIndex:
+    """atom_index, Pmf.masses and the functions built on them against
+    per-value scans of the support."""
+
+    GRID = np.arange(-30, 31) / 4.0
+
+    def test_matches_scan(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(300):
+            p = random_pmf(rng, self.GRID)
+            between = (p.support[:-1] + p.support[1:]) / 2.0
+            values = np.concatenate([
+                p.support, between, [p.support[0] - 1.0, p.support[-1] + 1.0],
+                [-math.inf, math.inf, math.nan],
+            ])
+            rng.shuffle(values)
+            idx, hit = atom_index(p.support, values)
+            masses = p.masses(values)
+            assert idx.shape == hit.shape == masses.shape == values.shape
+            for x, i, h, w in zip(values, idx, hit, masses):
+                j, on = scan(p.support, x)
+                assert h == on and 0 <= i < p.m
+                assert w == (p.weights[j] if on else 0.0)
+                assert i == j or not on
+                assert p.mass(x) == w
+            two_rows = values[: values.size // 2 * 2].reshape(2, -1)
+            assert np.array_equal(p.masses(two_rows), masses[: two_rows.size].reshape(2, -1))
+
+    def test_tv_distance_and_support_dominates_match_scans(self):
+        rng = np.random.default_rng(31)
+        dominated = 0
+        for _ in range(300):
+            p, q = random_pmf(rng, self.GRID[::6]), random_pmf(rng, self.GRID[::6])
+            atoms = sorted(set(p.support.tolist()) | set(q.support.tolist()))
+            mp, mq = (dict(zip(d.support.tolist(), d.weights.tolist())) for d in (p, q))
+            tv = 0.5 * sum(abs(mp.get(x, 0.0) - mq.get(x, 0.0)) for x in atoms)
+            assert abs(tv_distance(p, q) - tv) <= 1e-14
+            dom = all(mq.get(x, 0.0) > 0.0 for x, w in mp.items() if w > 0.0)
+            assert support_dominates(p, q) == dom
+            dominated += dom
+        assert 30 < dominated < 270  # both answers occur
+
+
+def settle_residual_loop(w):
+    """_settle_residual as a walk over the atoms from the smallest weight."""
+    for _ in range(16):
+        resid = 1.0 - w.sum()
+        if resid == 0.0:
+            break
+        applied = False
+        for k in np.argsort(w):
+            if w[k] <= 0.0 or w[k] + resid <= 0.0:
+                continue
+            cand = w[k] + resid
+            if cand != w[k]:
+                w[k] = cand
+                applied = True
+                break
+        if not applied:
+            break
+
+
+def test_settle_residual_matches_atom_walk():
+    rng = np.random.default_rng(5)
+    settled = 0
+    for _ in range(2000):
+        m = int(rng.integers(2, 40))
+        w = rng.dirichlet(np.full(m, 0.3)) * rng.uniform(0.999, 1.001)
+        w[rng.random(m) < 0.2] = 0.0
+        if w.sum() == 0.0:
+            continue
+        w /= w.sum()
+        settled += w.sum() != 1.0
+        ref = w.copy()
+        settle_residual_loop(ref)
+        _settle_residual(w)
+        assert np.array_equal(w, ref)
+    assert settled > 500  # the residual walk ran on many rows
 
 
 class TestDomainsAndModels:
@@ -359,11 +462,11 @@ class TestBatchedModels:
         non_finite = model(lambda x, th: np.log(x - th[..., :1])[..., None], 1)
         ignores_stack = model(lambda x, th: (x - th[0])[:, None], 1)
         for theta in (stack[0], stack):
-            with pytest.raises(ValueError, match="2 components"):
+            with pytest.raises(LengthMismatch, match="2 components"):
                 wrong_j.u_matrix(points, theta)
-            with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+            with np.errstate(all="ignore"), pytest.raises(DomainViolation, match="non-finite"):
                 non_finite.u_matrix(points, theta)
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(LengthMismatch, match="shape"):
             ignores_stack.u_matrix(points, stack)
 
 
