@@ -5,8 +5,11 @@
 BASE and HEAD are checkout roots, each holding ``src/elmap`` (in CI, the
 pull request's base commit as a git worktree, and the head).  Every
 config in BASE's ``configs/`` runs with its own seeds through each tree's
-``elmap.cli``.  When both trees report the same ``elmap.__version__``,
-every CSV a run writes must be byte-identical between the two, and both
+``elmap.cli``, and each tree runs one fixed, seeded list of estimator fits
+(EL, ET, Euclidean and Cressie-Read with gamma = 0.5 and -0.5, on the mean
+model and on the linear preset).  When both trees report the same
+``elmap.__version__``, every CSV a run writes and every fit's theta_hat,
+profile value, lam and w must be byte-identical between the two, and both
 runs must succeed; otherwise the script exits 1 and names what differs.
 When the version changed, differences are listed and allowed.
 """
@@ -28,8 +31,45 @@ import elmap, elmap.cli
 assert elmap.__file__.startswith(sys.argv[1]), elmap.__file__
 if sys.argv[2] == "version":
     print(elmap.__version__)
+elif sys.argv[2] == "fits":
+    exec(sys.argv[3])
 else:
     sys.exit(elmap.cli.main(sys.argv[2:]))
+"""
+
+# Run by the child with the tree's elmap: one line per fit and field, the
+# field's bytes in hex, or the class of the error the fit raised.
+_FITS = """
+import numpy as np
+from elmap.estimators import cr_estimate, el_estimate, et_estimate, euclidean_estimate
+from elmap.prob import Sample, linear_model, mean_model
+
+methods = {
+    "EL": el_estimate, "ET": et_estimate, "Euclidean": euclidean_estimate,
+    "CR(0.5)": lambda s, m, g: cr_estimate(s, m, 0.5, g),
+    "CR(-0.5)": lambda s, m, g: cr_estimate(s, m, -0.5, g),
+}
+rng = np.random.default_rng(18)
+cases = []
+for n in (12, 60, 200):
+    support = rng.choice(np.arange(-5.0, 6.0), size=int(rng.integers(2, 7)), replace=False)
+    obs = rng.choice(support, size=n, p=rng.dirichlet(np.ones(support.size)))
+    cases.append((f"mean n={n}", Sample(tuple(obs)), mean_model(), 201))
+x = rng.integers(0, 4, size=30).astype(float)
+y = np.round(0.5 + 0.7 * x + 0.3 * rng.normal(size=30), 3)
+cases.append(("linear n=30", Sample(tuple(zip(x, y))), linear_model(), 11))
+for case, sample, model, grid_points in cases:
+    for method, estimate in methods.items():
+        name = f"{case} {method}"
+        try:
+            fit = estimate(sample, model, grid_points)
+        except Exception as exc:
+            print(name, "error", type(exc).__name__, sep="\t")
+            continue
+        fields = {"theta_hat": fit.theta_hat, "profile_value": fit.inner.profile_value,
+                  "lam": fit.inner.lam, "w": fit.inner.w}
+        for field, value in fields.items():
+            print(name, field, np.asarray(value, dtype=float).tobytes().hex(), sep="\t")
 """
 
 
@@ -55,6 +95,22 @@ def _run_all(tree: Path, configs: list, out: Path) -> dict:
     return results
 
 
+def _status(result) -> str:
+    return result if isinstance(result, str) else "ok"
+
+
+def _fits(tree: Path):
+    """{fit name: {field: hex bytes}}, or the run's stderr on failure."""
+    proc = _elmap(tree, "fits", _FITS)
+    if proc.returncode != 0:
+        return f"exit {proc.returncode}: {proc.stderr.strip()}"
+    fits: dict = {}
+    for line in proc.stdout.splitlines():
+        name, field, value = line.split("\t")
+        fits.setdefault(name, {})[field] = value
+    return fits
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -76,14 +132,24 @@ def main(argv=None) -> int:
     for cfg in configs:
         a, b = runs[0][cfg.name], runs[1][cfg.name]
         if isinstance(a, str) or isinstance(b, str):
-            problems.append(f"{cfg.name}: base {a if isinstance(a, str) else 'ok'}, "
-                            f"head {b if isinstance(b, str) else 'ok'}")
+            problems.append(f"{cfg.name}: base {_status(a)}, head {_status(b)}")
             continue
         for name in sorted(set(a) | set(b)):
             if a.get(name) != b.get(name):
                 problems.append(f"{cfg.name}: {name} differs")
             else:
                 print(f"{cfg.name}: {name} identical")
+    a, b = (_fits(tree) for tree in (base, head))
+    if isinstance(a, str) or isinstance(b, str):
+        problems.append(f"estimator fits: base {_status(a)}, head {_status(b)}")
+    else:
+        for name in dict.fromkeys([*a, *b]):
+            fa, fb = a.get(name, {}), b.get(name, {})
+            differ = [f for f in dict.fromkeys([*fa, *fb]) if fa.get(f) != fb.get(f)]
+            if differ:
+                problems.append(f"fit {name}: {', '.join(differ)} differ")
+            else:
+                print(f"fit {name}: identical")
     for p in problems:
         print(p)
     if versions[0] != versions[1]:
@@ -92,7 +158,8 @@ def main(argv=None) -> int:
     if problems:
         print(f"version {versions[0]} unchanged, but {len(problems)} output(s) differ")
         return 1
-    print(f"version {versions[0]}: {len(configs)} configs, every CSV identical")
+    print(f"version {versions[0]}: {len(configs)} configs, every CSV identical; "
+          f"{len(a)} estimator fits identical")
     return 0
 
 

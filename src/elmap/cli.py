@@ -255,6 +255,10 @@ def fit_settings(cfg: Config) -> FitSettings:
         obs = _data_file(path, _observation)
     if not obs:
         raise ConfigInvalid("[data] observations or file holds no observation")
+    try:
+        sample = Sample(tuple(obs))
+    except DomainViolation as exc:  # rows of a data file with mixed lengths
+        raise ConfigInvalid(f"bad [data] observations or file: {exc}") from None
     preset = cfg.get("model", "preset", str.strip, default="mean")
     if preset not in _PRESETS:
         raise ConfigInvalid(f"unknown preset {preset!r} in [model] preset")
@@ -262,7 +266,7 @@ def fit_settings(cfg: Config) -> FitSettings:
     if method not in _ESTIMATES:
         raise ConfigInvalid(f"unknown method {method!r} in [model] method")
     return FitSettings(
-        Sample(tuple(obs)),
+        sample,
         _PRESETS[preset](),
         method,
         cfg.positive("model", "grid_points", int, default=201),

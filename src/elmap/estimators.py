@@ -23,8 +23,9 @@ envelope theorem: dP/dtheta = sum_a q_a mu . du_a/dtheta, with q the fitted
 atom weights and mu the moment multiplier of the primal (-n lam for EL, ET
 and Cressie-Read, 2 lam for the Euclidean closed form).  Atoms, counts and
 the observation-to-atom index are computed once per fit; each theta
-evaluation solves only the inner dual.  ``profile_l_projection`` runs the
-same search.
+evaluation solves only the inner dual, and each theta is solved once: the
+fit at the estimate is the search's own solution there.
+``profile_l_projection`` runs the same search.
 """
 
 from __future__ import annotations
@@ -245,7 +246,8 @@ def _estimate(
     bounds,
 ) -> ELFit:
     """Minimize the profile of ``solve`` over the model's parameter domain
-    by ``_profile_min``, on a grid over each domain box, and fit there.
+    by ``_profile_min``, on a grid over each domain box; the fit is the
+    search's solution at the minimizer.
 
     The grid's axes span each box, or where it is unbounded ``bounds`` or
     else the data range with a margin.  For scalar models they include
@@ -288,10 +290,10 @@ def _estimate(
         if root is not None and all(lo <= t <= hi for t, (lo, hi) in zip(root, box)):
             pts = np.vstack([pts, root])
         stages.append((pts, steps))
-    theta, _, trace = _profile_min(mp, solve, stages)
+    theta, _, solved, trace = _profile_min(mp, solve, stages)
     if theta is None:
         raise AllThetaInfeasible("profile objective infinite on the whole grid")
-    fit = mp.fit(theta, solve(mp, theta[None]), 0)
+    fit = mp.fit(theta, *solved)
     trace = tuple((tuple(th), v) for th, v, f in trace if f is not ThetaOutOfDomain)
     return ELFit(theta_hat=theta, inner=fit, trace=trace, method=method)
 

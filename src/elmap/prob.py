@@ -177,19 +177,31 @@ def normalize_rows(support: Sequence[float], weights) -> tuple:
 @dataclass(frozen=True)
 class Sample:
     """An observed data sequence; observations are scalars or fixed-length
-    tuples (the bivariate regression preset uses (x, y) pairs)."""
+    tuples (the bivariate regression preset uses (x, y) pairs).  Anything
+    else, such as rows of mixed length, scalars mixed with tuples or
+    non-numeric entries, raises DomainViolation."""
 
     observations: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "observations",
-            tuple(
-                tuple(float(v) for v in o) if isinstance(o, (tuple, list, np.ndarray)) else float(o)
-                for o in self.observations
-            ),
-        )
+        try:
+            vals = np.asarray(self.observations, dtype=float)
+            # None is the one non-number the conversion takes (as nan)
+            if np.isnan(vals).any() and np.equal(np.array(self.observations, object), None).any():
+                raise TypeError("None is not a number")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainViolation(
+                f"observations must be numbers or equal-length tuples of numbers: {exc}"
+            ) from None
+        if vals.ndim == 1:
+            obs = tuple(vals.tolist())
+        elif vals.ndim == 2:
+            obs = tuple(map(tuple, vals.tolist()))
+        else:
+            raise DomainViolation(
+                f"observations must be scalars or equal-length tuples, not of shape {vals.shape}"
+            )
+        object.__setattr__(self, "observations", obs)
 
     @property
     def n(self) -> int:
@@ -408,6 +420,7 @@ def counts_loglik(log_mass: np.ndarray, counts: np.ndarray) -> np.ndarray:
     per-cell counts.  ``log_mass`` is (K, c); ``counts`` is (c,) or (C, c),
     giving (K,) or (C, K).  A zero count contributes 0 even where the mass
     is 0; a positive count there gives -inf."""
+    log_mass = np.ascontiguousarray(log_mass)  # the sums must not depend on memory order
     finite = np.isfinite(log_mass)
     out = counts @ np.where(finite, log_mass, 0.0).T
     out[(counts > 0) @ ~finite.T] = -np.inf

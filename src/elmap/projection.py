@@ -685,12 +685,13 @@ def envelope_gradient(q: np.ndarray, mu: np.ndarray, jac: np.ndarray) -> np.ndar
 
 
 def refine_min(
-    fun, theta: np.ndarray, value: float, grad: np.ndarray, box, step
-) -> tuple[np.ndarray, float]:
+    fun, grad, theta: np.ndarray, value: float, fit, box, step
+) -> tuple[np.ndarray, float, object]:
     """Projected quasi-Newton descent from a grid node.
 
-    ``fun(theta)`` returns (value, gradient thunk), with value +inf where
-    the profile is undefined.  BFGS runs on the coordinates that the
+    ``fun(theta)`` returns (value, fit), with value +inf where the profile
+    is undefined; ``grad(theta, fit)`` is the profile's gradient there, and
+    ``fit`` is the start node's.  BFGS runs on the coordinates that the
     gradient does not hold at a bound of ``box`` (for one coordinate it is
     the secant method).  The first step moves at most ``step`` along each
     coordinate.  Each step is clipped to the box and backtracked until the
@@ -699,12 +700,14 @@ def refine_min(
     predicted decrease is below the resolution of the profile value, a
     trial is accepted while it shrinks the projected gradient instead.
     Stops when a step would move less than REFINE_TOL or the projected
-    gradient vanishes.  Returns (theta, value), never worse than the start.
+    gradient vanishes.  Returns (theta, value, fit) of the last accepted
+    trial, or of the start when that is not worse.
     """
     lo = np.array([b[0] for b in box], dtype=float)
     hi = np.array([b[1] for b in box], dtype=float)
     step = np.asarray(step, dtype=float)
-    x, f, g = theta.copy(), value, grad
+    x, f, g = theta.copy(), value, grad(theta, fit)
+    xfit = fit
     hinv = None
 
     def projected(x, g):
@@ -732,11 +735,11 @@ def refine_min(
             if float(np.max(np.abs(s))) <= REFINE_TOL:
                 break
             slope = float(g @ s)
-            ft, thunk = fun(t)
+            ft, tfit = fun(t)
             if not math.isfinite(ft):
                 alpha *= 0.5
                 continue
-            gt = thunk()
+            gt = grad(t, tfit)
             pgt = projected(t, gt)
             if ft <= f + _ARMIJO * slope or (
                 -slope <= resolution
@@ -758,10 +761,10 @@ def refine_min(
             rho = 1.0 / sy
             v = np.eye(x.size) - rho * np.outer(s, y)
             hinv = v @ hinv @ v.T + rho * np.outer(s, s)
-        x, f, g, pg = t, ft, gt, pgt
+        x, f, g, pg, xfit = t, ft, gt, pgt, tfit
     if f > value:
-        return theta.copy(), value
-    return x, f
+        return theta.copy(), value, fit
+    return x, f, xfit
 
 
 def _profile_min(mp: _MomentProblem, solve, stages):
@@ -771,37 +774,38 @@ def _profile_min(mp: _MomentProblem, solve, stages):
     ``solve(mp, thetas)`` returns the ProjectionStack of a stack of theta
     values.  ``stages`` holds (points, steps) pairs: grid points (G, K),
     solved in stacks cut by ``blocks``, and the refinement's first step per
-    coordinate from a start among them.  Ties within 1e-12 go to the
-    lexicographically smallest node.  The grid is the global start because
-    the profile is +inf off the hull; the refinement stays in the first
-    domain box that holds the start.  Returns (theta, value, trace), theta
-    None when no grid value is finite; the trace holds a (theta, value,
-    failure) record per evaluation, grid nodes first and in order.
+    coordinate from a start among them.  The start is, among the finite
+    nodes of every stage within 1e-12 of the grid minimum, the
+    lexicographically smallest.  The grid is the global start because the
+    profile is +inf off the hull; the refinement stays in the first domain
+    box that holds the start.  Returns (theta, value, fit, trace): theta
+    None when no grid value is finite; fit the (ProjectionStack, node) pair
+    that solved the returned theta, which no second solve repeats; the
+    trace a (theta, value, failure) record per evaluation, grid nodes first
+    and in order.
     """
-    best_theta = None
-    best_val = math.inf
     trace: list = []
+    solved = []  # (ProjectionStack, steps) per block of grid nodes
     for pts, steps in stages:
         for block in blocks(len(pts)):
             ths = pts[block]
             sol = solve(mp, ths)
             trace.extend(zip(ths.tolist(), sol.value.tolist(), sol.failure))
-            for i in np.flatnonzero(np.isfinite(sol.value)):
-                v = float(sol.value[i])
-                better = v < best_val - 1e-12
-                tie_smaller = v <= best_val + 1e-12 and (
-                    best_theta is None or tuple(ths[i]) < tuple(best_theta)
-                )
-                if better or tie_smaller:
-                    best_val = min(best_val, v)
-                    best_theta = ths[i].copy()
-                    start = (v, sol, i, steps)
-    if best_theta is None:
-        return None, math.inf, trace
-    value, sol, i, steps = start
+            solved.append((sol, steps))
+    values = np.concatenate([np.empty(0)] + [sol.value for sol, _ in solved])
+    finite = np.flatnonzero(np.isfinite(values))
+    if not finite.size:
+        return None, math.inf, None, trace
+    thetas = np.concatenate([pts for pts, _ in stages])
+    near = finite[values[finite] <= values[finite].min() + 1e-12]
+    pick = near[np.lexsort(thetas[near].T[::-1])[0]]
+    starts = np.cumsum([0] + [sol.value.size for sol, _ in solved])
+    block = int(np.searchsorted(starts, pick, side="right")) - 1
+    sol, steps = solved[block]
+    theta = thetas[pick]
     box = next(
         b for b in mp.model.domain.boxes
-        if all(lo <= t <= hi for t, (lo, hi) in zip(best_theta, b))
+        if all(lo <= t <= hi for t, (lo, hi) in zip(theta, b))
     )
 
     def one(th: np.ndarray):
@@ -809,10 +813,13 @@ def _profile_min(mp: _MomentProblem, solve, stages):
         trace.append((th.tolist(), float(sol.value[0]), sol.failure[0]))
         if sol.failure[0] is not None:
             return math.inf, None
-        return float(sol.value[0]), lambda: mp.gradient(th, sol, 0)
+        return float(sol.value[0]), (sol, 0)
 
-    grad = mp.gradient(best_theta, sol, i)
-    return (*refine_min(one, best_theta, value, grad, box, steps), trace)
+    def grad(th: np.ndarray, fit) -> np.ndarray:
+        return mp.gradient(th, *fit)
+
+    fit = (sol, int(pick - starts[block]))
+    return (*refine_min(one, grad, theta, float(values[pick]), fit, box, steps), trace)
 
 
 def profile_l_projection(
@@ -824,7 +831,7 @@ def profile_l_projection(
     grid = np.array([np.atleast_1d(np.asarray(t, dtype=float)) for t in theta_grid])
     steps = [(a[-1] - a[0]) / (a.size - 1) if a.size > 1 else 1.0 for a in map(np.unique, grid.T)]
     solve = functools.partial(_MomentProblem.dual, gamma=-1.0)
-    theta, _, trace = _profile_min(_l_problem(r, model), solve, [(grid, steps)])
+    theta, _, _, trace = _profile_min(_l_problem(r, model), solve, [(grid, steps)])
     if theta is None:
         raise AllInfeasible("projection infeasible on the whole grid")
     vals = [v for _, v, _ in trace[: len(grid)]]

@@ -304,6 +304,17 @@ class TestBadData:
         assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"{data} line 3" in capsys.readouterr().err
 
+    def test_fit_file_mixed_row_lengths(self, tmp_path, capsys):
+        data = tmp_path / "obs.csv"
+        data.write_text("x\n0\n1,2\n2\n")
+        cfg = write(tmp_path, "fit.cfg", FIT_CFG.replace(
+            "observations = 0, 1, 2, 1, 1, 0, 2, 1", f"file = {data}"))
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert "FAIL: bad [data] observations or file" in capsys.readouterr().out
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "bad [data] observations or file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("kind", ["censor", "fit"])
     def test_missing_data_file_validate_agrees_with_run(self, tmp_path, capsys, kind):
         cfg = write(tmp_path, f"{kind}.cfg",

@@ -495,6 +495,35 @@ class TestGridStack:
                 else:
                     assert abs(value - single) <= 1e-12 * abs(single), (th, value, single)
 
+    @pytest.mark.parametrize(
+        "method,inner", _INNERS_BY_METHOD, ids=[m for m, _ in _INNERS_BY_METHOD]
+    )
+    def test_inner_is_a_fresh_fit_at_theta_hat(self, method, inner):
+        # The estimate reuses the search's solution at theta_hat: a grid
+        # node's from its grid stack (S012's mean 1.0 is a data-value node,
+        # where refinement does not move), else the last accepted refinement
+        # trial's.  Either must equal a fresh single-theta fit bit for bit.
+        rng = np.random.default_rng(5)
+        obs = np.append(rng.choice([0.0, 1.0, 2.0, 3.0], p=[0.22, 0.38, 0.38, 0.02], size=59), 3.0)
+        x = rng.integers(0, 4, size=30).astype(float)
+        y = np.round(0.5 + 0.7 * x + 0.3 * rng.normal(size=30), 3)
+        cases = [
+            (S012, mean_model(), 201),
+            (Sample(tuple(obs)), mean_model(), 41),
+            (Sample(tuple(obs)), overidentified_model(), 21),
+            (Sample(tuple(zip(x, y))), linear_model(), 11),
+        ]
+        for sample, model, grid_points in cases:
+            fit = _ESTIMATES[method](sample, model, grid_points)
+            if sample is S012:
+                assert fit.theta_hat.tolist() == [1.0]
+            fresh = inner(sample, model, fit.theta_hat)
+            for name in ("lam", "w", "profile_grad"):
+                got, want = getattr(fit.inner, name), getattr(fresh, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            assert np.float64(fit.inner.profile_value).tobytes() == np.float64(
+                fresh.profile_value).tobytes()
+
 
 def _gradient_cases(name, rng):
     """(sample, model, interior thetas) for the three models."""

@@ -24,6 +24,7 @@ from elmap.prob import (
     Sample,
     _settle_residual,
     atom_index,
+    counts_loglik,
     empirical_pmf,
     linear_model,
     logsumexp,
@@ -143,6 +144,69 @@ class TestEmpirical:
     def test_empty(self):
         with pytest.raises(EmptySample):
             empirical_pmf(Sample(()))
+
+
+def _per_element(observations):
+    """Sample's conversion before it took one array conversion: float() of
+    each scalar and of each entry of each tuple, list or array."""
+    return tuple(
+        tuple(float(v) for v in o) if isinstance(o, (tuple, list, np.ndarray)) else float(o)
+        for o in observations
+    )
+
+
+_NUMBERS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+)
+
+
+def _same_bits(got, want):
+    assert type(got) is tuple and len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        if isinstance(w, tuple):
+            assert all(type(v) is float for v in g)
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+class TestSample:
+    @given(st.lists(_NUMBERS, max_size=30))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_scalars_convert_as_per_element_float(self, obs):
+        _same_bits(Sample(obs).observations, _per_element(obs))
+
+    @given(st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.lists(_NUMBERS, min_size=d, max_size=d), min_size=1, max_size=20)
+    ), st.sampled_from([tuple, list, lambda r: np.array(r, dtype=object)]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_rows_convert_as_per_element_float(self, rows, row_type):
+        obs = tuple(map(row_type, rows))
+        _same_bits(Sample(obs).observations, _per_element(obs))
+
+    @pytest.mark.parametrize(
+        "observations",
+        [
+            [(1.0, 2.0), (3.0,)],  # rows of mixed length
+            [0.0, (1.0, 2.0)],  # a scalar mixed with a tuple
+            [(1.0, 2.0), 3.0],
+            np.zeros((2, 2, 2)),
+            [[[1.0]]],
+            5.0,  # not a sequence
+            "123",
+            ["1.5", "abc"],
+            [1.0, None],
+            [(1.0, None)],
+            [1j],
+            [10**400],
+        ],
+    )
+    def test_malformed_raises_domain_violation(self, observations):
+        with pytest.raises(DomainViolation, match="observations must be"):
+            Sample(observations)
 
 
 class TestTvDistance:
@@ -548,3 +612,20 @@ class TestPathCounts:
         sd = np.sqrt(self.LAW * (1.0 - self.LAW) / n)
         for counts in self.paths():
             assert np.all(np.abs(counts[-1] / n - self.LAW) <= 6.0 * sd)
+
+
+class TestCountsLoglik:
+    def test_memory_order_does_not_change_bits(self):
+        # A table taken by fancy indexing (w[:, idx]) is Fortran-ordered;
+        # its scores must be those of the C-ordered copy, bit for bit.
+        rng = np.random.default_rng(0)
+        log_w = np.log(rng.dirichlet(np.ones(40), size=16))
+        idx = rng.permutation(40)[:25]
+        log_w[3, idx[0]] = -np.inf
+        fortran = log_w[:, idx]
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        table = np.ascontiguousarray(fortran)
+        counts = rng.multinomial(1000, np.full(25, 1 / 25), size=200).astype(float)
+        for row in counts:
+            assert counts_loglik(fortran, row).tobytes() == counts_loglik(table, row).tobytes()
+        assert counts_loglik(fortran, counts).tobytes() == counts_loglik(table, counts).tobytes()

@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from elmap.errors import (
 )
 from elmap.prob import EstimatingModel, ParamDomain, make_pmf, mean_model, moments
 from elmap.projection import (
+    ProjectionStack,
+    _profile_min,
     dual_newton,
     l_project_linear,
     l_project_stack,
@@ -600,3 +603,73 @@ class TestProfile:
     def test_all_infeasible(self):
         with pytest.raises(AllInfeasible):
             profile_l_projection(UNIFORM3, mean_model(), [[2.5], [3.0]])
+
+
+class _TableProblem:
+    """A stand-in moment problem whose profile is ``table`` (theta tuple to
+    value, +inf elsewhere) with a zero gradient, so that the refinement
+    keeps the grid start and ``_profile_min`` returns the node it picked."""
+
+    def __init__(self, table, domain):
+        self.table = table
+        self.model = SimpleNamespace(domain=domain)
+
+    def gradient(self, th, sol, i):
+        return np.zeros(th.size)
+
+
+def _table_solve(mp, ths):
+    value = np.array([mp.table.get(tuple(t), math.inf) for t in ths.tolist()])
+    failure = [None if math.isfinite(v) else InfeasibleMoment for v in value]
+    zeros = np.zeros((len(ths), 1))
+    return ProjectionStack(value, zeros, zeros, zeros, failure, 0)
+
+
+HALVES = ParamDomain.union(ParamDomain.box((-math.inf, 0.7)), ParamDomain.box((1.3, math.inf)))
+
+
+class TestProfileMinPick:
+    """The grid start: among the finite nodes of every stage within 1e-12
+    of the grid minimum, the lexicographically smallest theta."""
+
+    @pytest.mark.parametrize(
+        "stages, table, domain, expected",
+        [
+            pytest.param(  # exact ties; the +inf node at 0.0 is not a candidate
+                [[[0.3], [0.1], [0.0], [0.2]]], {(0.3,): 1.0, (0.1,): 1.0, (0.2,): 1.0},
+                ParamDomain.real_line(), (0.1,), id="exact-ties"),
+            pytest.param(
+                [[[0.1], [0.2], [0.3]]], {(0.1,): 1.0 + 1e-13, (0.2,): 1.0, (0.3,): 2.0},
+                ParamDomain.real_line(), (0.1,), id="ties-1e-13-apart"),
+            pytest.param(
+                [[[0.1], [0.2], [0.3]]], {(0.1,): 1.0 + 1e-11, (0.2,): 1.0, (0.3,): 2.0},
+                ParamDomain.real_line(), (0.2,), id="gap-1e-11-no-tie"),
+            pytest.param(  # a root node appended after the grid, below a tied node
+                [[[0.0], [0.5], [1.0], [0.25]]],
+                {(0.0,): 3.0, (0.5,): 1.0, (1.0,): 2.0, (0.25,): 1.0 + 5e-13},
+                ParamDomain.real_line(), (0.25,), id="root-out-of-order"),
+            pytest.param(  # two domain boxes, the upper one's stage first
+                [[[1.3], [1.5]], [[0.5], [0.7]]],
+                {(1.3,): 1.0, (1.5,): 2.0, (0.5,): 3.0, (0.7,): 1.0 + 1e-13},
+                HALVES, (0.7,), id="two-boxes"),
+            pytest.param(
+                [[[0.5, 0.9], [0.6, 0.0], [0.5, 0.1]]],
+                {(0.5, 0.9): 1.0, (0.6, 0.0): 1.0, (0.5, 0.1): 1.0 + 1e-13},
+                ParamDomain.real_line(2), (0.5, 0.1), id="lexicographic-2d"),
+        ],
+    )
+    def test_pick(self, stages, table, domain, expected):
+        stages = [(np.array(pts, dtype=float), [0.1] * len(pts[0])) for pts in stages]
+        theta, value, (sol, i), trace = _profile_min(
+            _TableProblem(table, domain), _table_solve, stages
+        )
+        assert tuple(theta) == expected
+        assert value == table[expected] == sol.value[i]
+        assert len(trace) == sum(len(pts) for pts, _ in stages)  # no refinement evaluation
+
+    def test_nothing_finite(self):
+        stages = [(np.array([[0.1], [0.2]]), [0.1])]
+        theta, value, fit, trace = _profile_min(
+            _TableProblem({}, ParamDomain.real_line()), _table_solve, stages
+        )
+        assert theta is None and value == math.inf and fit is None and len(trace) == 2
