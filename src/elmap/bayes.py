@@ -13,6 +13,7 @@ The data enter only through per-atom counts over the shared support: the
 log posterior is log_prior + counts @ log W.T, one row of W per candidate.
 Counts add exactly, so updating with one sample and then another gives
 bit-identical results to one update with both, in any observation order.
+``log_posterior`` normalizes it and the censored and urn posteriors alike.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ from .errors import (
     SupportMismatch,
 )
 from .prob import (
+    LIKELIHOOD_TIE,
     NORM_TOL,
+    PROJECTION_TIE,
     Pmf,
     Sample,
     atom_index,
@@ -42,14 +45,12 @@ from .prob import (
     logsumexp,
     make_pmf,
     mean_model,
+    near_min,
     normalize_rows,
     path_counts,
 )
 from .projection import l_project_stack, node_error
 from .rng import rng_from
-
-TIE_TOL = 1e-12
-PROJECTION_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -163,13 +164,19 @@ class DecayReport:
     seed: int
 
 
-def _posterior(prior: PriorGrid, counts: np.ndarray) -> PosteriorState:
-    cum = counts_loglik(prior.log_weights, counts)
-    log_post = prior.log_prior + cum
-    norm = logsumexp(log_post)
+def log_posterior(log_prior, loglik: np.ndarray) -> np.ndarray:
+    """log_prior + loglik normalized by log-sum-exp; AllZeroLikelihood when
+    every candidate gives the data probability 0."""
+    tot = log_prior + loglik
+    norm = logsumexp(tot)
     if not math.isfinite(norm):
         raise AllZeroLikelihood("every candidate assigns zero probability to the data")
-    return PosteriorState(log_posterior=log_post - norm, cum_loglik=cum, counts=counts)
+    return tot - norm
+
+
+def _posterior(prior: PriorGrid, counts: np.ndarray) -> PosteriorState:
+    cum = counts_loglik(prior.log_weights, counts)
+    return PosteriorState(log_posterior(prior.log_prior, cum), cum_loglik=cum, counts=counts)
 
 
 def posterior_update(
@@ -186,9 +193,8 @@ def posterior_update(
 
 
 def map_candidate(state: PosteriorState) -> list:
-    """Indices of all posterior modes (within 1e-12 of the maximum)."""
-    top = float(np.max(state.log_posterior))
-    return [int(i) for i in np.flatnonzero(state.log_posterior >= top - TIE_TOL)]
+    """Indices of all posterior modes (within LIKELIHOOD_TIE of the maximum)."""
+    return near_min(-state.log_posterior, LIKELIHOOD_TIE)
 
 
 def posterior_mean(state: PosteriorState, prior: PriorGrid) -> Pmf:
@@ -202,11 +208,9 @@ def grid_l_projections(prior: PriorGrid, r: Pmf) -> tuple[np.ndarray, list]:
     """L(. || r) per candidate and the indices attaining the grid minimum:
     the posterior's log-likelihood kernel with r's weights as the counts."""
     vals = -counts_loglik(prior.log_masses(r.support), r.weights)
-    vmin = float(vals.min())
-    if math.isinf(vmin):
+    if math.isinf(vals.min()):
         raise InfiniteRate("no candidate dominates the support of r")
-    idx = [int(i) for i in np.flatnonzero(vals <= vmin + PROJECTION_TIE)]
-    return vals, idx
+    return vals, near_min(vals, PROJECTION_TIE)
 
 
 def q_mask(q_set, k: int) -> np.ndarray:
@@ -230,8 +234,7 @@ def decay_target(vals, q_set) -> tuple[np.ndarray, float, tuple]:
     min_q = float(vals[mask].min())
     if math.isinf(min_q):
         raise InfiniteRate("the divergence of Q is infinite: Q-support deficiency")
-    projections = tuple(int(i) for i in np.flatnonzero(vals <= vmin + PROJECTION_TIE))
-    return mask, min_q - vmin, projections
+    return mask, min_q - vmin, tuple(near_min(vals, PROJECTION_TIE))
 
 
 def checkpoints(n_schedule) -> list:

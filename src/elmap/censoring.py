@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import PriorGrid, checkpoints, decay_report, decay_target
-from .errors import AllZeroLikelihood, DomainViolation, NoEvents
-from .prob import Pmf, atom_index, counts_loglik, logsumexp, path_counts
+from .bayes import PriorGrid, checkpoints, decay_report, decay_target, log_posterior
+from .errors import DomainViolation, LengthMismatch, NoEvents, SupportMismatch
+from .prob import Pmf, atom_index, counts_loglik, path_counts
 from .rng import rng_from
 
 
@@ -40,7 +40,7 @@ class CensoredObservation:
     def __post_init__(self):
         t = float(self.time)
         if not math.isfinite(t):
-            raise ValueError("observation time must be finite")
+            raise DomainViolation(f"observation time {t!r} must be finite")
         object.__setattr__(self, "time", t)
         object.__setattr__(self, "censored", bool(self.censored))
 
@@ -56,10 +56,10 @@ class CensoringModel:
 
     def __post_init__(self):
         if not np.array_equal(self.f0.support, self.g0.support):
-            raise ValueError("F0 and G0 must live on the same grid")
+            raise SupportMismatch("F0 and G0 must live on the same grid")
         expected = _uncensored_probability(self.f0, self.g0)
         if abs(self.alpha_unc - expected) > 1e-12:
-            raise ValueError(
+            raise DomainViolation(
                 f"alpha_unc={self.alpha_unc!r} inconsistent with F0,G0 ({expected!r})"
             )
         object.__setattr__(self, "alpha_unc", float(self.alpha_unc))
@@ -89,13 +89,13 @@ class SurvivalCurve:
         surv = np.asarray(self.survival, dtype=float)
         atoms = np.asarray(self.atoms, dtype=float)
         if not (times.shape == surv.shape == atoms.shape):
-            raise ValueError("mismatched curve arrays")
+            raise LengthMismatch("mismatched curve arrays")
         if np.any(np.diff(times) <= 0):
-            raise ValueError("event times must be increasing")
+            raise DomainViolation("event times must be increasing")
         if np.any(np.diff(surv) > 1e-12) or np.any(surv > 1.0 + 1e-12):
-            raise ValueError("survival must be nonincreasing and at most 1")
+            raise DomainViolation("survival must be nonincreasing and at most 1")
         if np.any(atoms < -1e-12) or atoms.sum() > 1.0 + 1e-9:
-            raise ValueError("atoms must be a (possibly defective) pmf")
+            raise DomainViolation("atoms must be a (possibly defective) pmf")
         for arr in (times, surv, atoms):
             arr.setflags(write=False)
         object.__setattr__(self, "event_times", times)
@@ -212,11 +212,8 @@ def censored_posterior(prior: PriorGrid, data, carried=None) -> tuple:
     counts = np.bincount(_cells(prior.support, *_split(data)), minlength=2 * m + 1)
     if carried is not None:
         counts = counts + carried
-    tot = prior.log_prior + counts_loglik(_log_cell_masses(prior.weight_matrix()), counts)
-    norm = logsumexp(tot)
-    if not math.isfinite(norm):
-        raise AllZeroLikelihood("every candidate assigns zero likelihood")
-    return tot - norm, counts
+    loglik = counts_loglik(_log_cell_masses(prior.weight_matrix()), counts)
+    return log_posterior(prior.log_prior, loglik), counts
 
 
 def censored_decay_experiment(

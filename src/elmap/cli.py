@@ -190,16 +190,25 @@ def _seeds(cfg: Config) -> list:
     return seeds or [0]
 
 
+def _header(line: str) -> bool:
+    """Starts with a letter, and the first field is no number ("inf,0" is data)."""
+    try:
+        float(line.replace(";", ",").split(",")[0])
+    except ValueError:
+        return line[0].isalpha()
+    return False
+
+
 def _data_file(path: str, parse) -> list:
     """parse(row) for each row of a comma-separated data file, skipping
-    blank lines and header lines (first character a letter)."""
+    blank lines and header lines."""
     fpath = Path(path)
     if not fpath.is_file():
         raise ConfigInvalid(f"[data] file not found: {path}")
     rows = []
     for lineno, line in enumerate(fpath.read_text(errors="replace").splitlines(), start=1):
         line = line.strip()
-        if not line or line[0].isalpha():
+        if not line or _header(line):
             continue
         try:
             rows.append(parse(line))
@@ -215,7 +224,7 @@ def _observation(row: str):
 
 def _censored_observation(row: str) -> CensoredObservation:
     time, censored = row.split(",")  # ValueError unless two fields
-    return CensoredObservation(float(time), bool(int(censored)))
+    return CensoredObservation(_float(time), bool(int(censored)))
 
 
 # -- settings, one record per kind ----------------------------------------------
@@ -358,7 +367,7 @@ def censor_settings(cfg: Config) -> CensorSettings:
     g0 = cfg.get("model", "g0", _floats)
     try:
         model = CensoringModel.from_components(make_pmf(grid, f0), make_pmf(grid, g0))
-    except (ElmapError, ValueError) as exc:
+    except ElmapError as exc:
         raise ConfigInvalid(f"bad censoring model: {exc}") from None
     cands = cfg.grid_pmfs(model.f0.support)
     prior = cfg.prior_grid(cands)

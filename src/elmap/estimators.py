@@ -25,7 +25,8 @@ and Cressie-Read, 2 lam for the Euclidean closed form).  Atoms, counts and
 the observation-to-atom index are computed once per fit; each theta
 evaluation solves only the inner dual, and each theta is solved once: the
 fit at the estimate is the search's own solution there.
-``profile_l_projection`` runs the same search.
+``profile_l_projection`` runs the same search.  A non-finite observation
+raises DomainViolation before any of this work.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ from .errors import (
     SingularConstraints,
     ThetaOutOfDomain,
 )
-from .prob import EstimatingModel, Pmf, Sample, counts_loglik, log_mass_table, make_pmf
+from .prob import (
+    LIKELIHOOD_TIE, EstimatingModel, Pmf, Sample, counts_loglik, log_mass_table, make_pmf, near_min
+)
 from .projection import (
     REFINE_TOL,
     ProjectionStack,
@@ -99,6 +102,10 @@ class _SampleProblem(_MomentProblem):
         if sample.n == 0:
             raise EmptySample("estimation needs at least one observation")
         vals = sample.values()
+        finite = np.isfinite(vals).reshape(sample.n, -1).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise DomainViolation(f"observation {i} = {sample.observations[i]!r}: not finite")
         self.scalar = vals.ndim == 1
         atoms, inverse, counts = np.unique(
             vals, axis=None if self.scalar else 0, return_inverse=True, return_counts=True
@@ -358,5 +365,4 @@ def mnpl_grid(sample: Sample, candidates) -> tuple[list, float]:
     vmin = float(values.min())
     if math.isinf(vmin):
         raise AllInfinite("every candidate misses part of the sample")
-    idx = [int(i) for i in np.flatnonzero(values <= vmin + 1e-12)]
-    return idx, vmin
+    return near_min(values, LIKELIHOOD_TIE), vmin

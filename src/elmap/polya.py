@@ -11,10 +11,11 @@ with a single denominator product over all n draws; the same quantity has
 a log-Gamma form through eta = N / c, and the two must agree to 1e-9
 wherever both are defined.  The decay experiments rebuild the urn at every
 checkpoint so that n / N stays at a fixed ratio beta while the initial
-composition tracks a target distribution r.  Since only the counts enter
-the scores, they draw the counts from their exact law (``polya_counts``);
-``polya_draw``, which runs the urn one ball at a time, is the
-sequence-level reference.  The stream changed in version 0.7.0.
+composition tracks a target distribution r; every seed shares one call's
+urns.  Since only the counts enter the scores, they draw the counts from
+their exact law (``polya_counts``); ``polya_draw``, which runs the urn one
+ball at a time, is the sequence-level reference.  The stream changed in
+version 0.7.0.  Posteriors are ``bayes.log_posterior`` under a uniform prior.
 """
 
 from __future__ import annotations
@@ -24,13 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import checkpoints, decay_report, decay_target
+from .bayes import checkpoints, decay_report, decay_target, log_posterior
 from .divergences import polya_l_divergence
-from .errors import AllZeroLikelihood, DomainViolation, UrnExhausted
-from .prob import Pmf, logsumexp
+from .errors import AllInfinite, AllZeroLikelihood, DomainViolation, UrnExhausted
+from .prob import LIKELIHOOD_TIE, Pmf, near_min
 from .rng import derive_seed, rng_from
-
-TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,9 +54,6 @@ class UrnConfig:
     def m(self) -> int:
         return len(self.alpha)
 
-    def pmf_weights(self) -> np.ndarray:
-        return np.asarray(self.alpha, dtype=float) / self.n_total
-
     def valid_for_horizon(self, n: int) -> bool:
         """Sufficient condition for every length-n count vector to have a
         well-defined sampling probability: -n c <= min(alpha)."""
@@ -77,7 +73,7 @@ class PolyaPath:
         colors = tuple(int(i) for i in self.colors)
         counts = tuple(int(k) for k in self.counts)
         if sum(counts) != len(colors):
-            raise ValueError("counts must sum to the number of draws")
+            raise DomainViolation("counts must sum to the number of draws")
         object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "counts", counts)
 
@@ -204,7 +200,7 @@ def polya_log_prob(counts, config: UrnConfig, method: str = "product") -> float:
             raise DomainViolation("urn cannot sustain that many draws")
         return total - float(np.log(denom).sum())
     if method != "gamma":
-        raise ValueError(f"unknown method {method!r}")
+        raise DomainViolation(f"unknown method {method!r}")
     from scipy.special import gammaln
 
     eta = big_n / c
@@ -234,45 +230,36 @@ def gamma_ratio_bounds(a: float, b: float) -> tuple[float, float]:
     return lower, upper
 
 
-def _as_counts(path_or_counts):
-    return path_or_counts.counts if isinstance(path_or_counts, PolyaPath) else path_or_counts
-
-
-def polya_posterior(grid, path, log_prior=None) -> np.ndarray:
-    """Posterior weights over urn configurations sharing N and c, given a
-    draw path (or its count vector; the law is exchangeable)."""
-    counts = _as_counts(path)
+def _grid_loglik(grid, counts) -> np.ndarray:
+    """Log probability of the counts under each configuration of a nonempty
+    grid sharing N and c; AllZeroLikelihood when every one is -inf."""
     configs = list(grid)
-    if not configs:
-        raise ValueError("empty configuration grid")
-    n0 = configs[0].n_total
-    c0 = configs[0].c
-    if any(cfg.n_total != n0 or cfg.c != c0 for cfg in configs):
-        raise ValueError("configurations must share N and c")
-    lp = np.zeros(len(configs)) if log_prior is None else np.asarray(log_prior, float)
+    if len({(cfg.n_total, cfg.c) for cfg in configs}) != 1:
+        raise DomainViolation("need a nonempty grid of configurations sharing N and c")
     ll = np.array([polya_log_prob(counts, cfg) for cfg in configs])
-    tot = lp + ll
-    norm = logsumexp(tot)
-    if not math.isfinite(norm):
+    if math.isinf(ll.max()):
         raise AllZeroLikelihood("all configurations give these counts zero probability")
-    return np.exp(tot - norm)
+    return ll
 
 
-def mnpl_exact(grid, path) -> list:
+def polya_posterior(grid, counts) -> np.ndarray:
+    """Posterior weights, uniform prior, over urn configurations sharing N and
+    c, given the counts of a draw path (the law is exchangeable)."""
+    return np.exp(log_posterior(0.0, _grid_loglik(grid, counts)))
+
+
+def mnpl_exact(grid, counts) -> list:
     """Indices of the configurations maximizing the sequence probability."""
-    counts = _as_counts(path)
-    ll = np.array([polya_log_prob(counts, cfg) for cfg in grid])
-    top = float(ll.max())
-    if math.isinf(top):
-        raise AllZeroLikelihood("all configurations give these counts zero probability")
-    return [int(i) for i in np.flatnonzero(ll >= top - TIE_TOL)]
+    return near_min(-_grid_loglik(grid, counts), LIKELIHOOD_TIE)
 
 
 def mnpl_asymptotic(grid_pmfs, nu: Pmf, beta: float, c: int) -> list:
-    """Indices minimizing the reinforced L-divergence to the empirical pmf."""
+    """Indices minimizing the reinforced L-divergence to the empirical pmf,
+    with ``mnpl_exact``'s ties; AllInfinite if every value is +inf."""
     vals = np.array([polya_l_divergence(q, nu, beta, c) for q in grid_pmfs])
-    vmin = float(vals.min())
-    return [int(i) for i in np.flatnonzero(vals <= vmin + TIE_TOL)]
+    if math.isinf(vals.min()):
+        raise AllInfinite("every candidate's reinforced divergence is infinite")
+    return near_min(vals, LIKELIHOOD_TIE)
 
 
 def rebuild_urn(r: Pmf, n: int, beta: float, c: int) -> UrnConfig:
@@ -311,35 +298,24 @@ class PolyaDecayReport:
 
 
 def polya_decay_experiment(
-    grid_pmfs,
-    q_set,
-    r: Pmf,
-    beta: float,
-    c: int,
-    n_schedule,
-    seeds,
-    log_prior=None,
+    grid_pmfs, q_set, r: Pmf, beta: float, c: int, n_schedule, seeds
 ) -> PolyaDecayReport:
-    """Empirical -(1/n) log posterior-mass(Q) for urns rebuilt per
-    checkpoint, against the reinforced L-divergence gap of the target pmfs.
-    """
+    """Empirical -(1/n) log posterior-mass(Q), uniform prior, for urns rebuilt
+    per checkpoint (once, for all seeds), against the reinforced L-divergence
+    gap of the target pmfs."""
     grid_pmfs = list(grid_pmfs)
-    vals = [polya_l_divergence(q, r, beta, c) for q in grid_pmfs]
-    target = decay_target(vals, q_set)
-    lp = np.zeros(len(grid_pmfs)) if log_prior is None else np.asarray(log_prior, float)
+    target = decay_target([polya_l_divergence(q, r, beta, c) for q in grid_pmfs], q_set)
     schedule = checkpoints(n_schedule)
+    urns = [rebuild_urn(r, n, beta, c) for n in schedule]
+    grids = [[UrnConfig(apportion_counts(u.n_total, q.weights), c) for q in grid_pmfs]
+             for u in urns]
     reports = []
     for seed in (int(s) for s in seeds):
         loglik = np.empty((len(schedule), len(grid_pmfs)))
-        for j, n in enumerate(schedule):
-            sampler = rebuild_urn(r, n, beta, c)
-            big_n = sampler.n_total
-            grid = [
-                UrnConfig(apportion_counts(big_n, q.weights), c) for q in grid_pmfs
-            ]
+        for j, (n, sampler, grid) in enumerate(zip(schedule, urns, grids)):
             counts = polya_counts(sampler, n, derive_seed("polya.decay", seed, n))
             loglik[j] = [polya_log_prob(counts, cfg) for cfg in grid]
-        reports.append(decay_report(lp, loglik, target, schedule, seed))
+        reports.append(decay_report(0.0, loglik, target, schedule, seed))
     return PolyaDecayReport(
         checkpoints=tuple(schedule), beta=float(beta), c=int(c), reports=tuple(reports)
     )

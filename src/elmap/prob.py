@@ -32,6 +32,10 @@ from .errors import (
 CLAMP_TOL = 1e-15
 ACCEPT_TOL = 1e-9
 NORM_TOL = 1e-12
+# The ties of every candidate ranking (near_min): LIKELIHOOD_TIE for posterior
+# modes and likelihood maxima, PROJECTION_TIE for divergence minimizers.
+LIKELIHOOD_TIE = 1e-12
+PROJECTION_TIE = 1e-9
 # Central-difference step (relative to max(1, |theta_i|)) for the Jacobian of
 # models without a closed form: eps^(1/3) balances truncation and rounding.
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -425,6 +429,13 @@ def counts_loglik(log_mass: np.ndarray, counts: np.ndarray) -> np.ndarray:
     out = counts @ np.where(finite, log_mass, 0.0).T
     out[(counts > 0) @ ~finite.T] = -np.inf
     return out
+
+
+def near_min(values, tol: float) -> list:
+    """Indices, in order, of the entries within ``tol`` of the minimum (all +inf
+    entries if it is +inf); a maximum's are the negated vector's, exactly."""
+    vals = np.asarray(values, dtype=float)
+    return np.flatnonzero(vals <= vals.min() + tol).tolist()
 
 
 def path_counts(rng: np.random.Generator, law, schedule) -> np.ndarray:

@@ -18,7 +18,8 @@ over the whole stack in one call, classifies each node and runs the
 kernel.  The estimators build it from a sample (frequencies, n the sample
 size), ``l_project_stack`` from the atoms r charges (r's weights, n = 1).
 One search, the grid minimum and then ``refine_min`` on the envelope
-gradient, serves ``profile_l_projection`` and every estimator.
+gradient, serves ``profile_l_projection`` and every estimator; it alone
+cuts grids into stacks, and its solve at the minimizer is the fit it returns.
 
 An independent primal oracle (entropic mirror descent with an augmented
 Lagrangian, plus a local equality-constrained Newton polish) shares no code
@@ -46,7 +47,7 @@ from .errors import (
     SupportCondition,
     ThetaOutOfDomain,
 )
-from .prob import EstimatingModel, Pmf, make_pmf
+from .prob import PROJECTION_TIE, EstimatingModel, Pmf, make_pmf, near_min
 from .rng import rng_from
 
 GRAD_TOL = 1e-10
@@ -79,11 +80,6 @@ class ProjectionResult:
     converged: bool
     iterations: int
     grad_norm: float
-
-
-def blocks(count: int):
-    """Slices that cut ``count`` grid nodes into stacks of at most _BLOCK."""
-    return (slice(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK))
 
 
 def moment_feasibility(umat: np.ndarray, tol: float = _BOUNDARY_T):
@@ -446,25 +442,21 @@ class _MomentProblem:
         return envelope_gradient(sol.weights[i], sol.mu[i], self.model.du_matrix(self.atoms, th))
 
     def dual(self, ths: np.ndarray, gamma: float) -> ProjectionStack:
-        """Cressie-Read fits at a stack of theta values by the dual kernel,
-        in stacks cut by ``blocks``: value n CR_gamma(q, base), or offset +
-        n KL(base || q) at gamma = -1, and mu = -n lam.  For gamma > 0 the
-        zero moment may sit on the hull's boundary."""
+        """Cressie-Read fits at a stack of theta values by one kernel call:
+        value n CR_gamma(q, base), or offset + n KL(base || q) at gamma = -1,
+        and mu = -n lam.  For gamma > 0 the zero moment may sit on the
+        hull's boundary."""
         umat, failure = self.u(ths, "boundary" if gamma > 0.0 else "interior")
         nodes, m, j = umat.shape
-        ok = np.array([f is None for f in failure], dtype=bool)
+        ok = np.flatnonzero([f is None for f in failure])
         value = np.full(nodes, math.inf)
         lam = np.full((nodes, j), np.nan)
         q = np.full((nodes, m), np.nan)
-        offset = self.offset if gamma == -1.0 else 0.0
         iterations = 0
-        for block in blocks(nodes):
-            idx = block.start + np.flatnonzero(ok[block])
-            if idx.size:
-                lam[idx], q[idx], its, v = dual_newton(self.base, umat[idx], gamma)
-                value[idx] = offset + self.n * v
-                iterations += its
-        for i in np.flatnonzero(ok & ~np.isfinite(value)):
+        if ok.size:
+            lam[ok], q[ok], iterations, v = dual_newton(self.base, umat[ok], gamma)
+            value[ok] = (self.offset if gamma == -1.0 else 0.0) + self.n * v
+        for i in ok[~np.isfinite(value[ok])]:
             failure[i] = NotConverged
         return ProjectionStack(value, lam, q, -self.n * lam, failure, iterations)
 
@@ -486,23 +478,28 @@ def l_project_stack(r: Pmf, model: EstimatingModel, thetas) -> ProjectionStack:
     return sol._replace(weights=weights)
 
 
+def _projection_result(r: Pmf, model, th, sol: ProjectionStack, i: int) -> ProjectionResult:
+    """The projection of r at th from node i of a solve of _l_problem(r, model)."""
+    if sol.failure[i] is not None:
+        raise node_error(sol.failure[i], th)
+    active = r.weights > 0.0
+    q = np.zeros(r.m)
+    q[active] = sol.weights[i]
+    gnorm = float(np.linalg.norm(model.u_matrix(r.support, th)[active].T @ sol.weights[i]))
+    return ProjectionResult(
+        qhat=make_pmf(r.support, q),
+        lam=sol.lam[i],
+        value=float(sol.value[i]),
+        converged=gnorm <= GRAD_TOL,
+        iterations=sol.iterations,
+        grad_norm=gnorm,
+    )
+
+
 def l_project_linear(r: Pmf, model: EstimatingModel, theta) -> ProjectionResult:
     """Project r onto the linear family at theta under L(. || r)."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    proj = l_project_stack(r, model, th[None])
-    if proj.failure[0] is not None:
-        raise node_error(proj.failure[0], th)
-    q = proj.weights[0]
-    active = r.weights > 0.0
-    gnorm = float(np.linalg.norm(model.u_matrix(r.support, th)[active].T @ q[active]))
-    return ProjectionResult(
-        qhat=make_pmf(r.support, q),
-        lam=proj.lam[0],
-        value=float(proj.value[0]),
-        converged=gnorm <= GRAD_TOL,
-        iterations=proj.iterations,
-        grad_norm=gnorm,
-    )
+    return _projection_result(r, model, th, _l_problem(r, model).dual(th[None], -1.0), 0)
 
 
 # -- primal oracle -------------------------------------------------------------
@@ -773,9 +770,9 @@ def _profile_min(mp: _MomentProblem, solve, stages):
 
     ``solve(mp, thetas)`` returns the ProjectionStack of a stack of theta
     values.  ``stages`` holds (points, steps) pairs: grid points (G, K),
-    solved in stacks cut by ``blocks``, and the refinement's first step per
-    coordinate from a start among them.  The start is, among the finite
-    nodes of every stage within 1e-12 of the grid minimum, the
+    solved in stacks of at most _BLOCK nodes, and the refinement's first
+    step per coordinate from a start among them.  The start is, among the
+    finite nodes of every stage within 1e-12 of the grid minimum, the
     lexicographically smallest.  The grid is the global start because the
     profile is +inf off the hull; the refinement stays in the first domain
     box that holds the start.  Returns (theta, value, fit, trace): theta
@@ -787,8 +784,8 @@ def _profile_min(mp: _MomentProblem, solve, stages):
     trace: list = []
     solved = []  # (ProjectionStack, steps) per block of grid nodes
     for pts, steps in stages:
-        for block in blocks(len(pts)):
-            ths = pts[block]
+        for lo in range(0, len(pts), _BLOCK):
+            ths = pts[lo : lo + _BLOCK]
             sol = solve(mp, ths)
             trace.extend(zip(ths.tolist(), sol.value.tolist(), sol.failure))
             solved.append((sol, steps))
@@ -826,19 +823,19 @@ def profile_l_projection(
     r: Pmf, model: EstimatingModel, theta_grid
 ) -> ProfileResult:
     """Minimize the projection value over a grid of parameter points by
-    ``_profile_min``.  All grid minimizers within 1e-9 of the minimum are
-    reported (there may be several)."""
+    ``_profile_min``, reporting every grid minimizer (``near_min``).  ``result``
+    is the search's solve at theta_star, with the grid block's iterations
+    when the refinement keeps the grid node."""
     grid = np.array([np.atleast_1d(np.asarray(t, dtype=float)) for t in theta_grid])
     steps = [(a[-1] - a[0]) / (a.size - 1) if a.size > 1 else 1.0 for a in map(np.unique, grid.T)]
     solve = functools.partial(_MomentProblem.dual, gamma=-1.0)
-    theta, _, _, trace = _profile_min(_l_problem(r, model), solve, [(grid, steps)])
+    theta, _, fit, trace = _profile_min(_l_problem(r, model), solve, [(grid, steps)])
     if theta is None:
         raise AllInfeasible("projection infeasible on the whole grid")
     vals = [v for _, v, _ in trace[: len(grid)]]
-    vmin = min(vals)
     return ProfileResult(
         theta_star=theta,
-        result=l_project_linear(r, model, theta),
-        minimizers=tuple(g for g, v in zip(grid, vals) if v <= vmin + 1e-9),
+        result=_projection_result(r, model, theta, *fit),
+        minimizers=tuple(grid[i] for i in near_min(vals, PROJECTION_TIE)),
         values=tuple(vals),
     )

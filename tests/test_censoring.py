@@ -48,7 +48,7 @@ class TestModel:
         assert math.isclose(MODEL.alpha_unc, 0.77, rel_tol=1e-15)
 
     def test_inconsistent_alpha_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainViolation):
             CensoringModel(F0, G0, 0.5)
 
 
@@ -351,7 +351,7 @@ class TestGridDivergences:
 
 class TestSurvivalCurveValidation:
     def test_rejects_increasing_survival(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainViolation):
             SurvivalCurve(
                 np.array([1.0, 2.0]), np.array([0.5, 0.9]), np.array([0.5, 0.1])
             )

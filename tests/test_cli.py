@@ -274,7 +274,7 @@ class TestBadData:
     """Malformed data files and values end in ConfigInvalid (exit 2) with a
     message naming the file and line, or the key."""
 
-    @pytest.mark.parametrize("row", ["2,x", "2,1,7", "2"])
+    @pytest.mark.parametrize("row", ["2,x", "2,1,7", "2", "inf,0"])
     def test_censor_file_bad_row(self, tmp_path, capsys, row):
         data = tmp_path / "cens.csv"
         data.write_text(f"time,censored\n1,0\n{row}\n3,0\n")
@@ -299,6 +299,15 @@ class TestBadData:
     def test_fit_file_bad_row(self, tmp_path, capsys):
         data = tmp_path / "obs.csv"
         data.write_text("x\n0\n1,abc\n2\n")
+        cfg = write(tmp_path, "fit.cfg", FIT_CFG.replace(
+            "observations = 0, 1, 2, 1, 1, 0, 2, 1", f"file = {data}"))
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{data} line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["nan", "inf", "-inf", "Infinity"])
+    def test_fit_file_non_finite_row(self, tmp_path, capsys, row):
+        data = tmp_path / "obs.csv"
+        data.write_text(f"x\n0\n{row}\n2\n")
         cfg = write(tmp_path, "fit.cfg", FIT_CFG.replace(
             "observations = 0, 1, 2, 1, 1, 0, 2, 1", f"file = {data}"))
         assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

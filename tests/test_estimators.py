@@ -8,6 +8,7 @@ from elmap.divergences import l_divergence
 from elmap.errors import (
     AllInfinite,
     AllThetaInfeasible,
+    DomainViolation,
     InfeasibleMoment,
     NotConverged,
     SingularConstraints,
@@ -467,6 +468,41 @@ _INNERS = [
 
 
 _INNERS_BY_METHOD = [(m, f) for m, f in _INNERS if m in _ESTIMATES]
+
+
+class TestNonFiniteObservation:
+    """A non-finite observation raises DomainViolation naming the first
+    one, from every estimate and inner fit, before u is evaluated at any
+    theta and without a numpy warning."""
+
+    CASES = [  # (id, observations with the bad value third, model, theta)
+        ("scalar", lambda b: (0.0, 1.0, b, 2.0, math.nan), mean_model, (0.5,)),
+        ("pairs", lambda b: ((0.0, 1.0), (1.0, 1.5), (2.0, b), (math.nan, 0.0)),
+         linear_model, (0.5, 0.5)),
+    ]
+
+    @staticmethod
+    def _fits():
+        for name, fit in _ESTIMATES.items():
+            yield f"{name} estimate", lambda s, m, th, fit=fit: fit(s, m, 11)
+        for name, fit in _INNERS:
+            yield f"{name} inner", fit
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+    def test_rejected_before_any_solve(self, case, bad, monkeypatch):
+        _, observations, model, theta = case
+        sample = Sample(observations(bad))
+
+        def no_u(*args):
+            raise AssertionError("u evaluated")
+
+        monkeypatch.setattr(_SampleProblem, "u", no_u)
+        for label, fit in self._fits():
+            with pytest.raises(DomainViolation, match=r"observation 2 = ") as info:
+                fit(sample, model(), np.array(theta))
+            assert repr(sample.observations[2]) in str(info.value), label
 
 
 class TestGridStack:

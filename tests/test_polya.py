@@ -9,9 +9,11 @@ from scipy.special import gammaln
 
 from elmap.bayes import make_prior_grid, posterior_update
 from elmap.divergences import polya_l_divergence
-from elmap.errors import DomainViolation, UrnExhausted
+from elmap import polya
+from elmap.errors import AllInfinite, AllZeroLikelihood, DomainViolation, UrnExhausted
 from elmap.estimators import mnpl_grid
 from elmap.polya import (
+    PolyaPath,
     UrnConfig,
     apportion_counts,
     gamma_ratio_bounds,
@@ -209,13 +211,6 @@ class TestPosteriorAndMnpl:
         w = polya_posterior([cfg], (3, 1))
         assert np.allclose(w, [1.0])
 
-    def test_accepts_draw_path(self):
-        cfg = UrnConfig((2, 2), 1)
-        path = polya_draw(cfg, 10, seed=0)
-        w = polya_posterior([cfg], path)
-        assert np.allclose(w, [1.0])
-        assert mnpl_exact([cfg], path) == [0]
-
     def test_color_swap_symmetry(self):
         a = UrnConfig((3, 1), 1)
         b = UrnConfig((1, 3), 1)
@@ -242,6 +237,32 @@ class TestPosteriorAndMnpl:
     def test_mnpl_exact_symmetric_tie(self):
         grid = [UrnConfig((3, 1), 1), UrnConfig((1, 3), 1)]
         assert mnpl_exact(grid, (2, 2)) == [0, 1]
+
+    @pytest.mark.parametrize("score", [polya_posterior, mnpl_exact])
+    def test_grid_must_share_n_and_c(self, score):
+        mixed = [UrnConfig((1, 1), 1), UrnConfig((5, 5), 1), UrnConfig((1, 9), 2)]
+        with pytest.raises(DomainViolation):
+            score(mixed, (3, 1))
+        with pytest.raises(DomainViolation):
+            score([], (3, 1))
+
+    @pytest.mark.parametrize("score", [polya_posterior, mnpl_exact])
+    def test_all_zero_probability(self, score):
+        grid = [UrnConfig((1, 2), -1), UrnConfig((1, 2), -1)]  # one ball of color 0
+        with pytest.raises(AllZeroLikelihood):
+            score(grid, (2, 0))
+
+    def test_typed_errors(self):
+        with pytest.raises(DomainViolation):
+            polya_log_prob((1, 1), UrnConfig((2, 2), 1), method="beta")
+        with pytest.raises(DomainViolation):
+            PolyaPath((0, 1, 1), (1, 1))
+
+    def test_mnpl_asymptotic_all_infinite(self):
+        nu = make_pmf([0, 1, 2], [0.2, 0.3, 0.5])
+        off = [make_pmf([0, 1, 2], [0.5, 0.5, 0.0]), make_pmf([0, 1, 2], [0.0, 0.5, 0.5])]
+        with pytest.raises(AllInfinite):
+            mnpl_asymptotic(off, nu, 0.5, 0)
 
     def test_mnpl_asymptotic_c_zero(self):
         nu = make_pmf([0, 1], [0.62, 0.38])
@@ -292,6 +313,28 @@ class TestDecay:
         rates = [r.empirical_rate[-1] for r in rep.reports]
         target = 0.49041462650586309
         assert abs(np.mean(rates) - target) <= 0.05 * target
+
+    @pytest.mark.parametrize("c", [1, 0, -1])
+    def test_seeds_run_independently(self, c):
+        r = make_pmf([0, 1, 2], [0.3, 0.5, 0.2])
+        grid = [r, make_pmf([0, 1, 2], [0.5, 0.3, 0.2]), make_pmf([0, 1, 2], [0.2, 0.2, 0.6])]
+        schedule = [20, 40, 80]
+        both = polya_decay_experiment(grid, [1, 2], r, 0.1, c, schedule, [7, 31])
+        for seed, report in zip([7, 31], both.reports):
+            alone = polya_decay_experiment(grid, [1, 2], r, 0.1, c, schedule, [seed])
+            assert alone.reports == (report,)
+
+    @pytest.mark.parametrize("seeds", [range(1), range(6)])
+    def test_urns_built_once_per_checkpoint(self, seeds, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args[1])
+            return rebuild_urn(*args)
+
+        monkeypatch.setattr(polya, "rebuild_urn", spy)
+        polya_decay_experiment([G1, G2], [1], R_BIN, 0.5, 1, [100, 10, 1000], seeds)
+        assert calls == [10, 100, 1000]
 
     @pytest.mark.parametrize("schedule", [[], [0, 10], [10, -5]])
     def test_rejects_bad_schedule(self, schedule):

@@ -16,8 +16,10 @@ from elmap.errors import (
     ThetaOutOfDomain,
 )
 from elmap.prob import EstimatingModel, ParamDomain, make_pmf, mean_model, moments
+from elmap import projection
 from elmap.projection import (
     ProjectionStack,
+    _MomentProblem,
     _profile_min,
     dual_newton,
     l_project_linear,
@@ -551,10 +553,19 @@ class TestStackedKernel:
 
 
 class TestLProjectStack:
+    THETAS = np.array([-2.0, 0.0, 0.5, 1.3, 2.2, 3.9, 4.0])
+
     def test_matches_single_projections(self):
+        self.check(self.THETAS)
+
+    def test_more_nodes_than_a_grid_block(self):
+        # one stack of 300 nodes, which the search would have cut into blocks of 256
+        self.check(np.concatenate([self.THETAS, np.linspace(0.01, 3.5, 293)]))
+
+    def check(self, thetas):
         r = make_pmf([0, 1, 2, 4], [0.1, 0.5, 0.3, 0.1])
         model = mean_model(ParamDomain.box((-1.0, 3.5)))
-        thetas = np.array([-2.0, 0.0, 0.5, 1.3, 2.2, 3.9, 4.0])[:, None]
+        thetas = thetas[:, None]
         proj = l_project_stack(r, model, thetas)
         for th, value, lam, weights, failure in zip(
             thetas, proj.value, proj.lam, proj.weights, proj.failure
@@ -603,6 +614,38 @@ class TestProfile:
     def test_all_infeasible(self):
         with pytest.raises(AllInfeasible):
             profile_l_projection(UNIFORM3, mean_model(), [[2.5], [3.0]])
+
+    @pytest.mark.parametrize("points", [32, 300])
+    def test_result_is_the_search_solve(self, points, monkeypatch):
+        """``result`` comes from the search's solve at theta_star: it equals
+        a fresh projection there, and no solve repeats it."""
+        r = make_pmf([0, 1, 2, 4], [0.1, 0.5, 0.3, 0.1])
+        calls = []
+        dual = _MomentProblem.dual
+
+        def spy(mp, ths, gamma):
+            calls.append(len(ths))
+            return dual(mp, ths, gamma)
+
+        traces = []
+        search = _profile_min
+
+        def keep_trace(*args):
+            out = search(*args)
+            traces.append(out[3])
+            return out
+
+        monkeypatch.setattr(_MomentProblem, "dual", spy)
+        monkeypatch.setattr(projection, "_profile_min", keep_trace)
+        prof = profile_l_projection(r, mean_model(), [[t] for t in np.linspace(0.15, 2.75, points)])
+        refinement = len(traces[0]) - points
+        blocks = [min(256, points - lo) for lo in range(0, points, 256)]
+        assert refinement > 0 and calls == blocks + [1] * refinement
+        monkeypatch.setattr(_MomentProblem, "dual", dual)
+        fresh = l_project_linear(r, mean_model(), prof.theta_star)
+        for field in ("lam", "value", "converged", "iterations", "grad_norm"):
+            assert np.array_equal(getattr(prof.result, field), getattr(fresh, field)), field
+        assert np.array_equal(prof.result.qhat.weights, fresh.qhat.weights)
 
 
 class _TableProblem:
