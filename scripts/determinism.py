@@ -10,12 +10,14 @@ config in BASE's ``configs/`` runs with its own seeds through each tree's
 model and on the linear preset).  When both trees report the same
 ``elmap.__version__``, every CSV a run writes and every fit's theta_hat,
 profile value, lam and w must be byte-identical between the two, and both
-runs must succeed; otherwise the script exits 1 and names what differs.
+runs must succeed; otherwise the script exits 1 and names what differs,
+with the largest absolute difference of each fit field that differs.
 When the version changed, differences are listed and allowed.
 """
 
 from __future__ import annotations
 
+import array
 import configparser
 import subprocess
 import sys
@@ -111,6 +113,18 @@ def _fits(tree: Path):
     return fits
 
 
+def _field_change(field: str, a, b) -> str:
+    """The field's name with the largest absolute difference between its
+    two float64 values, decoded from the hex of their bytes."""
+    try:
+        x, y = (array.array("d", bytes.fromhex(h)) for h in (a, b))
+    except (TypeError, ValueError):  # missing on one side, or an error line
+        return field
+    if len(x) != len(y):
+        return f"{field} ({len(x)} vs {len(y)} values)"
+    return f"{field} (max |diff| {max(abs(p - q) for p, q in zip(x, y)):.3g})"
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -145,7 +159,8 @@ def main(argv=None) -> int:
     else:
         for name in dict.fromkeys([*a, *b]):
             fa, fb = a.get(name, {}), b.get(name, {})
-            differ = [f for f in dict.fromkeys([*fa, *fb]) if fa.get(f) != fb.get(f)]
+            differ = [_field_change(f, fa.get(f), fb.get(f))
+                      for f in dict.fromkeys([*fa, *fb]) if fa.get(f) != fb.get(f)]
             if differ:
                 problems.append(f"fit {name}: {', '.join(differ)} differ")
             else:

@@ -15,16 +15,21 @@ L-projection solves with base r and n = 1.
 The outer search over theta minimizes the profile P(theta) on a coarse
 grid, which is the global start because P is +inf where the zero moment
 leaves the hull of the u values, then refines from the best node by
-projected BFGS.  Every inner fit takes a stack of theta values: the grid of
-each domain box goes through the kernel (or the batched Euclidean normal
-equations) as one stack, in blocks of bounded size, and the refinement
-solves stacks of one.  The gradient comes free from the inner fit by the
-envelope theorem: dP/dtheta = sum_a q_a mu . du_a/dtheta, with q the fitted
-atom weights and mu the moment multiplier of the primal (-n lam for EL, ET
-and Cressie-Read, 2 lam for the Euclidean closed form).  Atoms, counts and
-the observation-to-atom index are computed once per fit; each theta
-evaluation solves only the inner dual, and each theta is solved once: the
-fit at the estimate is the search's own solution there.
+projected BFGS.  In a just-identified model every discrepancy reaches its
+floor (n log n for EL, 0 for the others) at the root of the sample
+estimating equations, so that root, found by Newton's method and added to
+the grid when it lies in the domain, is the best node, and the refinement
+has nothing left to solve.  Every inner fit takes a stack of theta
+values: the grid of each domain box goes through the kernel (or the
+batched Euclidean normal equations) as one stack, in blocks of bounded
+size, and the refinement solves stacks of one.  The gradient comes free
+from the inner fit by the envelope theorem: dP/dtheta = sum_a q_a mu .
+du_a/dtheta, with q the fitted atom weights and mu the moment multiplier of
+the primal (-n lam for EL, ET and Cressie-Read, 2 lam for the Euclidean
+closed form).  Atoms, counts and the observation-to-atom index are computed
+once per fit; each theta evaluation solves only the inner dual, and each
+theta is solved once: the fit at the estimate is the search's own solution
+there.
 ``profile_l_projection`` runs the same search.  A non-finite observation
 raises DomainViolation before any of this work.
 """
@@ -259,10 +264,12 @@ def _estimate(
     The grid's axes span each box, or where it is unbounded ``bounds`` or
     else the data range with a margin.  For scalar models they include
     the data values, which keeps degenerate point-feasible problems
-    (constant samples) solvable; for other just-identified models the root
+    (constant samples) solvable.  For every just-identified model the root
     of the sample estimating equations, when it lies in the box, is one
-    extra node.  Every evaluation inside the domain appends one (theta,
-    value) record to the fit's trace, grid nodes in order.
+    extra node: the profile's minimum, which the grid start picks up to
+    the LIKELIHOOD_TIE tie rule of ``_profile_min``.  Every evaluation
+    inside the domain appends one (theta, value) record to the fit's trace,
+    grid nodes in order.
     """
     mp = _SampleProblem(sample, model)
     k = model.domain.k
@@ -273,7 +280,7 @@ def _estimate(
 
     extra = mp.atoms if k == 1 and mp.scalar else None
     root = None
-    if extra is None and model.n_constraints == k:
+    if model.n_constraints == k:
         # Newton starts in the middle of the data range (or of ``bounds``)
         middle = [sum(bounds[min(c, len(bounds) - 1)]) / 2.0 for c in range(k)]
         root = mp.root(np.array(middle))

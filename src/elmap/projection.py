@@ -47,12 +47,11 @@ from .errors import (
     SupportCondition,
     ThetaOutOfDomain,
 )
-from .prob import PROJECTION_TIE, EstimatingModel, Pmf, make_pmf, near_min
+from .prob import LIKELIHOOD_TIE, PROJECTION_TIE, EstimatingModel, Pmf, make_pmf, near_min
 from .rng import rng_from
 
 GRAD_TOL = 1e-10
 MAX_ITER = 200
-_BOUNDARY_T = 1e-9
 # A u row within this distance (relative to its length) of the line through
 # 0 and the rows' centroid counts as on it in the planar hull test.
 _COLLINEAR = 1e-12
@@ -82,17 +81,17 @@ class ProjectionResult:
     grad_norm: float
 
 
-def moment_feasibility(umat: np.ndarray, tol: float = _BOUNDARY_T):
+def moment_feasibility(umat: np.ndarray):
     """Classify whether 0 lies in the convex hull of the rows of umat.
 
     Returns ("interior", t), ("boundary", t) or ("infeasible", 0): t is the
     largest minimum weight of a hull representation of 0, so t > 0 means a
-    strictly positive representation exists, and t <= tol counts as the
+    strictly positive representation exists, and t <= 1e-9 counts as the
     boundary.  A stack (G, m, J) gives a (G,) array of those labels and a
     (G,) array of t.  One constraint is decided by the sign of the extreme
     rows (t is then 1/m inside), two by the closed form ``_planar_hull_t``,
     and more by one linear program per node.  The closed form extends t
-    below zero outside the hull, and a t in [-tol, 0) (zero on the hull's
+    below zero outside the hull, and a t in [-1e-9, 0) (zero on the hull's
     edge up to rounding) also counts as the boundary.
     """
     stacked = umat.ndim == 3
@@ -108,6 +107,7 @@ def moment_feasibility(umat: np.ndarray, tol: float = _BOUNDARY_T):
         t = _planar_hull_t(u)
     else:
         t = np.array([_hull_lp_t(node) for node in u])
+    tol = 1e-9
     status = np.where(t < -tol, "infeasible", np.where(t <= tol, "boundary", "interior"))
     t = np.where(t < -tol, 0.0, np.maximum(t, 0.0))
     if stacked:
@@ -772,10 +772,10 @@ def _profile_min(mp: _MomentProblem, solve, stages):
     values.  ``stages`` holds (points, steps) pairs: grid points (G, K),
     solved in stacks of at most _BLOCK nodes, and the refinement's first
     step per coordinate from a start among them.  The start is, among the
-    finite nodes of every stage within 1e-12 of the grid minimum, the
-    lexicographically smallest.  The grid is the global start because the
-    profile is +inf off the hull; the refinement stays in the first domain
-    box that holds the start.  Returns (theta, value, fit, trace): theta
+    finite nodes of every stage within LIKELIHOOD_TIE of the grid minimum,
+    the lexicographically smallest.  The grid is the global start because
+    the profile is +inf off the hull; the refinement stays in the first
+    domain box that holds the start.  Returns (theta, value, fit, trace): theta
     None when no grid value is finite; fit the (ProjectionStack, node) pair
     that solved the returned theta, which no second solve repeats; the
     trace a (theta, value, failure) record per evaluation, grid nodes first
@@ -794,7 +794,7 @@ def _profile_min(mp: _MomentProblem, solve, stages):
     if not finite.size:
         return None, math.inf, None, trace
     thetas = np.concatenate([pts for pts, _ in stages])
-    near = finite[values[finite] <= values[finite].min() + 1e-12]
+    near = finite[values[finite] <= values[finite].min() + LIKELIHOOD_TIE]
     pick = near[np.lexsort(thetas[near].T[::-1])[0]]
     starts = np.cumsum([0] + [sol.value.size for sol, _ in solved])
     block = int(np.searchsorted(starts, pick, side="right")) - 1

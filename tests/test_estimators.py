@@ -36,6 +36,7 @@ from elmap.prob import (
     make_pmf,
     mean_model,
 )
+from elmap import projection
 from elmap.projection import l_project_linear, profile_l_projection, project_oracle
 from elmap.divergences import DivergenceSpec
 
@@ -350,6 +351,19 @@ class TestCr:
         assert abs(fit.lam[0]) > 0.1
         assert np.ptp(level) <= 1e-12
 
+    @pytest.mark.parametrize("theta,p_a", [(0.0, 0.36), (2.0, 0.225)])
+    def test_hull_edge_node_is_the_point_mass(self, theta, p_a):
+        # At the smallest or the largest atom only the point mass there has
+        # mean theta, and CR_gamma of a point mass from the frequencies is
+        # ((1/p_a)^gamma - 1) / (gamma (gamma + 1)): 177.78 and 295.52 at n = 200.
+        gamma, n = 0.5, 200
+        sample = Sample((0.0,) * 72 + (1.0,) * 83 + (2.0,) * 45)
+        fit = cr_inner(sample, mean_model(), [theta], gamma)
+        point_mass = (fit.pmf.support == theta).astype(float)
+        assert np.abs(fit.pmf.weights - point_mass).max() <= 1e-12
+        want = n * ((1.0 / p_a) ** gamma - 1.0) / (gamma * (gamma + 1.0))
+        assert abs(fit.profile_value - want) <= 1e-12 * want
+
     def test_near_el_limit(self):
         rng = np.random.default_rng(9)
         obs = rng.choice([0.0, 1.0, 2.0], p=[0.3, 0.4, 0.3], size=25)
@@ -559,6 +573,87 @@ class TestGridStack:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
             assert np.float64(fit.inner.profile_value).tobytes() == np.float64(
                 fresh.profile_value).tobytes()
+
+
+def _refine_spy(monkeypatch) -> list:
+    """Record, per call of the search's refinement, its start theta and the
+    number of trials it evaluates."""
+    calls = []
+    refine_min = projection.refine_min
+
+    def spy(fun, grad, theta, value, fit, box, step):
+        trials = []
+
+        def counted(th):
+            trials.append(th)
+            return fun(th)
+
+        out = refine_min(counted, grad, theta, value, fit, box, step)
+        calls.append((theta.copy(), len(trials)))
+        return out
+
+    monkeypatch.setattr(projection, "refine_min", spy)
+    return calls
+
+
+class TestRootStart:
+    """In a just-identified model the root of the sample estimating
+    equations joins the grid when it lies in the domain; it is the
+    profile's minimum, so the refinement starts there and has nothing left
+    to solve."""
+
+    METHODS = {
+        "EL": el_estimate,
+        "ET": et_estimate,
+        "Euclidean": euclidean_estimate,
+        "CR(0.5)": lambda s, m: cr_estimate(s, m, 0.5),
+        "CR(-0.5)": lambda s, m: cr_estimate(s, m, -0.5),
+    }
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    @pytest.mark.parametrize("case", ["S012", "n200"])
+    def test_mean_model_starts_at_the_root(self, case, method, monkeypatch):
+        if case == "S012":
+            sample = S012
+        else:
+            rng = np.random.default_rng(20)
+            support = np.array([-2.0, 0.0, 1.0, 3.0, 4.0])
+            sample = Sample(tuple(rng.choice(support, size=200, p=rng.dirichlet(np.ones(5)))))
+        calls = _refine_spy(monkeypatch)
+        fit = self.METHODS[method](sample, mean_model())
+        x = sample.values()
+        lo, hi = x.min(), x.max()
+        span = hi - lo
+        grid = np.union1d(np.linspace(lo - 0.05 * span, hi + 0.05 * span, 201), x)
+        # the grid nodes in order, then the root, then the refinement's trials
+        (start, trials), = calls
+        root = fit.trace[grid.size][0]
+        assert [th[0] for th, _ in fit.trace[: grid.size]] == grid.tolist()
+        assert abs(root[0] - x.mean()) <= 1e-14 * span
+        assert start.tolist() == list(root)
+        assert trials <= 1 and len(fit.trace) == grid.size + 1 + trials
+        assert abs(fit.theta_hat[0] - x.mean()) <= 1e-14 * span
+
+    def test_root_outside_the_box_is_no_node(self, monkeypatch):
+        # the root 1.0 lies outside (-inf, 0.7]: the grid spans the box from
+        # the data range's lower end, with the data value 0 among its nodes
+        calls = _refine_spy(monkeypatch)
+        fit = el_estimate(S012, mean_model(ParamDomain.box((-math.inf, 0.7))))
+        grid = np.union1d(np.linspace(-0.1, 0.7, 201), [0.0])
+        (_, trials), = calls
+        assert len(fit.trace) == grid.size + trials
+        assert [th[0] for th, _ in fit.trace[: grid.size]] == grid.tolist()
+        assert abs(fit.theta_hat[0] - 0.7) <= 1e-8
+
+    def test_overidentified_model_has_no_root(self, monkeypatch):
+        # two constraints on one parameter, so no root node: 201 grid nodes
+        # and the 4 data values, then 4 refinement trials
+        rng = np.random.default_rng(42)
+        obs = rng.choice([0.0, 1.0, 2.0, 3.0], p=[0.22, 0.38, 0.38, 0.02], size=200)
+        calls = _refine_spy(monkeypatch)
+        fit = el_estimate(Sample(tuple(obs)), overidentified_model())
+        (_, trials), = calls
+        assert len(fit.trace) == 209 and trials == 4
 
 
 def _gradient_cases(name, rng):
