@@ -7,8 +7,11 @@ pull request's base commit as a git worktree, and the head).  Every
 config in BASE's ``configs/`` runs with its own seeds through each tree's
 ``elmap.cli``, and each tree runs one fixed, seeded list of estimator fits
 (EL, ET, Euclidean and Cressie-Read with gamma = 0.5 and -0.5, on the mean
-model and on the linear preset).  When both trees report the same
-``elmap.__version__``, every CSV a run writes and every fit's theta_hat,
+model and on the linear preset; the mean-model cases include a constant
+sample, a two-atom sample and two box domains, one holding the root of the
+sample equations and one not, so that fits returned at the root and fits
+found by the grid search are both compared).  When both trees report the
+same ``elmap.__version__``, every CSV a run writes and every fit's theta_hat,
 profile value, lam and w must be byte-identical between the two, and both
 runs must succeed; otherwise the script exits 1 and names what differs,
 with the largest absolute difference of each fit field that differs.
@@ -42,9 +45,10 @@ else:
 # Run by the child with the tree's elmap: one line per fit and field, the
 # field's bytes in hex, or the class of the error the fit raised.
 _FITS = """
+import math
 import numpy as np
 from elmap.estimators import cr_estimate, el_estimate, et_estimate, euclidean_estimate
-from elmap.prob import Sample, linear_model, mean_model
+from elmap.prob import ParamDomain, Sample, linear_model, mean_model
 
 methods = {
     "EL": el_estimate, "ET": et_estimate, "Euclidean": euclidean_estimate,
@@ -60,6 +64,16 @@ for n in (12, 60, 200):
 x = rng.integers(0, 4, size=30).astype(float)
 y = np.round(0.5 + 0.7 * x + 0.3 * rng.normal(size=30), 3)
 cases.append(("linear n=30", Sample(tuple(zip(x, y))), linear_model(), 11))
+# degenerate samples, a root inside a box away from the data's middle, and
+# a root outside the box, which leaves the fit to the grid
+cases += [
+    ("constant n=7", Sample((1.5,) * 7), mean_model(), 201),
+    ("two atoms n=5", Sample((-1.0, 2.0, 2.0, -1.0, 2.0)), mean_model(), 201),
+    ("box [1.5, 3]", Sample((0.0, 2.0, 2.0, 2.0, 2.0)),
+     mean_model(ParamDomain.box((1.5, 3.0))), 201),
+    ("box (-inf, 0.7]", Sample((0.0, 1.0, 2.0)),
+     mean_model(ParamDomain.box((-math.inf, 0.7))), 201),
+]
 for case, sample, model, grid_points in cases:
     for method, estimate in methods.items():
         name = f"{case} {method}"

@@ -12,24 +12,32 @@ the moment problem of :mod:`elmap.projection` on its atoms, with the
 frequencies as base weights and n the sample size, the same problem the
 L-projection solves with base r and n = 1.
 
-The outer search over theta minimizes the profile P(theta) on a coarse
-grid, which is the global start because P is +inf where the zero moment
-leaves the hull of the u values, then refines from the best node by
-projected BFGS.  In a just-identified model every discrepancy reaches its
-floor (n log n for EL, 0 for the others) at the root of the sample
-estimating equations, so that root, found by Newton's method and added to
-the grid when it lies in the domain, is the best node, and the refinement
-has nothing left to solve.  Every inner fit takes a stack of theta
-values: the grid of each domain box goes through the kernel (or the
-batched Euclidean normal equations) as one stack, in blocks of bounded
-size, and the refinement solves stacks of one.  The gradient comes free
+In a just-identified model (as many constraints as parameters) the root
+of the sample estimating equations, found by Newton's method, lets the
+weights stay at the empirical frequencies, so every discrepancy sits at its
+floor there: n log n for EL (-sum_i log w_i >= n log n) and 0 for ET,
+Euclidean and Cressie-Read.  The floor is a global lower bound, reached
+only where the frequencies are feasible, so a root in the domain whose
+solve reaches it (to LIKELIHOOD_TIE relative to max(1, |floor|)) is the
+fit, with a one-record trace and no grid.  Where the equations have several
+roots in the domain the fit is the one Newton finds, not the grid's
+lexicographically smallest tie; the mean and linear presets have one root,
+as their u is affine in theta.  Every other model, and a root outside the
+domain, goes to the outer search: it minimizes the profile P(theta) on a
+coarse grid, which is the global start because P is +inf where the zero
+moment leaves the hull of the u values, then refines from the best node by
+projected BFGS; a root that lies in the domain but misses the floor is one
+extra grid node.  Every inner fit takes a stack of theta values: the grid
+of each domain box goes through the kernel (or the batched Euclidean
+normal equations) as one stack, in blocks of bounded size, and the root
+and the refinement solve stacks of one.  The gradient comes free
 from the inner fit by the envelope theorem: dP/dtheta = sum_a q_a mu .
 du_a/dtheta, with q the fitted atom weights and mu the moment multiplier of
 the primal (-n lam for EL, ET and Cressie-Read, 2 lam for the Euclidean
 closed form).  Atoms, counts and the observation-to-atom index are computed
 once per fit; each theta evaluation solves only the inner dual, and each
-theta is solved once: the fit at the estimate is the search's own solution
-there.
+theta is solved once (save a root that misses the floor, which its grid
+node solves again): the fit at the estimate is the solution found there.
 ``profile_l_projection`` runs the same search.  A non-finite observation
 raises DomainViolation before any of this work.
 """
@@ -257,19 +265,25 @@ def _estimate(
     grid_points: int,
     bounds,
 ) -> ELFit:
-    """Minimize the profile of ``solve`` over the model's parameter domain
-    by ``_profile_min``, on a grid over each domain box; the fit is the
-    search's solution at the minimizer.
+    """Minimize the profile of ``solve`` over the model's parameter domain;
+    the fit is the solution at the minimizer.
 
-    The grid's axes span each box, or where it is unbounded ``bounds`` or
-    else the data range with a margin.  For scalar models they include
-    the data values, which keeps degenerate point-feasible problems
-    (constant samples) solvable.  For every just-identified model the root
-    of the sample estimating equations, when it lies in the box, is one
-    extra node: the profile's minimum, which the grid start picks up to
-    the LIKELIHOOD_TIE tie rule of ``_profile_min``.  Every evaluation
-    inside the domain appends one (theta, value) record to the fit's trace,
-    grid nodes in order.
+    For a just-identified model Newton's method looks for the root of the
+    sample estimating equations from the middle of the first box's grid
+    span.  When the root lies in the domain and its solve, a stack of one,
+    is within LIKELIHOOD_TIE * max(1, |floor|) of the floor (``mp.offset``,
+    n log n, for the gamma = -1 solve ``_el``, 0 for every other), the
+    root is the fit and its one (theta, value) record is the trace.  Where
+    several roots lie in the domain this returns the one Newton reaches.
+
+    Otherwise ``_profile_min`` searches a grid over each domain box.  The
+    grid's axes span each box, or where it is unbounded ``bounds`` or else
+    the data range with a margin.  For scalar models they include the data
+    values, which keeps degenerate point-feasible problems solvable.  A
+    root in the box is one extra node.  The grid start is the
+    lexicographically smallest node within LIKELIHOOD_TIE of the grid
+    minimum.  Every evaluation inside the domain appends one (theta, value)
+    record to the fit's trace, grid nodes in order.
     """
     mp = _SampleProblem(sample, model)
     k = model.domain.k
@@ -278,21 +292,35 @@ def _estimate(
         span = (hi - lo) or 1.0
         bounds = [(lo - 0.05 * span, hi + 0.05 * span)] * k
 
-    extra = mp.atoms if k == 1 and mp.scalar else None
-    root = None
-    if model.n_constraints == k:
-        # Newton starts in the middle of the data range (or of ``bounds``)
-        middle = [sum(bounds[min(c, len(bounds) - 1)]) / 2.0 for c in range(k)]
-        root = mp.root(np.array(middle))
-    stages = []
+    # per box, the (lo, hi) its grid spans along each coordinate
+    spans = []
     for box in model.domain.boxes:
-        axes = []
-        steps = []
+        span = []
         for coord, (lo, hi) in enumerate(box):
             flo, fhi = bounds[coord] if coord < len(bounds) else bounds[-1]
             glo = lo if math.isfinite(lo) else flo
             ghi = hi if math.isfinite(hi) else fhi
-            ghi = max(ghi, glo)
+            span.append((glo, max(ghi, glo)))
+        spans.append(span)
+
+    root = None
+    if model.n_constraints == k:  # Newton starts in the middle of the first box's span
+        root = mp.root(np.array([(glo + ghi) / 2.0 for glo, ghi in spans[0]]))
+    if root is not None:
+        sol = solve(mp, root[None])
+        floor = mp.offset if solve is _el else 0.0
+        if sol.failure[0] is None and (
+            abs(sol.value[0] - floor) <= LIKELIHOOD_TIE * max(1.0, abs(floor))
+        ):
+            trace = ((tuple(root.tolist()), float(sol.value[0])),)
+            return ELFit(theta_hat=root, inner=mp.fit(root, sol, 0), trace=trace, method=method)
+
+    extra = mp.atoms if k == 1 and mp.scalar else None
+    stages = []
+    for box, span in zip(model.domain.boxes, spans):
+        axes = []
+        steps = []
+        for glo, ghi in span:
             axis = np.linspace(glo, ghi, grid_points) if ghi > glo else np.array([glo])
             steps.append((ghi - glo) / max(grid_points - 1, 1) if ghi > glo else 1.0)
             if extra is not None:

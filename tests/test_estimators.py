@@ -522,7 +522,8 @@ class TestNonFiniteObservation:
 class TestGridStack:
     """The grid stage solves each domain box's grid as one stack and the
     refinement solves stacks of one; every trace record matches a
-    single-theta inner fit."""
+    single-theta inner fit.  The just-identified case keeps the grid
+    because its root lies outside the box."""
 
     @pytest.mark.parametrize(
         "method,inner", _INNERS_BY_METHOD, ids=[m for m, _ in _INNERS_BY_METHOD]
@@ -531,7 +532,8 @@ class TestGridStack:
         rng = np.random.default_rng(3)
         # the over-identified family needs the spread atom 3
         obs = np.append(rng.choice([0.0, 1.0, 2.0, 3.0], p=[0.22, 0.38, 0.38, 0.02], size=59), 3.0)
-        for model, grid_points in ((mean_model(), 41), (overidentified_model(), 21)):
+        models = ((mean_model(ParamDomain.box((-math.inf, 0.7))), 41), (overidentified_model(), 21))
+        for model, grid_points in models:
             sample = Sample(tuple(obs))
             fit = _ESTIMATES[method](sample, model, grid_points)
             assert len(fit.trace) > grid_points
@@ -597,17 +599,18 @@ def _refine_spy(monkeypatch) -> list:
 
 
 class TestRootStart:
-    """In a just-identified model the root of the sample estimating
-    equations joins the grid when it lies in the domain; it is the
-    profile's minimum, so the refinement starts there and has nothing left
-    to solve."""
+    """In a just-identified model every discrepancy reaches its floor at
+    the root of the sample estimating equations, where the weights stay at
+    the empirical frequencies.  A root in the domain whose solve reaches
+    the floor is the fit, with a one-record trace and no grid or
+    refinement; every other model runs the grid."""
 
     METHODS = {
-        "EL": el_estimate,
-        "ET": et_estimate,
-        "Euclidean": euclidean_estimate,
-        "CR(0.5)": lambda s, m: cr_estimate(s, m, 0.5),
-        "CR(-0.5)": lambda s, m: cr_estimate(s, m, -0.5),
+        "EL": (el_estimate, el_inner),
+        "ET": (et_estimate, et_inner),
+        "Euclidean": (euclidean_estimate, euclidean_inner),
+        "CR(0.5)": (lambda s, m: cr_estimate(s, m, 0.5), lambda s, m, t: cr_inner(s, m, t, 0.5)),
+        "CR(-0.5)": (lambda s, m: cr_estimate(s, m, -0.5), lambda s, m, t: cr_inner(s, m, t, -0.5)),
     }
 
     @pytest.mark.parametrize("method", list(METHODS))
@@ -620,19 +623,30 @@ class TestRootStart:
             support = np.array([-2.0, 0.0, 1.0, 3.0, 4.0])
             sample = Sample(tuple(rng.choice(support, size=200, p=rng.dirichlet(np.ones(5)))))
         calls = _refine_spy(monkeypatch)
-        fit = self.METHODS[method](sample, mean_model())
+        estimate, inner = self.METHODS[method]
+        fit = estimate(sample, mean_model())
         x = sample.values()
-        lo, hi = x.min(), x.max()
-        span = hi - lo
-        grid = np.union1d(np.linspace(lo - 0.05 * span, hi + 0.05 * span, 201), x)
-        # the grid nodes in order, then the root, then the refinement's trials
-        (start, trials), = calls
-        root = fit.trace[grid.size][0]
-        assert [th[0] for th, _ in fit.trace[: grid.size]] == grid.tolist()
-        assert abs(root[0] - x.mean()) <= 1e-14 * span
-        assert start.tolist() == list(root)
-        assert trials <= 1 and len(fit.trace) == grid.size + 1 + trials
+        span = x.max() - x.min()
+        assert calls == []
+        (th, value), = fit.trace
+        assert th == tuple(fit.theta_hat.tolist()) and value == fit.inner.profile_value
         assert abs(fit.theta_hat[0] - x.mean()) <= 1e-14 * span
+        fresh = inner(sample, mean_model(), fit.theta_hat)
+        for name in ("lam", "w", "profile_grad"):
+            got, want = getattr(fit.inner, name), getattr(fresh, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert np.float64(fit.inner.profile_value).tobytes() == np.float64(
+            fresh.profile_value).tobytes()
+
+    def test_root_found_from_inside_the_box(self, monkeypatch):
+        # the data range's middle 1.0 lies outside [1.5, 3]; Newton starts
+        # at the box's middle 2.25 and reaches the root 1.6
+        calls = _refine_spy(monkeypatch)
+        sample = Sample((0.0, 2.0, 2.0, 2.0, 2.0))
+        fit = el_estimate(sample, mean_model(ParamDomain.box((1.5, 3.0))))
+        assert calls == [] and len(fit.trace) == 1
+        assert abs(fit.theta_hat[0] - 1.6) <= 1e-14
+        assert abs(fit.inner.profile_value - 5 * math.log(5)) <= 1e-12 * 5 * math.log(5)
 
     def test_root_outside_the_box_is_no_node(self, monkeypatch):
         # the root 1.0 lies outside (-inf, 0.7]: the grid spans the box from
@@ -654,6 +668,53 @@ class TestRootStart:
         fit = el_estimate(Sample(tuple(obs)), overidentified_model())
         (_, trials), = calls
         assert len(fit.trace) == 209 and trials == 4
+
+
+class TestRootCertificate:
+    """A just-identified fit returned at its root reaches the floor, the
+    global lower bound of its discrepancy (n log n for EL, 0 for the
+    others), and no node of an independent grid, scored by single-theta
+    inner fits, does better."""
+
+    METHODS = TestRootStart.METHODS
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(21)
+        for _ in range(16):
+            m, n = int(rng.integers(2, 8)), int(rng.integers(5, 300))
+            support = rng.choice(np.arange(-5.0, 6.0), size=m, replace=False)
+            obs = rng.choice(support, size=n, p=rng.dirichlet(np.ones(m)))
+            # 41 nodes inside the data range, off its ends, where only a
+            # point mass is feasible
+            grid = np.linspace(obs.min(), obs.max(), 43)[1:-1, None]
+            yield Sample(tuple(obs)), mean_model(), np.array([obs.mean()]), grid
+        for _ in range(4):
+            x = rng.integers(0, 4, size=30).astype(float)
+            y = np.round(0.5 + 0.7 * x + 0.3 * rng.normal(size=30), 3)
+            ols = _ols(x, y)
+            yield Sample(tuple(zip(x, y))), linear_model(), ols, ols + rng.uniform(
+                -0.3, 0.3, (41, 2))
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_certified_root_beats_an_independent_grid(self, method):
+        estimate, inner = self.METHODS[method]
+        for sample, model, want, grid in self._cases():
+            fit = estimate(sample, model)
+            floor = sample.n * math.log(sample.n) if method == "EL" else 0.0
+            assert len(fit.trace) == 1
+            assert abs(fit.inner.profile_value - floor) <= 1e-12 * max(1.0, floor)
+            assert np.abs(fit.theta_hat - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+            finite = 0
+            for th in grid:
+                try:
+                    value = inner(sample, model, th).profile_value
+                except (InfeasibleMoment, NotConverged, SingularConstraints, SupportCondition):
+                    continue
+                if math.isfinite(value):
+                    finite += 1
+                    assert fit.inner.profile_value <= value, (th, value)
+            assert finite > 0
 
 
 def _gradient_cases(name, rng):
