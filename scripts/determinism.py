@@ -14,14 +14,18 @@ found by the grid search are both compared).  When both trees report the
 same ``elmap.__version__``, every CSV a run writes and every fit's theta_hat,
 profile value, lam and w must be byte-identical between the two, and both
 runs must succeed; otherwise the script exits 1 and names what differs,
-with the largest absolute difference of each fit field that differs.
-When the version changed, differences are listed and allowed.
+with the largest absolute difference of each CSV column and each fit field
+that differs.  When the version changed, differences are listed and
+allowed.
 """
 
 from __future__ import annotations
 
 import array
 import configparser
+import csv
+import io
+import itertools
 import subprocess
 import sys
 import tempfile
@@ -139,6 +143,38 @@ def _field_change(field: str, a, b) -> str:
     return f"{field} (max |diff| {max(abs(p - q) for p, q in zip(x, y)):.3g})"
 
 
+def _cell_diff(a: str, b: str):
+    """The largest absolute difference between two CSV cells holding one
+    number or several separated by spaces; None when they are not numbers
+    of the same count."""
+    try:
+        x, y = ([float(t) for t in cell.split()] for cell in (a, b))
+    except ValueError:
+        return None
+    if len(x) != len(y):
+        return None
+    return max((abs(p - q) for p, q in zip(x, y) if p != q), default=0.0)
+
+
+def _csv_change(a: bytes, b: bytes) -> str:
+    """Which columns of two CSV bodies differ, with the largest absolute
+    difference of each numeric column."""
+    rows_a, rows_b = (list(csv.reader(io.StringIO(body.decode()))) for body in (a, b))
+    if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
+        return "header differs"
+    if len(rows_a) != len(rows_b):
+        return f"{len(rows_a) - 1} vs {len(rows_b) - 1} rows"
+    worst: dict = {}
+    for ra, rb in zip(rows_a[1:], rows_b[1:]):
+        for col, ca, cb in itertools.zip_longest(rows_a[0], ra, rb, fillvalue=""):
+            if ca != cb:
+                d = _cell_diff(ca, cb)
+                prev = worst.get(col, 0.0)
+                worst[col] = None if d is None or prev is None else max(prev, d)
+    return ", ".join(f"{col} (max |diff| {d:.3g})" if d is not None else f"{col} (text)"
+                     for col, d in worst.items())
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -163,8 +199,10 @@ def main(argv=None) -> int:
             problems.append(f"{cfg.name}: base {_status(a)}, head {_status(b)}")
             continue
         for name in sorted(set(a) | set(b)):
-            if a.get(name) != b.get(name):
-                problems.append(f"{cfg.name}: {name} differs")
+            if name not in a or name not in b:
+                problems.append(f"{cfg.name}: {name} written by one tree only")
+            elif a[name] != b[name]:
+                problems.append(f"{cfg.name}: {name} differs: {_csv_change(a[name], b[name])}")
             else:
                 print(f"{cfg.name}: {name} identical")
     a, b = (_fits(tree) for tree in (base, head))

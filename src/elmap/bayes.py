@@ -220,7 +220,9 @@ def q_mask(q_set, k: int) -> np.ndarray:
         raise DomainViolation(
             f"Q = {q_idx} must be a nonempty set of candidate indices in 0..{k - 1}"
         )
-    return np.isin(np.arange(k), q_idx)
+    mask = np.zeros(k, dtype=bool)
+    mask[q_idx] = True
+    return mask
 
 
 def decay_target(vals, q_set) -> tuple[np.ndarray, float, tuple]:

@@ -21,6 +21,8 @@ import argparse
 import configparser
 import csv
 import hashlib
+import io
+import locale
 import math
 import sys
 from collections import namedtuple
@@ -52,7 +54,7 @@ from .divergences import polya_l_divergence
 from .errors import ConfigInvalid, DomainViolation, ElmapError
 from .estimators import cr_estimate, el_estimate, et_estimate, euclidean_estimate
 from .polya import polya_decay_experiment, rebuild_urn
-from .prob import Pmf, Sample, linear_model, make_pmf, mean_model
+from .prob import Pmf, Sample, linear_model, make_pmf, mean_model, normalize_rows
 from .projection import l_project_stack
 
 KINDS = ("project", "fit", "blln", "example21", "polya", "censor")
@@ -102,13 +104,19 @@ class Config:
         self.path = Path(path)
         if not self.path.is_file():
             raise ConfigInvalid(f"config file not found: {path}")
+        try:
+            self.raw = self.path.read_bytes()
+        except OSError as exc:
+            raise ConfigInvalid(f"cannot read config: {exc}") from None
+        # one read feeds the manifest's hash and the parser; decoded and
+        # newline-translated as ConfigParser.read would open the file
         parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
         try:
-            parser.read(self.path)
+            text = self.raw.decode(locale.getpreferredencoding(False))
+            parser.read_file(io.StringIO(text, newline=None), source=str(self.path))
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigInvalid(f"cannot parse config: {exc}") from None
         self.parser = parser
-        self.raw = self.path.read_bytes()
 
     def get(self, section: str, key: str, convert, default=_SENTINEL):
         if not self.parser.has_option(section, key):
@@ -420,14 +428,13 @@ def validate(cfg: Config) -> list:
 def run_project(s: ProjectSettings, seeds) -> list:
     rows = [["theta", "feasible", "value", "lambda", "qhat"]]
     proj = l_project_stack(s.r, s.model, np.asarray(s.thetas, dtype=float)[:, None])
-    for th, value, lam, weights, failure in zip(
-        s.thetas, proj.value, proj.lam, proj.weights, proj.failure
-    ):
-        if failure is None:
-            qhat = make_pmf(s.r.support, weights)
-            rows.append(
-                [fmt(th), "1", fmt(value), fmt(lam[0]), " ".join(fmt(w) for w in qhat.weights)]
-            )
+    feasible = np.array([failure is None for failure in proj.failure])
+    # the feasible rows' pmfs in one call, each bit for bit its make_pmf's
+    qhats = iter(normalize_rows(s.r.support, proj.weights[feasible])[1])
+    for th, value, lam, ok in zip(s.thetas, proj.value, proj.lam, feasible):
+        if ok:
+            qhat = next(qhats)
+            rows.append([fmt(th), "1", fmt(value), fmt(lam[0]), " ".join(fmt(w) for w in qhat)])
         else:
             rows.append([fmt(th), "0", "inf", "", ""])
     return [("project.csv", rows)]
@@ -526,16 +533,20 @@ def _write_outputs(out: Path, outputs, cfg: Config, seeds) -> None:
     (out / "manifest.txt").write_text("\n".join(manifest) + "\n")
 
 
+# built once: parse_args leaves the parser unchanged, and in-process callers
+# of main (tests, notebooks, a benchmark loop) would otherwise rebuild it
+_PARSER = argparse.ArgumentParser(
+    prog="elmap",
+    description="finite-support likelihood projections and posterior decay experiments",
+)
+_PARSER.add_argument("command", choices=KINDS + ("validate",))
+_PARSER.add_argument("--config", required=True, type=Path)
+_PARSER.add_argument("--out", type=Path, default=Path("out"))
+_PARSER.add_argument("--seed", type=int, default=None, help="replaces the config's seeds")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="elmap",
-        description="finite-support likelihood projections and posterior decay experiments",
-    )
-    parser.add_argument("command", choices=KINDS + ("validate",))
-    parser.add_argument("--config", required=True, type=Path)
-    parser.add_argument("--out", type=Path, default=Path("out"))
-    parser.add_argument("--seed", type=int, default=None, help="replaces the config's seeds")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         cfg = Config(args.config)

@@ -278,9 +278,11 @@ def _estimate(
 
     Otherwise ``_profile_min`` searches a grid over each domain box.  The
     grid's axes span each box, or where it is unbounded ``bounds`` or else
-    the data range with a margin.  For scalar models they include the data
-    values, which keeps degenerate point-feasible problems solvable.  A
-    root in the box is one extra node.  The grid start is the
+    the data range with a margin; where that range lies wholly beyond a
+    box's one finite end, they span as wide a range inside the box, ending
+    at that end.  For scalar models they include the data values, which
+    keeps degenerate point-feasible problems solvable.  A root in the box
+    is one extra node.  The grid start is the
     lexicographically smallest node within LIKELIHOOD_TIE of the grid
     minimum.  Every evaluation inside the domain appends one (theta, value)
     record to the fit's trace, grid nodes in order.
@@ -300,6 +302,11 @@ def _estimate(
             flo, fhi = bounds[coord] if coord < len(bounds) else bounds[-1]
             glo = lo if math.isfinite(lo) else flo
             ghi = hi if math.isfinite(hi) else fhi
+            if ghi < glo and math.isfinite(lo) != math.isfinite(hi):
+                # the bounds lie wholly beyond the box's one finite end: a
+                # span as wide as theirs, inside the box, ending there
+                width = max(fhi - flo, 0.0)
+                glo, ghi = (hi - width, hi) if math.isfinite(hi) else (lo, lo + width)
             span.append((glo, max(ghi, glo)))
         spans.append(span)
 

@@ -7,15 +7,19 @@ The probability of a draw sequence depends only on the color counts:
     log P(counts) = sum_i sum_{j<n_i} log(alpha_i + j c)
                     - sum_{j<n} log(N + j c),
 
-with a single denominator product over all n draws; the same quantity has
-a log-Gamma form through eta = N / c, and the two must agree to 1e-9
-wherever both are defined.  The decay experiments rebuild the urn at every
-checkpoint so that n / N stays at a fixed ratio beta while the initial
-composition tracks a target distribution r; every seed shares one call's
-urns.  Since only the counts enter the scores, they draw the counts from
-their exact law (``polya_counts``); ``polya_draw``, which runs the urn one
-ball at a time, is the sequence-level reference.  The stream changed in
-version 0.7.0.  Posteriors are ``bayes.log_posterior`` under a uniform prior.
+with a single denominator product over all n draws.  The product form,
+O(n), is the reference; the same quantity has a log-Gamma form through
+eta = N / c, O(m) on ``math.lgamma``, which must agree with it to 1e-9
+wherever both are defined and give -inf or raise exactly where it does.
+The decay experiments rebuild the urn at every checkpoint so that n / N
+stays at a fixed ratio beta while the initial composition tracks a target
+distribution r; every seed shares one call's urns.  Since only the counts
+enter the scores, they draw the counts from their exact law
+(``polya_counts``); ``polya_draw``, which runs the urn one ball at a time,
+is the sequence-level reference.  The stream changed in version 0.7.0.
+Since version 0.13.0 the experiments score each checkpoint by the
+log-Gamma form, so a checkpoint's cost does not grow with n for c >= 0.
+Posteriors are ``bayes.log_posterior`` under a uniform prior.
 """
 
 from __future__ import annotations
@@ -170,10 +174,13 @@ def polya_log_prob(counts, config: UrnConfig, method: str = "product") -> float:
     """Log probability of observing the given per-color counts in order
     (any order: the sequence law is exchangeable).
 
-    method="product" multiplies the per-draw factors directly;
-    method="gamma" evaluates the equivalent log-Gamma expression through
-    eta = N / c.  Zero factors give -inf; negative factors mean the counts
-    are not reachable and raise DomainViolation.
+    method="product", the reference, multiplies the per-draw factors
+    directly in O(n); method="gamma" evaluates the equivalent log-Gamma
+    expression through eta = N / c with ``math.lgamma``, at most 2m + 2
+    calls.  Zero factors give -inf; negative factors mean the counts are
+    not reachable and raise DomainViolation.  The gamma form tells these
+    cases apart in O(m) from each color's last factor and the last
+    denominator, exactly as the product form does.
     """
     cnt = np.asarray(counts, dtype=np.int64)
     if cnt.shape != (config.m,) or np.any(cnt < 0):
@@ -201,20 +208,32 @@ def polya_log_prob(counts, config: UrnConfig, method: str = "product") -> float:
         return total - float(np.log(denom).sum())
     if method != "gamma":
         raise DomainViolation(f"unknown method {method!r}")
-    from scipy.special import gammaln
-
-    eta = big_n / c
-    eta_q = alpha / c
-    if c > 0:
-        out = gammaln(eta) - gammaln(eta + n)
-        out += float(np.sum(gammaln(eta_q + cnt) - gammaln(eta_q)))
-        return float(out)
-    lead = 1.0 - eta - n
-    if lead <= 0.0 or np.any(1.0 - eta_q - cnt <= 0.0):
-        raise DomainViolation("log-Gamma form undefined for these counts")
-    out = gammaln(lead) - gammaln(1.0 - eta)
-    out += float(np.sum(gammaln(1.0 - eta_q) - gammaln(1.0 - eta_q - cnt)))
-    return float(out)
+    ks = cnt.tolist()
+    if c < 0:
+        # the factors fall by |c| per draw, so each color's last one and the
+        # last denominator decide, in integers, as the product form's tests do
+        for a_i, k_i in zip(config.alpha, ks):
+            last = a_i + c * (k_i - 1)
+            if k_i and last < 0:
+                raise DomainViolation("negative factor in the numerator product")
+            if k_i and last == 0:
+                return -math.inf
+        if n and config.n_total + c * (n - 1) <= 0:
+            raise DomainViolation("urn cannot sustain that many draws")
+        # prod_{j<k} (a + j c) = s^k Gamma(a/s + 1) / Gamma(a/s + 1 - k), s = |c|;
+        # the s^n cancel
+        s = -c
+        out = math.lgamma(big_n / s + 1.0 - n) - math.lgamma(big_n / s + 1.0)
+        for a_i, k_i in zip(config.alpha, ks):
+            if k_i:
+                out += math.lgamma(a_i / s + 1.0) - math.lgamma(a_i / s + 1.0 - k_i)
+        return out
+    # prod_{j<k} (a + j c) = c^k Gamma(a/c + k) / Gamma(a/c); the c^n cancel
+    out = math.lgamma(big_n / c) - math.lgamma(big_n / c + n)
+    for a_i, k_i in zip(config.alpha, ks):
+        if k_i:
+            out += math.lgamma(a_i / c + k_i) - math.lgamma(a_i / c)
+    return out
 
 
 def gamma_ratio_bounds(a: float, b: float) -> tuple[float, float]:
@@ -302,7 +321,8 @@ def polya_decay_experiment(
 ) -> PolyaDecayReport:
     """Empirical -(1/n) log posterior-mass(Q), uniform prior, for urns rebuilt
     per checkpoint (once, for all seeds), against the reinforced L-divergence
-    gap of the target pmfs."""
+    gap of the target pmfs.  Each candidate is scored by the log-Gamma form
+    of ``polya_log_prob``, so a checkpoint costs O(m) per candidate."""
     grid_pmfs = list(grid_pmfs)
     target = decay_target([polya_l_divergence(q, r, beta, c) for q in grid_pmfs], q_set)
     schedule = checkpoints(n_schedule)
@@ -314,7 +334,7 @@ def polya_decay_experiment(
         loglik = np.empty((len(schedule), len(grid_pmfs)))
         for j, (n, sampler, grid) in enumerate(zip(schedule, urns, grids)):
             counts = polya_counts(sampler, n, derive_seed("polya.decay", seed, n))
-            loglik[j] = [polya_log_prob(counts, cfg) for cfg in grid]
+            loglik[j] = [polya_log_prob(counts, cfg, "gamma") for cfg in grid]
         reports.append(decay_report(0.0, loglik, target, schedule, seed))
     return PolyaDecayReport(
         checkpoints=tuple(schedule), beta=float(beta), c=int(c), reports=tuple(reports)

@@ -1,3 +1,4 @@
+import configparser
 import contextlib
 import csv
 import io
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import elmap
 import elmap.cli as cli
 from elmap.cli import main
+from elmap.errors import ConfigInvalid
 
 SHIPPED = Path(__file__).parent.parent / "configs"
 SEEDED_KINDS = ["blln", "censor", "polya", "example21"]
@@ -506,6 +508,43 @@ class TestShippedConfigs:
             assert (out / "manifest.txt").exists()
 
 
+def _read_reference(path):
+    """The config as ConfigParser.read parses it from the file, or the
+    text of the ConfigInvalid that its parse error gives."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    try:
+        parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        return f"cannot parse config: {exc}"
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+class TestConfigRead:
+    """Config reads its file once, for the manifest hash and the parser,
+    and parses it as ConfigParser.read does."""
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("name", sorted(p.name for p in SHIPPED.glob("*.cfg")))
+    def test_other_line_ends_parse_as_read_does(self, name, newline, tmp_path):
+        raw = (SHIPPED / name).read_bytes().replace(b"\n", newline.encode())
+        path = tmp_path / name
+        path.write_bytes(raw)
+        cfg = cli.Config(path)
+        assert cfg.raw == raw
+        assert {s: dict(cfg.parser[s]) for s in cfg.parser.sections()} == _read_reference(path)
+        assert main(["validate", "--config", str(path)]) == 0
+
+    def test_undecodable_byte_gives_read_error_text(self, tmp_path):
+        path = tmp_path / "blln.cfg"
+        path.write_bytes(b"# caf\xe9 au lait\n" + BLLN_CFG.encode())
+        want = _read_reference(path)
+        assert isinstance(want, str) and "decode" in want
+        with pytest.raises(ConfigInvalid) as err:
+            cli.Config(path)
+        assert str(err.value) == want
+        assert main(["validate", "--config", str(path)]) == 2
+
+
 class TestValidate:
     def test_valid_config_passes(self, tmp_path, capsys):
         cfg = write(tmp_path, "blln.cfg", BLLN_CFG)
@@ -599,7 +638,7 @@ def scipy_modules_after(code: str) -> str:
 
 def test_import_leaves_scipy_optimize_unloaded():
     # the linear program of moment_feasibility (J >= 3) imports scipy.optimize
-    # on use, and the gamma forms of polya import scipy.special on use
+    # on use, and polya_counts for c < 0 imports scipy.special on use
     assert scipy_modules_after("import elmap") == "[]"
     assert scipy_modules_after("import elmap.cli") == "[]"
 

@@ -59,6 +59,15 @@ def overidentified_model():
     )
 
 
+def shifted_mean_model(shift, domain):
+    """u(x; theta) = x - theta - shift, with its root at the sample mean
+    minus shift."""
+    return EstimatingModel(
+        u=lambda xs, th: xs[:, None] - th[..., None, :1] - shift,
+        domain=domain, n_constraints=1, n_params=1,
+    )
+
+
 def _scalar_grid_oracle(objective, lo=0.0, hi=3.0, points=3001):
     """Exhaustive grid minimization plus a bounded scalar refinement,
     independent of the estimator's own outer search."""
@@ -658,6 +667,25 @@ class TestRootStart:
         assert len(fit.trace) == grid.size + trials
         assert [th[0] for th, _ in fit.trace[: grid.size]] == grid.tolist()
         assert abs(fit.theta_hat[0] - 0.7) <= 1e-8
+
+    @pytest.mark.parametrize("shift, box, root", [
+        (10.0, (-math.inf, -5.0), -9.0), (-10.0, (5.0, math.inf), 11.0),
+    ])
+    def test_one_sided_box_beyond_the_data(self, shift, box, root, monkeypatch):
+        # the box lies wholly beyond the data range [0, 2] and its margin:
+        # the grid span lies inside the box, ending at its finite end
+        calls = _refine_spy(monkeypatch)
+        fit = el_estimate(S012, shifted_mean_model(shift, ParamDomain.box(box)))
+        assert calls == [] and len(fit.trace) == 1
+        assert abs(fit.theta_hat[0] - root) <= 1e-14 * abs(root)
+
+    def test_one_sided_box_beyond_the_data_runs_the_grid_inside_it(self):
+        # the root -9 lies outside (-inf, -9.5]: the 201 nodes span the box's
+        # last 2.2, the width of the data range with its margin
+        fit = el_estimate(S012, shifted_mean_model(10.0, ParamDomain.box((-math.inf, -9.5))))
+        nodes = [th[0] for th, _ in fit.trace[:201]]
+        assert np.allclose(nodes, np.linspace(-11.7, -9.5, 201), rtol=0.0, atol=1e-12)
+        assert abs(fit.theta_hat[0] + 9.5) <= 1e-8
 
     def test_overidentified_model_has_no_root(self, monkeypatch):
         # two constraints on one parameter, so no root node: 201 grid nodes

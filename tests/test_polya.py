@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +175,54 @@ class TestLogProb:
             checked += 1
         assert worst <= 1e-9
 
+    @staticmethod
+    def _outcome(counts, cfg, method):
+        try:
+            return polya_log_prob(counts, cfg, method)
+        except DomainViolation as exc:
+            return exc
+
+    @pytest.mark.parametrize("c", [-1, -2, -3])
+    def test_gamma_form_classifies_every_small_urn_as_the_product_form(self, c):
+        # every count vector with n <= 8 on urns of m <= 3 colors; alpha 6
+        # is a multiple of each |c|, so every c meets zero factors
+        agree = {"value": 0, "-inf": 0, "raise": 0}
+        for m in (1, 2, 3):
+            entries = range(1, 7) if m < 3 else (1, 2, 3, 6)
+            for alpha in itertools.product(entries, repeat=m):
+                cfg = UrnConfig(alpha, c)
+                for counts in itertools.product(range(9), repeat=m):
+                    if sum(counts) > 8:
+                        continue
+                    want = self._outcome(counts, cfg, "product")
+                    got = self._outcome(counts, cfg, "gamma")
+                    case = (alpha, counts, want, got)
+                    if isinstance(want, DomainViolation):
+                        assert isinstance(got, DomainViolation) and str(got) == str(want), case
+                        agree["raise"] += 1
+                    elif want == -math.inf:
+                        assert got == -math.inf, case
+                        agree["-inf"] += 1
+                    else:
+                        assert isinstance(got, float) and abs(got - want) <= 1e-9, case
+                        agree["value"] += 1
+        assert min(agree.values()) > 0, agree
+
+    def test_gamma_form_leaves_scipy_special_unloaded(self):
+        code = (
+            "import sys\n"
+            "from elmap.polya import UrnConfig, polya_log_prob\n"
+            "for c in (-1, 1, 2):\n"
+            "    polya_log_prob((2, 1), UrnConfig((3, 4), c), method='gamma')\n"
+            "print('scipy.special' in sys.modules)"
+        )
+        src = str(Path(polya.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert out.stdout.split() == ["False"]
+
     def test_unreachable_counts(self):
         cfg = UrnConfig((2, 2), -1)
         assert polya_log_prob((3, 1), cfg) == -math.inf  # third draw of color 1 impossible
@@ -341,9 +393,12 @@ class TestDecay:
         with pytest.raises(DomainViolation):
             polya_decay_experiment([G1, G2], [1], R_BIN, 0.5, 1, schedule, [0])
 
-    @pytest.mark.parametrize("c", [1, 0])
-    def test_rate_at_one_million_within_clt_spread(self, c):
-        beta, n, seeds = 0.5, 10**6, 20
+    @pytest.mark.parametrize("c, n", [
+        pytest.param(1, 10**6, id="1"), pytest.param(0, 10**6, id="0"),
+        pytest.param(1, 10**7, id="1-n1e7"),
+    ])
+    def test_rate_at_one_million_within_clt_spread(self, c, n):
+        beta, seeds = 0.5, 20
         gap = polya_l_divergence(G2, R_BIN, beta, c) - polya_l_divergence(G1, R_BIN, beta, c)
         rep = polya_decay_experiment([G1, G2], [1], R_BIN, beta, c, [n], range(seeds))
         rates = [r.empirical_rate[-1] for r in rep.reports]
