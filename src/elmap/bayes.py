@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -101,15 +100,6 @@ class PriorGrid:
     def k(self) -> int:
         return self.weights.shape[0]
 
-    @cached_property
-    def candidates(self) -> tuple:
-        """One Pmf per row of the weight matrix."""
-        return tuple(Pmf(self.support, row) for row in self.weights)
-
-    def weight_matrix(self) -> np.ndarray:
-        """The read-only (K, m) weight matrix, one row per candidate."""
-        return self.weights
-
     def log_masses(self, values) -> np.ndarray:
         """The (K, len(values)) log-mass table at the given values: columns
         of the stored log matrix, -inf at a value that is not an atom."""
@@ -135,9 +125,7 @@ def make_prior_grid(candidates, weights=None) -> PriorGrid:
         if not np.all(np.isfinite(w) & (w > 0)):
             raise DomainViolation("prior weights must be finite and strictly positive")
         lp = np.log(w)
-    grid = PriorGrid(sup, np.stack([c.weights for c in cands]), lp)
-    grid.__dict__["candidates"] = cands  # the rows as Pmfs already: fill the cache
-    return grid
+    return PriorGrid(sup, np.stack([c.weights for c in cands]), lp)
 
 
 @dataclass(frozen=True)

@@ -196,7 +196,7 @@ def censored_grid_divergences(prior: PriorGrid, model: CensoringModel) -> np.nda
     """censored_l_divergence of every candidate of the grid: one product of
     the grid's (K, 2m + 1) log cell masses with the cell law."""
     law = _cell_law(prior.support, model)
-    return -counts_loglik(_log_cell_masses(prior.weight_matrix()), law)
+    return -counts_loglik(_log_cell_masses(prior.weights), law)
 
 
 def censored_posterior(prior: PriorGrid, data, carried=None) -> tuple:
@@ -212,7 +212,7 @@ def censored_posterior(prior: PriorGrid, data, carried=None) -> tuple:
     counts = np.bincount(_cells(prior.support, *_split(data)), minlength=2 * m + 1)
     if carried is not None:
         counts = counts + carried
-    loglik = counts_loglik(_log_cell_masses(prior.weight_matrix()), counts)
+    loglik = counts_loglik(_log_cell_masses(prior.weights), counts)
     return log_posterior(prior.log_prior, loglik), counts
 
 
@@ -224,7 +224,7 @@ def censored_decay_experiment(
     target = decay_target(censored_grid_divergences(prior, model), q_set)
     schedule = checkpoints(n_schedule)
     law = _cell_law(prior.support, model)
-    log_cells = _log_cell_masses(prior.weight_matrix())
+    log_cells = _log_cell_masses(prior.weights)
     reports = []
     for seed in (int(s) for s in seeds):
         counts = path_counts(rng_from("censor.decay", seed), law, schedule)

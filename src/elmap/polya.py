@@ -7,18 +7,19 @@ The probability of a draw sequence depends only on the color counts:
     log P(counts) = sum_i sum_{j<n_i} log(alpha_i + j c)
                     - sum_{j<n} log(N + j c),
 
-with a single denominator product over all n draws.  The product form,
-O(n), is the reference; the same quantity has a log-Gamma form through
-eta = N / c, O(m) on ``math.lgamma``, which must agree with it to 1e-9
-wherever both are defined and give -inf or raise exactly where it does.
+with a single denominator product over all n draws.  ``polya_log_prob``
+evaluates it in its log-Gamma form through eta = N / c, O(m) on
+``math.lgamma``; the product form, O(n), is the tests' reference, which
+the log-Gamma form must match to 1e-9 wherever both are defined, giving
+-inf or raising exactly where it does.
 The decay experiments rebuild the urn at every checkpoint so that n / N
 stays at a fixed ratio beta while the initial composition tracks a target
 distribution r; every seed shares one call's urns.  Since only the counts
 enter the scores, they draw the counts from their exact law
 (``polya_counts``); ``polya_draw``, which runs the urn one ball at a time,
 is the sequence-level reference.  The stream changed in version 0.7.0.
-Since version 0.13.0 the experiments score each checkpoint by the
-log-Gamma form, so a checkpoint's cost does not grow with n for c >= 0.
+Since version 0.13.0 the scores come from the log-Gamma form, so a
+checkpoint's cost does not grow with n for c >= 0.
 Posteriors are ``bayes.log_posterior`` under a uniform prior.
 """
 
@@ -170,48 +171,28 @@ def polya_counts(config: UrnConfig, n: int, seed: int) -> tuple:
     return tuple(counts)
 
 
-def polya_log_prob(counts, config: UrnConfig, method: str = "product") -> float:
+def polya_log_prob(counts, config: UrnConfig) -> float:
     """Log probability of observing the given per-color counts in order
     (any order: the sequence law is exchangeable).
 
-    method="product", the reference, multiplies the per-draw factors
-    directly in O(n); method="gamma" evaluates the equivalent log-Gamma
-    expression through eta = N / c with ``math.lgamma``, at most 2m + 2
-    calls.  Zero factors give -inf; negative factors mean the counts are
-    not reachable and raise DomainViolation.  The gamma form tells these
-    cases apart in O(m) from each color's last factor and the last
-    denominator, exactly as the product form does.
+    The per-draw factor products are evaluated in log-Gamma form through
+    eta = N / c with ``math.lgamma``, at most 2m + 2 calls.  Zero factors
+    give -inf; negative factors mean the counts are not reachable and
+    raise DomainViolation.  For c < 0 each color's last factor and the last
+    denominator tell these cases apart in O(m).
     """
     cnt = np.asarray(counts, dtype=np.int64)
     if cnt.shape != (config.m,) or np.any(cnt < 0):
         raise DomainViolation("counts must be nonnegative, one per color")
     n = int(cnt.sum())
     c = config.c
-    alpha = np.asarray(config.alpha, dtype=float)
     big_n = float(config.n_total)
     if c == 0:
-        return float(cnt @ np.log(alpha / big_n))
-    if method == "product":
-        total = 0.0
-        for a_i, n_i in zip(alpha, cnt):
-            if n_i == 0:
-                continue
-            terms = a_i + c * np.arange(n_i, dtype=float)
-            if np.any(terms < 0.0):
-                raise DomainViolation("negative factor in the numerator product")
-            if np.any(terms == 0.0):
-                return -math.inf
-            total += float(np.log(terms).sum())
-        denom = big_n + c * np.arange(n, dtype=float)
-        if np.any(denom <= 0.0):
-            raise DomainViolation("urn cannot sustain that many draws")
-        return total - float(np.log(denom).sum())
-    if method != "gamma":
-        raise DomainViolation(f"unknown method {method!r}")
+        return float(cnt @ np.log(np.asarray(config.alpha, dtype=float) / big_n))
     ks = cnt.tolist()
     if c < 0:
         # the factors fall by |c| per draw, so each color's last one and the
-        # last denominator decide, in integers, as the product form's tests do
+        # last denominator decide, in integers
         for a_i, k_i in zip(config.alpha, ks):
             last = a_i + c * (k_i - 1)
             if k_i and last < 0:
@@ -321,8 +302,7 @@ def polya_decay_experiment(
 ) -> PolyaDecayReport:
     """Empirical -(1/n) log posterior-mass(Q), uniform prior, for urns rebuilt
     per checkpoint (once, for all seeds), against the reinforced L-divergence
-    gap of the target pmfs.  Each candidate is scored by the log-Gamma form
-    of ``polya_log_prob``, so a checkpoint costs O(m) per candidate."""
+    gap of the target pmfs.  A checkpoint costs O(m) per candidate."""
     grid_pmfs = list(grid_pmfs)
     target = decay_target([polya_l_divergence(q, r, beta, c) for q in grid_pmfs], q_set)
     schedule = checkpoints(n_schedule)
@@ -334,7 +314,7 @@ def polya_decay_experiment(
         loglik = np.empty((len(schedule), len(grid_pmfs)))
         for j, (n, sampler, grid) in enumerate(zip(schedule, urns, grids)):
             counts = polya_counts(sampler, n, derive_seed("polya.decay", seed, n))
-            loglik[j] = [polya_log_prob(counts, cfg, "gamma") for cfg in grid]
+            loglik[j] = [polya_log_prob(counts, cfg) for cfg in grid]
         reports.append(decay_report(0.0, loglik, target, schedule, seed))
     return PolyaDecayReport(
         checkpoints=tuple(schedule), beta=float(beta), c=int(c), reports=tuple(reports)

@@ -8,7 +8,8 @@ oracles work from per-atom counts in closed form and enumerate the
 multinomial count law exactly, instead of summing log masses along a
 simulated path.  The path oracles do the opposite: one log mass per
 observation, summed in observation order, as a reference for the
-production code's counts form.
+production code's counts form.  The Polya sequence law's reference is its
+product form, one factor per draw, against the library's log-Gamma form.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from scipy.optimize import linprog, minimize, minimize_scalar
 from scipy.special import gammaln
 
 from elmap.censoring import _split
-from elmap.errors import NoEvents, NotConverged
+from elmap.errors import DomainViolation, NoEvents, NotConverged
+from elmap.polya import UrnConfig
 from elmap.prob import Pmf, make_pmf
 from elmap.rng import rng_from
 
@@ -95,7 +97,10 @@ def el_primal_bruteforce(counts: np.ndarray, umat: np.ndarray) -> float:
             elif zi < 0:
                 t_hi = min(t_hi, -qi / zi)
         grid = np.linspace(t_lo, t_hi, 4001)[1:-1]
-        vals = [value(q0 + t * z) for t in grid]
+        line = q0 + grid[:, None] * z  # one row per grid point
+        inside = (line > 0).all(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.where(inside, np.log(line) @ counts, -math.inf)
         best = int(np.argmax(vals))
         lo = grid[max(best - 1, 0)]
         hi = grid[min(best + 1, len(grid) - 1)]
@@ -147,6 +152,40 @@ def bisect_lambda(w: np.ndarray, ucol: np.ndarray, iters: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def grid_candidates(grid) -> list:
+    """One Pmf per row of a prior grid's weight matrix."""
+    return [Pmf(grid.support, w) for w in grid.weights]
+
+
+def polya_log_prob_product(counts, config: UrnConfig) -> float:
+    """Log probability of the per-color counts in order, by multiplying the
+    per-draw factors directly in O(n): -inf at a zero factor,
+    DomainViolation, with ``polya_log_prob``'s texts, at a negative one."""
+    cnt = np.asarray(counts, dtype=np.int64)
+    if cnt.shape != (config.m,) or np.any(cnt < 0):
+        raise DomainViolation("counts must be nonnegative, one per color")
+    n = int(cnt.sum())
+    c = config.c
+    alpha = np.asarray(config.alpha, dtype=float)
+    big_n = float(config.n_total)
+    if c == 0:
+        return float(cnt @ np.log(alpha / big_n))
+    total = 0.0
+    for a_i, n_i in zip(alpha, cnt):
+        if n_i == 0:
+            continue
+        terms = a_i + c * np.arange(n_i, dtype=float)
+        if np.any(terms < 0.0):
+            raise DomainViolation("negative factor in the numerator product")
+        if np.any(terms == 0.0):
+            return -math.inf
+        total += float(np.log(terms).sum())
+    denom = big_n + c * np.arange(n, dtype=float)
+    if np.any(denom <= 0.0):
+        raise DomainViolation("urn cannot sustain that many draws")
+    return total - float(np.log(denom).sum())
 
 
 COUNT_WINDOW_SD = 9.0

@@ -44,7 +44,7 @@ from elmap.prob import (
 )
 from elmap.projection import l_project_stack
 from elmap.rng import rng_from
-from oracles import draw_log_masses, sequential_log_mass, shuffled_path
+from oracles import draw_log_masses, grid_candidates, sequential_log_mass, shuffled_path
 
 R_BIN = make_pmf([0, 1], [0.5, 0.5])
 CAND_A = make_pmf([0, 1], [0.6, 0.4])
@@ -133,7 +133,7 @@ class TestPerObservationOracle:
         cells = shuffled_path(
             rng_from(label, seed), R_BIN.weights, self.SCHEDULE, rng_from("test.order", seed)
         )
-        table = draw_log_masses(prior.candidates, R_BIN.support[cells])
+        table = draw_log_masses(grid_candidates(prior), R_BIN.support[cells])
         return sequential_log_mass(prior.log_prior, table, mask, self.SCHEDULE)
 
     def test_decay_curve(self):
@@ -208,7 +208,7 @@ class TestMapMnplAgreement:
         obs = tuple(rng.choice([0.0, 1.0], size=200))
         for n in range(1, 201):
             state = posterior_update(prior, Sample(obs[:n]))
-            mn_idx, _ = mnpl_grid(Sample(obs[:n]), list(prior.candidates))
+            mn_idx, _ = mnpl_grid(Sample(obs[:n]), grid_candidates(prior))
             assert map_candidate(state) == mn_idx
 
     def test_unequal_priors_agree_at_large_n(self):
@@ -217,7 +217,7 @@ class TestMapMnplAgreement:
             rng = rng_from("test.agree2", seed)
             obs = tuple(rng.choice([0.0, 1.0], size=10000))
             state = posterior_update(prior, Sample(obs))
-            mn_idx, _ = mnpl_grid(Sample(obs), list(prior.candidates))
+            mn_idx, _ = mnpl_grid(Sample(obs), grid_candidates(prior))
             assert map_candidate(state) == mn_idx
 
 
@@ -310,8 +310,8 @@ def config():
 class TestExample21:
     def test_symmetry_precheck_tight(self, config):
         r, prior = config
-        means = np.array([c.mean() for c in prior.candidates])
-        vals = np.array([l_divergence(c, r) for c in prior.candidates])
+        means = np.array([c.mean() for c in grid_candidates(prior)])
+        vals = np.array([l_divergence(c, r) for c in grid_candidates(prior)])
         v_low = vals[means <= 0.7 + 1e-9].min()
         v_high = vals[means >= 1.3 - 1e-9].min()
         assert abs(v_low - v_high) <= 1e-9
@@ -478,7 +478,7 @@ class TestArrayFormAgreement:
         grids = [split] + [make_prior_grid([make_pmf(r.support, row) for row in w])
                            for _, r, w in self.random_stacks(30) if len(w) >= 3]
         for prior in grids:
-            cands = prior.candidates
+            cands = grid_candidates(prior)
             d = np.array([[tv_distance(a, b) for b in cands] for a in cands])
             for centers in ([0], [0, prior.k - 1]):
                 for eps in (0.05, float(d[0, prior.k // 2]), float(d[-1, 1])):
@@ -489,7 +489,7 @@ class TestArrayFormAgreement:
         _, split = config
         rng = np.random.default_rng(7)
         for prior in (split, GRID3, two_grid([0.3, 0.7])):
-            table = log_mass_table(prior.candidates, prior.support)
+            table = log_mass_table(grid_candidates(prior), prior.support)
             assert np.array_equal(prior.log_masses(prior.support), table)
             for _ in range(50):
                 counts = rng.integers(0, 10**6, size=prior.support.size)
@@ -497,14 +497,14 @@ class TestArrayFormAgreement:
                 assert np.array_equal(state.cum_loglik, counts_loglik(table, counts))
         wide = np.array([-1.0, 0.0, 1.0, 2.0])
         assert np.array_equal(two_grid().log_masses(wide),
-                              log_mass_table(two_grid().candidates, wide))
+                              log_mass_table(grid_candidates(two_grid()), wide))
 
     def test_example21_report_on_shipped_settings(self, config):
         r, prior = config
         seeds = range(20)
         cands, p_lo, p_hi, d12, ref, mean_stack = example21_per_candidate(
             0.7, 1.3, r, 10000, seeds, 0.05)
-        assert all(a == b for a, b in zip(prior.candidates, cands))
+        assert all(a == b for a, b in zip(grid_candidates(prior), cands))
         rep = example21(0.7, 1.3, r, prior, n=10000, seeds=seeds, epsilon=0.05)
         assert (rep.proj_low, rep.proj_high, rep.projection_tv) == (p_lo, p_hi, d12)
         for name, values in ref.items():
@@ -532,12 +532,12 @@ class TestArrayFormAgreement:
 
     def test_grid_l_projections_match_per_candidate_l_divergence(self, config):
         r, split = config
-        ref = np.array([l_divergence(c, r) for c in split.candidates])  # 8 low, 8 high
+        ref = np.array([l_divergence(c, r) for c in grid_candidates(split)])  # 8 low, 8 high
         low, high = int(np.argmin(ref[:8])), 8 + int(np.argmin(ref[8:]))
         assert split_projections(split, r, 0.7, 1.3) == (low, high)
         infinite = none_finite = 0
         for prior, r in [(split, r)] + list(self.random_grids(400)):
-            ref = np.array([l_divergence(c, r) for c in prior.candidates])
+            ref = np.array([l_divergence(c, r) for c in grid_candidates(prior)])
             if np.isinf(ref).all():
                 with pytest.raises(InfiniteRate):
                     grid_l_projections(prior, r)
@@ -545,7 +545,7 @@ class TestArrayFormAgreement:
                 continue
             vals, idx = grid_l_projections(prior, r)
             # the scores split_projections took before, one log-mass row per candidate
-            table = log_mass_table(prior.candidates, r.support)
+            table = log_mass_table(grid_candidates(prior), r.support)
             assert np.array_equal(vals, -counts_loglik(table, r.weights))
             fin = np.isfinite(ref)
             assert np.array_equal(np.isfinite(vals), fin)

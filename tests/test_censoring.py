@@ -26,6 +26,7 @@ from elmap.rng import rng_from
 from oracles import (
     censored_el_bruteforce,
     draw_log_masses,
+    grid_candidates,
     sequential_log_mass,
     shuffled_path,
 )
@@ -274,7 +275,7 @@ class TestDecay:
                 rng_from("censor.decay", rep.seed), law, schedule,
                 rng_from("test.order", rep.seed),
             )
-            table = draw_log_masses(prior.candidates, times[cells], censored[cells])
+            table = draw_log_masses(grid_candidates(prior), times[cells], censored[cells])
             ref = sequential_log_mass(prior.log_prior, table, [False, True], schedule)
             np.testing.assert_allclose(
                 rep.empirical_rate, -ref / schedule, rtol=1e-11, atol=0
@@ -337,7 +338,7 @@ class TestGridDivergences:
             model = CensoringModel.from_components(make_pmf(grid, f0), make_pmf(grid, g0))
             prior = make_prior_grid([make_pmf(grid, w) for w in rows(int(rng.integers(1, 9)), m)])
             vals = censored_grid_divergences(prior, model)
-            ref = np.array([censored_l_divergence(c, model) for c in prior.candidates])
+            ref = np.array([censored_l_divergence(c, model) for c in grid_candidates(prior)])
             fin = np.isfinite(ref)
             assert np.array_equal(np.isfinite(vals), fin)
             assert np.allclose(vals[fin], ref[fin], rtol=1e-14, atol=0.0)

@@ -32,6 +32,7 @@ from elmap.polya import (
 )
 from elmap.prob import Sample, make_pmf
 from elmap.rng import derive_seed
+from oracles import polya_log_prob_product
 
 R_BIN = make_pmf([0, 1], [0.5, 0.5])
 G1 = make_pmf([0, 1], [0.6, 0.4])
@@ -84,7 +85,7 @@ def exact_counts_law(cfg, n) -> dict:
     for counts in itertools.product(range(n + 1), repeat=cfg.m):
         if sum(counts) == n:
             coef = gammaln(n + 1.0) - sum(gammaln(k + 1.0) for k in counts)
-            law[counts] = math.exp(coef + polya_log_prob(counts, cfg))
+            law[counts] = math.exp(coef + polya_log_prob_product(counts, cfg))
     return law
 
 
@@ -167,18 +168,18 @@ class TestLogProb:
             if c < 0 and not cfg.valid_for_horizon(n):
                 continue
             counts = tuple(int(v) for v in rng.multinomial(n, np.ones(m) / m))
-            a = polya_log_prob(counts, cfg)
+            a = polya_log_prob_product(counts, cfg)
             if not math.isfinite(a):
                 continue
-            b = polya_log_prob(counts, cfg, method="gamma")
+            b = polya_log_prob(counts, cfg)
             worst = max(worst, abs(a - b))
             checked += 1
         assert worst <= 1e-9
 
     @staticmethod
-    def _outcome(counts, cfg, method):
+    def _outcome(log_prob, counts, cfg):
         try:
-            return polya_log_prob(counts, cfg, method)
+            return log_prob(counts, cfg)
         except DomainViolation as exc:
             return exc
 
@@ -194,8 +195,8 @@ class TestLogProb:
                 for counts in itertools.product(range(9), repeat=m):
                     if sum(counts) > 8:
                         continue
-                    want = self._outcome(counts, cfg, "product")
-                    got = self._outcome(counts, cfg, "gamma")
+                    want = self._outcome(polya_log_prob_product, counts, cfg)
+                    got = self._outcome(polya_log_prob, counts, cfg)
                     case = (alpha, counts, want, got)
                     if isinstance(want, DomainViolation):
                         assert isinstance(got, DomainViolation) and str(got) == str(want), case
@@ -213,7 +214,7 @@ class TestLogProb:
             "import sys\n"
             "from elmap.polya import UrnConfig, polya_log_prob\n"
             "for c in (-1, 1, 2):\n"
-            "    polya_log_prob((2, 1), UrnConfig((3, 4), c), method='gamma')\n"
+            "    polya_log_prob((2, 1), UrnConfig((3, 4), c))\n"
             "print('scipy.special' in sys.modules)"
         )
         src = str(Path(polya.__file__).resolve().parents[1])
@@ -306,8 +307,6 @@ class TestPosteriorAndMnpl:
 
     def test_typed_errors(self):
         with pytest.raises(DomainViolation):
-            polya_log_prob((1, 1), UrnConfig((2, 2), 1), method="beta")
-        with pytest.raises(DomainViolation):
             PolyaPath((0, 1, 1), (1, 1))
 
     def test_mnpl_asymptotic_all_infinite(self):
@@ -325,18 +324,25 @@ class TestPosteriorAndMnpl:
         assert mnpl_asymptotic([G1, G2], nu, 0.5, 0) == [0]
 
     def test_exact_asymptotic_agreement_long_paths(self):
-        beta, c, n = 0.5, 1, 10000
-        for seed in range(20):
+        # n = 10^7 is the decay experiment's scale; its counts come from
+        # their exact law, as a ball-by-ball path of that length is slow
+        beta, c = 0.5, 1
+        for n in (10000, 10**7):
             urn = rebuild_urn(R_BIN, n, beta, c)
-            path = polya_draw(urn, n, derive_seed("agree", seed))
             grid = [
                 UrnConfig(apportion_counts(urn.n_total, q.weights), c)
                 for q in (G1, G2)
             ]
-            exact = mnpl_exact(grid, path.counts)
-            nu = make_pmf([0, 1], np.asarray(path.counts) / n)
-            asym = mnpl_asymptotic([G1, G2], nu, beta, c)
-            assert exact == asym
+            for seed in range(20):
+                if n == 10000:
+                    counts = polya_draw(urn, n, derive_seed("agree", seed)).counts
+                else:
+                    counts = polya_counts(urn, n, derive_seed("agree", seed))
+                exact = mnpl_exact(grid, counts)
+                nu = make_pmf([0, 1], np.asarray(counts) / n)
+                asym = mnpl_asymptotic([G1, G2], nu, beta, c)
+                assert exact == asym
+                assert exact == [int(np.argmax(polya_posterior(grid, counts)))]
 
 
 class TestSlln:
