@@ -12,11 +12,11 @@ sample, a two-atom sample and two box domains, one holding the root of the
 sample equations and one not, so that fits returned at the root and fits
 found by the grid search are both compared).  When both trees report the
 same ``elmap.__version__``, every CSV a run writes and every fit's theta_hat,
-profile value, lam and w must be byte-identical between the two, and both
-runs must succeed; otherwise the script exits 1 and names what differs,
-with the largest absolute difference of each CSV column and each fit field
-that differs.  When the version changed, differences are listed and
-allowed.
+profile value, lam, w, profile gradient and nonnegative flag (as 1.0 or
+0.0) must be byte-identical between the two, and both runs must succeed;
+otherwise the script exits 1 and names what differs, with the largest
+absolute difference of each CSV column and each fit field that differs.
+When the version changed, differences are listed and allowed.
 """
 
 from __future__ import annotations
@@ -87,7 +87,8 @@ for case, sample, model, grid_points in cases:
             print(name, "error", type(exc).__name__, sep="\t")
             continue
         fields = {"theta_hat": fit.theta_hat, "profile_value": fit.inner.profile_value,
-                  "lam": fit.inner.lam, "w": fit.inner.w}
+                  "lam": fit.inner.lam, "w": fit.inner.w,
+                  "profile_grad": fit.inner.profile_grad, "nonnegative": fit.inner.nonnegative}
         for field, value in fields.items():
             print(name, field, np.asarray(value, dtype=float).tobytes().hex(), sep="\t")
 """

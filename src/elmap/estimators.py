@@ -59,9 +59,7 @@ from .errors import (
     SingularConstraints,
     ThetaOutOfDomain,
 )
-from .prob import (
-    LIKELIHOOD_TIE, EstimatingModel, Pmf, Sample, counts_loglik, log_mass_table, make_pmf, near_min
-)
+from .prob import LIKELIHOOD_TIE, EstimatingModel, Sample, counts_loglik, log_mass_table, near_min
 from .projection import (
     REFINE_TOL,
     ProjectionStack,
@@ -80,19 +78,17 @@ _ROOT_STEPS = 50
 class DualFit:
     """Inner fit at a fixed parameter value.
 
-    ``w`` holds one weight per observation (order preserved); ``pmf`` is the
-    same fit aggregated to atoms, or None when weights may be negative
-    (Euclidean closed form) or observations are not scalar.  For the EL
-    method ``profile_value`` is -sum_i log w_i; for the other methods it is
-    n times the fitted discrepancy, so that smaller is better throughout.
-    ``profile_grad`` is the gradient of ``profile_value`` in theta, by the
-    envelope theorem.
+    ``w`` holds one weight per observation (order preserved); ``nonnegative``
+    says whether every weight is >= 0, which only the Euclidean closed form
+    can break.  For the EL method ``profile_value`` is -sum_i log w_i; for
+    the other methods it is n times the fitted discrepancy, so that smaller
+    is better throughout.  ``profile_grad`` is the gradient of
+    ``profile_value`` in theta, by the envelope theorem.
     """
 
     lam: np.ndarray
     w: np.ndarray
     profile_value: float
-    pmf: Pmf | None
     nonnegative: bool = True
     profile_grad: np.ndarray | None = None
 
@@ -133,16 +129,11 @@ class _SampleProblem(_MomentProblem):
         weight shared equally among the atom's observations."""
         if sol.failure[i] is not None:
             raise node_error(sol.failure[i], th)
-        nonnegative = bool(np.all(sol.weights[i] >= 0.0))
-        pmf = None
-        if self.scalar and nonnegative:
-            pmf = make_pmf(self.atoms, sol.weights[i])
         return DualFit(
             lam=sol.lam[i],
             w=(sol.weights[i] / self.counts)[self.inverse],
             profile_value=float(sol.value[i]),
-            pmf=pmf,
-            nonnegative=nonnegative,
+            nonnegative=bool(np.all(sol.weights[i] >= 0.0)),
             profile_grad=self.gradient(th, sol, i),
         )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -183,13 +183,16 @@ class Sample:
     """An observed data sequence; observations are scalars or fixed-length
     tuples (the bivariate regression preset uses (x, y) pairs).  Anything
     else, such as rows of mixed length, scalars mixed with tuples or
-    non-numeric entries, raises DomainViolation."""
+    non-numeric entries, raises DomainViolation.  The float array they are
+    converted from is kept, read-only, for ``values``."""
 
     observations: tuple
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
-            vals = np.asarray(self.observations, dtype=float)
+            # a copy, so that freezing it leaves the caller's array writable
+            vals = np.array(self.observations, dtype=float)
             # None is the one non-number the conversion takes (as nan)
             if np.isnan(vals).any() and np.equal(np.array(self.observations, object), None).any():
                 raise TypeError("None is not a number")
@@ -205,7 +208,9 @@ class Sample:
             raise DomainViolation(
                 f"observations must be scalars or equal-length tuples, not of shape {vals.shape}"
             )
+        vals.setflags(write=False)
         object.__setattr__(self, "observations", obs)
+        object.__setattr__(self, "_values", vals)
 
     @property
     def n(self) -> int:
@@ -216,8 +221,9 @@ class Sample:
         return self.n == 0 or not isinstance(self.observations[0], tuple)
 
     def values(self) -> np.ndarray:
-        """Observations as an array: shape (n,) for scalars, (n, d) for pairs."""
-        return np.asarray(self.observations, dtype=float)
+        """Observations as a read-only float array, built once with the
+        sample: shape (n,) for scalars, (n, d) for pairs."""
+        return self._values
 
 
 def empirical_pmf(sample: Sample) -> Pmf:
@@ -258,9 +264,14 @@ def support_dominates(p: Pmf, q: Pmf) -> bool:
 
 @dataclass(frozen=True)
 class ParamDomain:
-    """Finite union of (possibly unbounded) axis-aligned boxes in R^K."""
+    """Finite union of (possibly unbounded) axis-aligned boxes in R^K.
+
+    The boxes' lower and upper ends are also kept as read-only (boxes, K)
+    arrays, built once here, which ``contains`` compares against."""
 
     boxes: tuple  # tuple of boxes; each box is a tuple of (lo, hi) pairs
+    _lo: np.ndarray = field(init=False, repr=False, compare=False)
+    _hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         boxes = tuple(
@@ -275,7 +286,11 @@ class ParamDomain:
             for lo, hi in box:
                 if not lo <= hi:
                     raise DomainViolation(f"empty interval ({lo}, {hi})")
+        ends = np.array(boxes).reshape(len(boxes), k, 2)
+        ends.setflags(write=False)
         object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "_lo", ends[..., 0])
+        object.__setattr__(self, "_hi", ends[..., 1])
 
     @property
     def k(self) -> int:
@@ -287,9 +302,8 @@ class ParamDomain:
         th = np.atleast_1d(np.asarray(theta, dtype=float))
         if th.shape[-1] != self.k:
             return np.zeros(th.shape[:-1], dtype=bool)
-        lo, hi = np.moveaxis(np.array(self.boxes), -1, 0)
         t = th[..., None, :]
-        return np.any(np.all((lo <= t) & (t <= hi), axis=-1), axis=-1)
+        return np.any(np.all((self._lo <= t) & (t <= self._hi), axis=-1), axis=-1)
 
     @classmethod
     def box(cls, *intervals) -> "ParamDomain":

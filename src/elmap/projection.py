@@ -275,11 +275,10 @@ def dual_newton(p: np.ndarray, umat: np.ndarray, gamma: float):
     x = np.zeros((nodes, j + 1))
     z = np.full((nodes, m), 1.0 if gamma != 0.0 else 0.0)
     # The working set holds the nodes still iterating (``active``, their
-    # index in the stack); a node that stops leaves its state in the *_end
-    # arrays.
+    # index in the stack); a node that stops before the others leaves its
+    # state in the *_end arrays, made when the first such node stops.
     active = np.arange(nodes)
-    x_end, q_end, g_end = np.empty_like(x), np.empty_like(z), np.empty_like(x)
-    it_end = np.empty(nodes, dtype=int)
+    x_end = None
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         d, q, h = evaluate(x[:, 0], z)
         grad = gradient(amat, q)
@@ -324,6 +323,9 @@ def dual_newton(p: np.ndarray, umat: np.ndarray, gamma: float):
             if kept < accept.size:
                 if not kept:
                     break
+                if x_end is None:
+                    x_end, q_end, g_end = np.empty_like(x), np.empty_like(z), np.empty_like(x)
+                    it_end = np.empty(nodes, dtype=int)
                 stop = ~accept
                 done = active[stop]
                 x_end[done], q_end[done], g_end[done] = x[stop], q[stop], grad[stop]
@@ -335,8 +337,11 @@ def dual_newton(p: np.ndarray, umat: np.ndarray, gamma: float):
                 )
             x, z, d, q, h, grad = xt, zt, dt, qt, ht, gt
         # the nodes left stopped together, or ran out of iterations
-        x_end[active], q_end[active], g_end[active] = x, q, grad
-        it_end[active] = it
+        if x_end is None:  # the working set is still the whole stack
+            x_end, q_end, g_end, it_end = x, q, grad, np.full(nodes, it)
+        else:
+            x_end[active], q_end[active], g_end[active] = x, q, grad
+            it_end[active] = it
         gnorm = np.sqrt(rowsum(g_end * g_end, 1))
         converged = gnorm <= 1e-8
         if not stacked and not converged[0]:
@@ -354,9 +359,10 @@ def dual_newton(p: np.ndarray, umat: np.ndarray, gamma: float):
     lam = x_end[:, 1:] / scale
     if not stacked:
         return lam[0], q[0], int(it_end[0]), float(value[0])
-    lam[~converged] = np.nan
-    q[~converged] = np.nan
-    value[~converged] = math.inf
+    if not converged.all():
+        lam[~converged] = np.nan
+        q[~converged] = np.nan
+        value[~converged] = math.inf
     return lam, q, int(it_end.sum()), value
 
 

@@ -159,6 +159,25 @@ def grid_candidates(grid) -> list:
     return [Pmf(grid.support, w) for w in grid.weights]
 
 
+def fit_pmf(sample, fit) -> Pmf:
+    """An inner fit's per-observation weights summed per atom, as the
+    validated Pmf on the sample's distinct values."""
+    atoms, inverse = np.unique(sample.values(), return_inverse=True)
+    return make_pmf(atoms, np.bincount(inverse, weights=fit.w))
+
+
+def domain_contains(domain, theta):
+    """``ParamDomain.contains`` with the box ends rebuilt from ``boxes`` on
+    each call: one answer per row of theta (..., K), False for rows with
+    NaN or of the wrong length."""
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    if th.shape[-1] != domain.k:
+        return np.zeros(th.shape[:-1], dtype=bool)
+    lo, hi = np.moveaxis(np.array(domain.boxes), -1, 0)
+    t = th[..., None, :]
+    return np.any(np.all((lo <= t) & (t <= hi), axis=-1), axis=-1)
+
+
 def polya_log_prob_product(counts, config: UrnConfig) -> float:
     """Log probability of the per-color counts in order, by multiplying the
     per-draw factors directly in O(n): -inf at a zero factor,

@@ -37,6 +37,8 @@ from elmap.prob import (
 )
 from elmap.rng import rng_from
 
+from oracles import domain_contains
+
 
 def weights_strategy(m):
     return st.lists(
@@ -207,6 +209,27 @@ class TestSample:
     def test_malformed_raises_domain_violation(self, observations):
         with pytest.raises(DomainViolation, match="observations must be"):
             Sample(observations)
+
+    @pytest.mark.parametrize(
+        "observations", [(0.5, 2, -1.0, 0.5), [(1.0, 2.0), (3, 4.5), (1.0, 2.0)], ()]
+    )
+    def test_values_is_the_read_only_float_array(self, observations):
+        sample = Sample(observations)
+        vals, want = sample.values(), np.asarray(observations, dtype=float)
+        assert vals.shape == want.shape and vals.dtype == want.dtype
+        assert vals.tobytes() == want.tobytes()
+        assert sample.values() is vals
+        with pytest.raises(ValueError, match="read-only"):
+            vals[...] = 0.0
+
+    def test_input_array_stays_writable(self):
+        obs = np.array([0.0, 1.0, 1.0])
+        sample = Sample(obs)
+        assert obs.flags.writeable and not np.shares_memory(obs, sample.values())
+        obs[0] = 5.0
+        assert sample.values().tolist() == [0.0, 1.0, 1.0]
+        assert sample == Sample((0.0, 1.0, 1.0)) and hash(sample) == hash(Sample([0, 1, 1]))
+        assert repr(sample) == "Sample(observations=(0.0, 1.0, 1.0))"
 
 
 class TestTvDistance:
@@ -418,6 +441,47 @@ class TestStackedDomain:
         assert inside[5] and inside[6] and not inside[3] and not inside[4]
         grid = ths.reshape(4, 10, 2)
         assert np.array_equal(dom.contains(grid), inside.reshape(4, 10))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_the_per_call_reference(self, data):
+        k = data.draw(st.integers(1, 3), label="k")
+        end = st.one_of(
+            st.sampled_from([-math.inf, math.inf, -1.0, 0.0, 0.5, 1.0]),
+            st.floats(-3.0, 3.0),
+        )
+        interval = st.tuples(end, end).map(sorted).map(tuple)
+        boxes = data.draw(
+            st.lists(st.tuples(*[interval] * k), min_size=1, max_size=3), label="boxes"
+        )
+        dom = ParamDomain(tuple(boxes))
+        coord = st.one_of(end, st.sampled_from([math.nan, -math.inf, math.inf]))
+        lead = data.draw(st.sampled_from([(), (4,), (2, 3)]), label="stack")
+        width = data.draw(st.sampled_from([k, k, k, k + 1, k - 1]), label="length")
+        size = math.prod(lead) * width
+        theta = np.array(data.draw(st.lists(coord, min_size=size, max_size=size)), dtype=float)
+        theta = theta.reshape(lead + (width,))
+        got, want = dom.contains(theta), domain_contains(dom, theta)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want) == lead
+        assert np.array_equal(got, want)
+        if width == k:
+            assert np.ravel(got).tolist() == [_in_boxes(dom, th) for th in theta.reshape(-1, k)]
+
+    def test_box_ends_are_built_once_and_read_only(self):
+        dom = ParamDomain.union(
+            ParamDomain.box((-math.inf, 0.7), (0.0, 1.0)),
+            ParamDomain.box((1.3, math.inf), (2.0, 3.0)),
+        )
+        assert dom._lo.tolist() == [[-math.inf, 0.0], [1.3, 2.0]]
+        assert dom._hi.tolist() == [[0.7, 1.0], [math.inf, 3.0]]
+        for ends in (dom._lo, dom._hi):
+            assert not ends.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                ends[0, 0] = 5.0
+        same = ParamDomain(dom.boxes)
+        assert same == dom and hash(same) == hash(dom)
+        assert "_lo" not in repr(dom) and "_hi" not in repr(dom)
 
     def test_wrong_k(self):
         dom = ParamDomain.real_line(2)
