@@ -6,14 +6,14 @@ BASE and HEAD are checkout roots, each holding ``src/elmap`` (in CI, the
 pull request's base commit as a git worktree, and the head).  Every
 config in BASE's ``configs/`` runs with its own seeds through each tree's
 ``elmap.cli``, and each tree runs one fixed, seeded list of estimator fits
-(EL, ET, Euclidean and Cressie-Read with gamma = 0.5 and -0.5, on the mean
-model and on the linear preset; the mean-model cases include a constant
+(EL, ET, Euclidean and Cressie-Read with gamma = 0.5, -0.5, -1 and 0, on
+the mean model and on the linear preset; the mean-model cases include a constant
 sample, a two-atom sample and two box domains, one holding the root of the
 sample equations and one not, so that fits returned at the root and fits
 found by the grid search are both compared).  When both trees report the
-same ``elmap.__version__``, every CSV a run writes and every fit's theta_hat,
-profile value, lam, w, profile gradient and nonnegative flag (as 1.0 or
-0.0) must be byte-identical between the two, and both runs must succeed;
+same ``elmap.__version__``, every CSV a run writes and every fit's method
+label, theta_hat, profile value, lam, w, profile gradient and nonnegative
+flag (as 1.0 or 0.0) must be byte-identical between the two, and both runs must succeed;
 otherwise the script exits 1 and names what differs, with the largest
 absolute difference of each CSV column and each fit field that differs.
 When the version changed, differences are listed and allowed.
@@ -47,7 +47,8 @@ else:
 """
 
 # Run by the child with the tree's elmap: one line per fit and field, the
-# field's bytes in hex, or the class of the error the fit raised.
+# method label as text, each numeric field's bytes in hex, or the class of
+# the error the fit raised.
 _FITS = """
 import math
 import numpy as np
@@ -58,6 +59,8 @@ methods = {
     "EL": el_estimate, "ET": et_estimate, "Euclidean": euclidean_estimate,
     "CR(0.5)": lambda s, m, g: cr_estimate(s, m, 0.5, g),
     "CR(-0.5)": lambda s, m, g: cr_estimate(s, m, -0.5, g),
+    "CR(-1)": lambda s, m, g: cr_estimate(s, m, -1.0, g),
+    "CR(0)": lambda s, m, g: cr_estimate(s, m, 0.0, g),
 }
 rng = np.random.default_rng(18)
 cases = []
@@ -86,6 +89,7 @@ for case, sample, model, grid_points in cases:
         except Exception as exc:
             print(name, "error", type(exc).__name__, sep="\t")
             continue
+        print(name, "method", fit.method, sep="\t")
         fields = {"theta_hat": fit.theta_hat, "profile_value": fit.inner.profile_value,
                   "lam": fit.inner.lam, "w": fit.inner.w,
                   "profile_grad": fit.inner.profile_grad, "nonnegative": fit.inner.nonnegative}
@@ -134,11 +138,14 @@ def _fits(tree: Path):
 
 def _field_change(field: str, a, b) -> str:
     """The field's name with the largest absolute difference between its
-    two float64 values, decoded from the hex of their bytes."""
+    two float64 values, decoded from the hex of their bytes, or with both
+    texts where they are not hex (the method label)."""
     try:
         x, y = (array.array("d", bytes.fromhex(h)) for h in (a, b))
-    except (TypeError, ValueError):  # missing on one side, or an error line
+    except TypeError:  # missing on one side, or an error line
         return field
+    except ValueError:
+        return f"{field} ({a!r} vs {b!r})"
     if len(x) != len(y):
         return f"{field} ({len(x)} vs {len(y)} values)"
     return f"{field} (max |diff| {max(abs(p - q) for p, q in zip(x, y)):.3g})"

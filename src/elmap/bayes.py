@@ -39,6 +39,7 @@ from .prob import (
     PROJECTION_TIE,
     Pmf,
     Sample,
+    _whole,
     atom_index,
     counts_loglik,
     logsumexp,
@@ -203,7 +204,7 @@ def grid_l_projections(prior: PriorGrid, r: Pmf) -> tuple[np.ndarray, list]:
 
 def q_mask(q_set, k: int) -> np.ndarray:
     """Boolean mask of the candidate subset Q given by its indices."""
-    q_idx = [int(i) for i in q_set]
+    q_idx = _whole(list(q_set), "Q").tolist()
     if not q_idx or min(q_idx) < 0 or max(q_idx) >= k:
         raise DomainViolation(
             f"Q = {q_idx} must be a nonempty set of candidate indices in 0..{k - 1}"
@@ -228,8 +229,9 @@ def decay_target(vals, q_set) -> tuple[np.ndarray, float, tuple]:
 
 
 def checkpoints(n_schedule) -> list:
-    """Sorted int sample sizes; DomainViolation if empty or any n < 1."""
-    schedule = sorted(int(n) for n in n_schedule)
+    """Sorted int sample sizes; DomainViolation if empty, or if any n is not
+    a whole number or is below 1."""
+    schedule = sorted(_whole(list(n_schedule), "n_schedule").tolist())
     if not schedule or schedule[0] < 1:
         raise DomainViolation(f"n_schedule {schedule} must be nonempty with every n >= 1")
     return schedule
@@ -381,8 +383,11 @@ def split_mean_prior(
     Whether the two component minima actually tie is the caller's concern:
     with r symmetric about (theta1 + theta2) / 2 they agree to rounding,
     and :func:`example21` rejects configurations where they differ by more
-    than 1e-6.
+    than 1e-6.  ``per_side`` must be a whole number of at least 1.
     """
+    per_side = int(_whole(per_side, "per_side"))
+    if per_side < 1:
+        raise DomainViolation(f"per_side = {per_side}: need at least one candidate per side")
     low = np.linspace(theta1 - spread, theta1, per_side)
     thetas = np.concatenate([low, np.linspace(theta2, theta2 + spread, per_side)])
     proj = l_project_stack(r, mean_model(), thetas[:, None])

@@ -36,6 +36,7 @@ from .bayes import (
     PriorGrid,
     blln_check,
     decay_curve,
+    decay_target,
     example21,
     grid_l_projections,
     make_prior_grid,
@@ -301,11 +302,14 @@ def blln_settings(cfg: Config) -> BllnSettings:
     support = cfg.get("grid", "support", _floats, default=None)
     cands = cfg.grid_pmfs(r.support if support is None else support)
     prior = cfg.prior_grid(cands)
-    grid_l_projections(prior, r)  # some candidate must dominate the support of r
+    # some candidate must dominate the support of r, and one of Q too
+    vals = grid_l_projections(prior, r)[0]
+    q_idx = cfg.q_indices(len(cands))
+    decay_target(vals, q_idx)
     return BllnSettings(
         r,
         prior,
-        cfg.q_indices(len(cands)),
+        q_idx,
         cfg.positive("target", "epsilon", _float, default=0.05),
         cfg.schedule(),
     )
@@ -353,10 +357,10 @@ def polya_settings(cfg: Config) -> PolyaSettings:
     cands = cfg.grid_pmfs(r.support)
     q_idx = cfg.q_indices(len(cands))
     try:  # the run's target rate needs every candidate's value
-        for cand in cands:
-            polya_l_divergence(cand, r, beta, c)
+        vals = [polya_l_divergence(cand, r, beta, c) for cand in cands]
     except DomainViolation as exc:
         raise ConfigInvalid(f"[urn] c = {c}, beta = {beta}: {exc}") from None
+    decay_target(vals, q_idx)
     return PolyaSettings(r, cands, q_idx, c, beta, schedule)
 
 
@@ -379,9 +383,12 @@ def censor_settings(cfg: Config) -> CensorSettings:
         raise ConfigInvalid(f"bad censoring model: {exc}") from None
     cands = cfg.grid_pmfs(model.f0.support)
     prior = cfg.prior_grid(cands)
-    if np.isinf(censored_grid_divergences(prior, model)).all():
+    vals = censored_grid_divergences(prior, model)
+    if np.isinf(vals).all():
         raise ConfigInvalid("every candidate has infinite censored divergence")
-    return CensorSettings(None, model, prior, cfg.q_indices(len(cands)), cfg.schedule())
+    q_idx = cfg.q_indices(len(cands))
+    decay_target(vals, q_idx)
+    return CensorSettings(None, model, prior, q_idx, cfg.schedule())
 
 
 _SETTINGS = {

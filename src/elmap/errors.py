@@ -63,20 +63,8 @@ class SupportCondition(InfeasibleMoment):
     smaller than the base's (the zero moment is on the hull's boundary)."""
 
 
-class Infeasible(ElmapError):
-    """A constrained search has an empty feasible region."""
-
-
-class AllInfeasible(ElmapError):
-    """Every parameter value in a profile grid was infeasible."""
-
-
 class AllThetaInfeasible(ElmapError):
-    """An outer estimation search found no feasible parameter value."""
-
-
-class AllInfinite(ElmapError):
-    """Every candidate scored an infinite objective."""
+    """A profile search found no grid value of theta with a finite profile."""
 
 
 class SingularConstraints(ElmapError):
@@ -86,11 +74,14 @@ class SingularConstraints(ElmapError):
 # -- Bayesian experiments ---------------------------------------------------
 
 class AllZeroLikelihood(ElmapError):
-    """Every candidate assigns probability zero to the observed data."""
+    """Every candidate assigns probability zero to the observed data, in a
+    posterior or in a likelihood ranking (``mnpl_exact``, ``mnpl_grid``)."""
 
 
 class InfiniteRate(ElmapError):
-    """A theoretical decay rate is infinite (support deficiency)."""
+    """A divergence that sets a decay rate or a ranking is infinite for every
+    candidate or for the target set Q (support deficiency): in a decay
+    target, grid L-projections or ``mnpl_asymptotic`` (at c = 0)."""
 
 
 class AsymmetricConfig(ElmapError):

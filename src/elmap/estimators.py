@@ -7,7 +7,10 @@ exponential tilting (KL) and the Cressie-Read family all minimize
 CR_gamma(q || empirical) through the one dual Newton kernel of
 :mod:`elmap.projection` (``dual_newton``) over the multipliers of sum q = 1
 and sum q u = 0: empirical likelihood is its gamma = -1 limit and tilting
-its gamma = 0 limit.  Euclidean weights have a closed form.  The sample is
+its gamma = 0 limit.  Euclidean weights have a closed form.  gamma is the
+one key of a fit (None for the Euclidean form): ``_discrepancy`` derives
+from it the inner solve, the floor of a root's value and the method label,
+so ``cr_estimate`` at gamma = -1 and 0 is the EL and ET fit.  The sample is
 the moment problem of :mod:`elmap.projection` on its atoms, with the
 frequencies as base weights and n the sample size, the same problem the
 L-projection solves with base r and n = 1.
@@ -51,15 +54,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AllInfinite,
-    AllThetaInfeasible,
+    AllZeroLikelihood,
     DomainViolation,
     EmptySample,
-    NotConverged,
     SingularConstraints,
     ThetaOutOfDomain,
 )
-from .prob import LIKELIHOOD_TIE, EstimatingModel, Sample, counts_loglik, log_mass_table, near_min
+from .prob import (
+    LIKELIHOOD_TIE,
+    EstimatingModel,
+    Sample,
+    _whole,
+    counts_loglik,
+    log_mass_table,
+    near_min,
+)
 from .projection import (
     REFINE_TOL,
     ProjectionStack,
@@ -158,12 +167,6 @@ class _SampleProblem(_MomentProblem):
         return None
 
 
-# The dual-kernel solves; ``_MomentProblem.dual`` adds n log n at gamma = -1,
-# which makes the EL value -sum_i log w_i.
-_el = functools.partial(_MomentProblem.dual, gamma=-1.0)
-_et = functools.partial(_MomentProblem.dual, gamma=0.0)
-
-
 def _euclidean(mp: _SampleProblem, ths: np.ndarray) -> ProjectionStack:
     """Closed-form least-squares weights at a stack of theta values: the
     normal equations of every node in one batched solve, +inf where they
@@ -200,9 +203,30 @@ def _euclidean(mp: _SampleProblem, ths: np.ndarray) -> ProjectionStack:
     return ProjectionStack(value, lam, counts * w_atom, 2.0 * lam, failure, 0)
 
 
-def _inner(sample: Sample, model: EstimatingModel, theta, solve) -> DualFit:
+def _discrepancy(mp: _SampleProblem, gamma):
+    """What gamma keys in a fit on mp: the inner solve (None: the Euclidean
+    closed form, else the Cressie-Read dual kernel), the floor of its value
+    at a just-identified model's root (``mp.offset``, n log n, at gamma = -1,
+    where the value is -sum_i log w_i; 0 for every other) and the label."""
+    if gamma is None:
+        return _euclidean, 0.0, "Euclidean"
+    solve = functools.partial(_MomentProblem.dual, gamma=gamma)
+    if gamma == -1.0:
+        return solve, mp.offset, "EL"
+    return solve, 0.0, "ET" if gamma == 0.0 else f"CR({gamma})"
+
+
+def _finite(gamma):
+    """A caller's Cressie-Read index, which must be a finite number."""
+    if gamma is None or not math.isfinite(gamma):
+        raise DomainViolation("gamma must be finite")
+    return gamma
+
+
+def _inner(sample: Sample, model: EstimatingModel, theta, gamma) -> DualFit:
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     mp = _SampleProblem(sample, model)
+    solve, _, _ = _discrepancy(mp, gamma)
     return mp.fit(th, solve(mp, th[None]), 0)
 
 
@@ -213,7 +237,7 @@ def el_inner(sample: Sample, model: EstimatingModel, theta) -> DualFit:
     and the profile value n log n + sum_i log(1 - lam.u_i), the minimum of
     -sum log w over the constrained weight simplex.
     """
-    return _inner(sample, model, theta, _el)
+    return _inner(sample, model, theta, -1.0)
 
 
 def tilt_dual(freq: np.ndarray, umat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -232,71 +256,66 @@ def tilt_dual(freq: np.ndarray, umat: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def et_inner(sample: Sample, model: EstimatingModel, theta) -> DualFit:
     """Minimum of KL(q || empirical) under the moment constraints, solved
     through the smooth dual min_lam log sum_x freq_x exp(lam.u_x)."""
-    return _inner(sample, model, theta, _et)
+    return _inner(sample, model, theta, 0.0)
 
 
 def cr_inner(sample: Sample, model: EstimatingModel, theta, gamma: float) -> DualFit:
     """Minimum of CR_gamma(q, empirical) under the moment constraints, by
     the Cressie-Read dual kernel.  For gamma > 0 some atoms may get zero
     weight, so the zero moment may also sit on the hull's boundary."""
-    return _inner(sample, model, theta, functools.partial(_MomentProblem.dual, gamma=gamma))
+    return _inner(sample, model, theta, _finite(gamma))
 
 
 def euclidean_inner(sample: Sample, model: EstimatingModel, theta) -> DualFit:
     """Closed-form least-squares weights on the constraint-affine subspace;
     weights may come out negative and are then flagged."""
-    return _inner(sample, model, theta, _euclidean)
+    return _inner(sample, model, theta, None)
 
 
-def _estimate(
-    sample: Sample,
-    model: EstimatingModel,
-    solve,
-    method: str,
-    grid_points: int,
-    bounds,
-) -> ELFit:
-    """Minimize the profile of ``solve`` over the model's parameter domain;
-    the fit is the solution at the minimizer.
+def _estimate(sample: Sample, model: EstimatingModel, gamma, grid_points: int) -> ELFit:
+    """Minimize the profile of gamma's discrepancy over the model's
+    parameter domain; the fit is the solution at the minimizer.
 
     For a just-identified model Newton's method looks for the root of the
     sample estimating equations from the middle of the first box's grid
     span.  When the root lies in the domain and its solve, a stack of one,
-    is within LIKELIHOOD_TIE * max(1, |floor|) of the floor (``mp.offset``,
-    n log n, for the gamma = -1 solve ``_el``, 0 for every other), the
-    root is the fit and its one (theta, value) record is the trace.  Where
-    several roots lie in the domain this returns the one Newton reaches.
+    is within LIKELIHOOD_TIE * max(1, |floor|) of the floor (n log n at
+    gamma = -1, 0 for every other), the root is the fit and its one (theta,
+    value) record is the trace.  Where several roots lie in the domain this
+    returns the one Newton reaches.
 
-    Otherwise ``_profile_min`` searches a grid over each domain box.  The
-    grid's axes span each box, or where it is unbounded ``bounds`` or else
-    the data range with a margin; where that range lies wholly beyond a
-    box's one finite end, they span as wide a range inside the box, ending
-    at that end.  For scalar models they include the data values, which
-    keeps degenerate point-feasible problems solvable.  A root in the box
-    is one extra node.  The grid start is the
-    lexicographically smallest node within LIKELIHOOD_TIE of the grid
-    minimum.  Every evaluation inside the domain appends one (theta, value)
-    record to the fit's trace, grid nodes in order.
+    Otherwise ``_profile_min`` searches a grid over each domain box, with
+    ``grid_points`` (a whole number of at least 1) points per axis.  The
+    grid's axes span each box, or where it is unbounded the data range with
+    a 5% margin; where that range lies wholly beyond a box's one finite end,
+    they span as wide a range inside the box, ending at that end.  For
+    scalar models they include the data values, which keeps degenerate
+    point-feasible problems solvable.  A root in the box is one extra node.
+    The grid start is the lexicographically smallest node within
+    LIKELIHOOD_TIE of the grid minimum.  Every evaluation in the domain adds
+    one (theta, value) record to the fit's trace, grid nodes in order.
     """
+    grid_points = int(_whole(grid_points, "grid_points"))
+    if grid_points < 1:
+        raise DomainViolation(f"grid_points = {grid_points}: must be at least 1")
     mp = _SampleProblem(sample, model)
+    solve, floor, method = _discrepancy(mp, gamma)
     k = model.domain.k
-    if bounds is None:  # the observed data range with a small margin
-        lo, hi = float(mp.atoms.min()), float(mp.atoms.max())
-        span = (hi - lo) or 1.0
-        bounds = [(lo - 0.05 * span, hi + 0.05 * span)] * k
+    lo, hi = float(mp.atoms.min()), float(mp.atoms.max())
+    margin = 0.05 * ((hi - lo) or 1.0)  # the data range with a small margin
+    dlo, dhi = lo - margin, hi + margin
 
     # per box, the (lo, hi) its grid spans along each coordinate
     spans = []
     for box in model.domain.boxes:
         span = []
-        for coord, (lo, hi) in enumerate(box):
-            flo, fhi = bounds[coord] if coord < len(bounds) else bounds[-1]
-            glo = lo if math.isfinite(lo) else flo
-            ghi = hi if math.isfinite(hi) else fhi
+        for lo, hi in box:
+            glo = lo if math.isfinite(lo) else dlo
+            ghi = hi if math.isfinite(hi) else dhi
             if ghi < glo and math.isfinite(lo) != math.isfinite(hi):
-                # the bounds lie wholly beyond the box's one finite end: a
-                # span as wide as theirs, inside the box, ending there
-                width = max(fhi - flo, 0.0)
+                # the data range lies wholly beyond the box's one finite
+                # end: a span as wide as it, inside the box, ending there
+                width = dhi - dlo
                 glo, ghi = (hi - width, hi) if math.isfinite(hi) else (lo, lo + width)
             span.append((glo, max(ghi, glo)))
         spans.append(span)
@@ -306,7 +325,6 @@ def _estimate(
         root = mp.root(np.array([(glo + ghi) / 2.0 for glo, ghi in spans[0]]))
     if root is not None:
         sol = solve(mp, root[None])
-        floor = mp.offset if solve is _el else 0.0
         if sol.failure[0] is None and (
             abs(sol.value[0] - floor) <= LIKELIHOOD_TIE * max(1.0, abs(floor))
         ):
@@ -331,61 +349,35 @@ def _estimate(
             pts = np.vstack([pts, root])
         stages.append((pts, steps))
     theta, _, solved, trace = _profile_min(mp, solve, stages)
-    if theta is None:
-        raise AllThetaInfeasible("profile objective infinite on the whole grid")
     fit = mp.fit(theta, *solved)
     trace = tuple((tuple(th), v) for th, v, f in trace if f is not ThetaOutOfDomain)
     return ELFit(theta_hat=theta, inner=fit, trace=trace, method=method)
 
 
-def el_estimate(
-    sample: Sample,
-    model: EstimatingModel,
-    grid_points: int = GRID_POINTS,
-    bounds=None,
-) -> ELFit:
+def el_estimate(sample: Sample, model: EstimatingModel, grid_points: int = GRID_POINTS) -> ELFit:
     """Empirical-likelihood estimator: minimize the EL profile over theta."""
-    return _estimate(sample, model, _el, "EL", grid_points, bounds)
+    return _estimate(sample, model, -1.0, grid_points)
 
 
-def et_estimate(
-    sample: Sample,
-    model: EstimatingModel,
-    grid_points: int = GRID_POINTS,
-    bounds=None,
-) -> ELFit:
+def et_estimate(sample: Sample, model: EstimatingModel, grid_points: int = GRID_POINTS) -> ELFit:
     """Exponential-tilting estimator: minimize the fitted KL over theta."""
-    return _estimate(sample, model, _et, "ET", grid_points, bounds)
+    return _estimate(sample, model, 0.0, grid_points)
 
 
 def euclidean_estimate(
-    sample: Sample,
-    model: EstimatingModel,
-    grid_points: int = GRID_POINTS,
-    bounds=None,
+    sample: Sample, model: EstimatingModel, grid_points: int = GRID_POINTS
 ) -> ELFit:
     """Least-squares-weight estimator with the closed-form inner solution."""
-    return _estimate(sample, model, _euclidean, "Euclidean", grid_points, bounds)
+    return _estimate(sample, model, None, grid_points)
 
 
 def cr_estimate(
-    sample: Sample,
-    model: EstimatingModel,
-    gamma: float,
-    grid_points: int = GRID_POINTS,
-    bounds=None,
+    sample: Sample, model: EstimatingModel, gamma: float, grid_points: int = GRID_POINTS
 ) -> ELFit:
-    """Power-divergence estimator; gamma = 0 dispatches to exponential
-    tilting and gamma = -1 to empirical likelihood (the two limits)."""
-    if not math.isfinite(gamma):
-        raise DomainViolation("gamma must be finite")
-    if gamma == 0.0:
-        return et_estimate(sample, model, grid_points, bounds)
-    if gamma == -1.0:
-        return el_estimate(sample, model, grid_points, bounds)
-
-    solve = functools.partial(_MomentProblem.dual, gamma=gamma)
-    return _estimate(sample, model, solve, f"CR({gamma})", grid_points, bounds)
+    """Power-divergence estimator.  Its gamma = -1 and gamma = 0 members are
+    empirical likelihood and exponential tilting, the fits, floors and
+    labels of ``el_estimate`` and ``et_estimate``."""
+    return _estimate(sample, model, _finite(gamma), grid_points)
 
 
 def mnpl_grid(sample: Sample, candidates) -> tuple[list, float]:
@@ -393,9 +385,12 @@ def mnpl_grid(sample: Sample, candidates) -> tuple[list, float]:
     sample: returns (all indices minimizing -sum_i log q(x_i), value)."""
     if sample.n == 0:
         raise EmptySample("need observations")
+    candidates = list(candidates)
+    if not candidates:
+        raise DomainViolation("need at least one candidate")
     atoms, counts = np.unique(sample.values(), return_counts=True)
-    values = -counts_loglik(log_mass_table(list(candidates), atoms), counts)
+    values = -counts_loglik(log_mass_table(candidates, atoms), counts)
     vmin = float(values.min())
     if math.isinf(vmin):
-        raise AllInfinite("every candidate misses part of the sample")
+        raise AllZeroLikelihood("every candidate misses part of the sample")
     return near_min(values, LIKELIHOOD_TIE), vmin

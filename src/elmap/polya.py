@@ -32,8 +32,8 @@ import numpy as np
 
 from .bayes import checkpoints, decay_report, decay_target, log_posterior
 from .divergences import polya_l_divergence
-from .errors import AllInfinite, AllZeroLikelihood, DomainViolation, UrnExhausted
-from .prob import LIKELIHOOD_TIE, Pmf, near_min
+from .errors import AllZeroLikelihood, DomainViolation, InfiniteRate, UrnExhausted
+from .prob import LIKELIHOOD_TIE, Pmf, _whole, near_min
 from .rng import derive_seed, rng_from
 
 
@@ -132,7 +132,7 @@ def polya_counts(config: UrnConfig, n: int, seed: int) -> tuple:
     does not grow with n for c >= 0.  Raises DomainViolation when n < 0 and
     UrnExhausted when the horizon check fails.
     """
-    n = int(n)
+    n = int(_whole(n, "n"))
     if n < 0:
         raise DomainViolation(f"n = {n} draws: must be nonnegative")
     if not config.valid_for_horizon(n):
@@ -181,7 +181,7 @@ def polya_log_prob(counts, config: UrnConfig) -> float:
     raise DomainViolation.  For c < 0 each color's last factor and the last
     denominator tell these cases apart in O(m).
     """
-    cnt = np.asarray(counts, dtype=np.int64)
+    cnt = _whole(counts, "counts")
     if cnt.shape != (config.m,) or np.any(cnt < 0):
         raise DomainViolation("counts must be nonnegative, one per color")
     n = int(cnt.sum())
@@ -255,16 +255,21 @@ def mnpl_exact(grid, counts) -> list:
 
 def mnpl_asymptotic(grid_pmfs, nu: Pmf, beta: float, c: int) -> list:
     """Indices minimizing the reinforced L-divergence to the empirical pmf,
-    with ``mnpl_exact``'s ties; AllInfinite if every value is +inf."""
+    with ``mnpl_exact``'s ties; InfiniteRate if every value is +inf, which
+    only c = 0 allows."""
     vals = np.array([polya_l_divergence(q, nu, beta, c) for q in grid_pmfs])
+    if not vals.size:
+        raise DomainViolation("need at least one candidate")
     if math.isinf(vals.min()):
-        raise AllInfinite("every candidate's reinforced divergence is infinite")
+        raise InfiniteRate("every candidate's reinforced divergence is infinite")
     return near_min(vals, LIKELIHOOD_TIE)
 
 
 def rebuild_urn(r: Pmf, n: int, beta: float, c: int) -> UrnConfig:
     """Urn tracking r at sampling ratio beta: N = round(n / beta) and
     alpha_i = max(1, round(N r_i)), with N corrected to the actual sum."""
+    if not 0.0 < beta < 1.0:
+        raise DomainViolation(f"beta={beta} outside (0, 1)")
     n_target = max(int(round(n / beta)), r.m)
     alpha = np.maximum(1, np.round(n_target * r.weights).astype(int))
     return UrnConfig(tuple(int(a) for a in alpha), c)

@@ -69,6 +69,17 @@ def _settle_residual(w: np.ndarray) -> None:
         w[order[first]] = cand[first]
 
 
+def _whole(values, what: str) -> np.ndarray:
+    """Sizes, counts or indices as int64; DomainViolation unless each is a
+    whole number.  Ints pass unconverted, integral floats are converted."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" and not (
+        arr.dtype.kind == "f" and np.all(np.isfinite(arr) & (arr == np.trunc(arr)))
+    ):
+        raise DomainViolation(f"{what} = {values!r}: each must be a whole number")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class Pmf:
     """Probability mass function on a strictly increasing finite support."""
@@ -85,6 +96,8 @@ class Pmf:
             )
         if sup.size == 0:
             raise LengthMismatch("empty support")
+        if not (np.isfinite(sup).all() and np.isfinite(w).all()):
+            raise DomainViolation("support points and weights must be finite")
         if not np.all(np.diff(sup) > 0):
             raise DomainViolation("support points must be unique and increasing")
         if np.any(w < 0.0):

@@ -39,8 +39,7 @@ import numpy as np
 
 from .divergences import DivergenceSpec, entropy
 from .errors import (
-    AllInfeasible,
-    Infeasible,
+    AllThetaInfeasible,
     InfeasibleMoment,
     NotConverged,
     SingularConstraints,
@@ -629,7 +628,7 @@ def project_oracle(
     polish; independent of the dual route."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     if not model.domain.contains(th):
-        raise ThetaOutOfDomain(f"theta {th} outside the parameter domain")
+        raise node_error(ThetaOutOfDomain, th)
     umat_full = model.u_matrix(r.support, th)
     if spec.kind in {"L", "KL", "CR"}:
         atoms = r.weights > 0.0
@@ -640,7 +639,7 @@ def project_oracle(
     m = int(atoms.sum())
     status, _ = moment_feasibility(umat)
     if status == "infeasible":
-        raise Infeasible(f"no distribution on the atoms satisfies the moments at theta={th}")
+        raise node_error(InfeasibleMoment, th)
 
     rng = rng_from("project_oracle", seed)
     inits = [np.full(m, 1.0 / m), np.maximum(base, 0.02 / m) / np.maximum(base, 0.02 / m).sum()]
@@ -781,11 +780,11 @@ def _profile_min(mp: _MomentProblem, solve, stages):
     finite nodes of every stage within LIKELIHOOD_TIE of the grid minimum,
     the lexicographically smallest.  The grid is the global start because
     the profile is +inf off the hull; the refinement stays in the first
-    domain box that holds the start.  Returns (theta, value, fit, trace): theta
-    None when no grid value is finite; fit the (ProjectionStack, node) pair
-    that solved the returned theta, which no second solve repeats; the
-    trace a (theta, value, failure) record per evaluation, grid nodes first
-    and in order.
+    domain box that holds the start.  Returns (theta, value, fit, trace):
+    fit the (ProjectionStack, node) pair that solved the returned theta,
+    which no second solve repeats; the trace a (theta, value, failure)
+    record per evaluation, grid nodes first and in order.  Raises
+    AllThetaInfeasible when no grid value is finite.
     """
     trace: list = []
     solved = []  # (ProjectionStack, steps) per block of grid nodes
@@ -798,7 +797,7 @@ def _profile_min(mp: _MomentProblem, solve, stages):
     values = np.concatenate([np.empty(0)] + [sol.value for sol, _ in solved])
     finite = np.flatnonzero(np.isfinite(values))
     if not finite.size:
-        return None, math.inf, None, trace
+        raise AllThetaInfeasible("profile objective infinite on the whole grid")
     thetas = np.concatenate([pts for pts, _ in stages])
     near = finite[values[finite] <= values[finite].min() + LIKELIHOOD_TIE]
     pick = near[np.lexsort(thetas[near].T[::-1])[0]]
@@ -836,8 +835,6 @@ def profile_l_projection(
     steps = [(a[-1] - a[0]) / (a.size - 1) if a.size > 1 else 1.0 for a in map(np.unique, grid.T)]
     solve = functools.partial(_MomentProblem.dual, gamma=-1.0)
     theta, _, fit, trace = _profile_min(_l_problem(r, model), solve, [(grid, steps)])
-    if theta is None:
-        raise AllInfeasible("projection infeasible on the whole grid")
     vals = [v for _, v, _ in trace[: len(grid)]]
     return ProfileResult(
         theta_star=theta,

@@ -256,7 +256,7 @@ class TestDecayCurve:
         rep = decay_curve(two_grid(), [1], r, [1000], seed=0)
         assert rep.theoretical_rate > 0
 
-    @pytest.mark.parametrize("schedule", [[], [0, 10], [10, -5]])
+    @pytest.mark.parametrize("schedule", [[], [0, 10], [10, -5], [10.5], [math.nan]])
     def test_rejects_bad_schedule(self, schedule):
         with pytest.raises(DomainViolation):
             decay_curve(two_grid(), [1], R_BIN, schedule, seed=0)
@@ -275,7 +275,7 @@ class TestDecayCurve:
 
 
 class TestBlln:
-    @pytest.mark.parametrize("schedule", [[], [0, 10], [10, -5]])
+    @pytest.mark.parametrize("schedule", [[], [0, 10], [10, -5], [10.5], [math.nan]])
     def test_rejects_bad_schedule(self, schedule):
         with pytest.raises(DomainViolation):
             blln_check(two_grid(), R_BIN, 0.05, schedule, seeds=[0])
@@ -392,6 +392,17 @@ class TestTypedErrors:
     def test_prior_weight_not_positive_or_not_finite(self, w):
         with pytest.raises(DomainViolation):
             make_prior_grid([CAND_A, CAND_B], w)
+
+    @pytest.mark.parametrize("per_side", [0, -1, 2.5])
+    def test_split_prior_per_side(self, per_side):
+        r = make_pmf([0, 1, 2], [0.2, 0.6, 0.2])
+        with pytest.raises(DomainViolation):
+            split_mean_prior(r, 0.7, 1.3, per_side)
+
+    @pytest.mark.parametrize("q", [[1.9], [math.nan]])
+    def test_q_index_not_whole(self, q):
+        with pytest.raises(DomainViolation):
+            decay_curve(two_grid(), q, R_BIN, [10], seed=0)
 
     def test_mean_inside_excluded_band(self):
         r = make_pmf([0, 1, 2], [0.2, 0.6, 0.2])

@@ -281,7 +281,7 @@ class TestDecay:
                 rep.empirical_rate, -ref / schedule, rtol=1e-11, atol=0
             )
 
-    @pytest.mark.parametrize("schedule", [[], [0, 10], [10, -5]])
+    @pytest.mark.parametrize("schedule", [[], [0, 10], [10, -5], [10.5], [math.nan]])
     def test_rejects_bad_schedule(self, schedule):
         prior = make_prior_grid([CAND_A, CAND_B])
         with pytest.raises(DomainViolation):

@@ -605,9 +605,25 @@ n = 100
         ("censor", "candidates = 0.5, 0.3, 0.2 ; 0.6, 0.3, 0.1",
          "candidates = 0, 0.5, 0.5 ; 0, 0.9, 0.1",
          "every candidate has infinite censored divergence"),
+        # Q infinite (or, for polya with c = 0, every candidate) while some
+        # candidate is finite: the run's decay target, checked by validate
+        pytest.param("blln", "candidates = 0.6, 0.4 ; 0.9, 0.1",
+                     "candidates = 0.6, 0.4 ; 1.0, 0.0",
+                     "the divergence of Q is infinite", id="blln-Q-infinite"),
+        pytest.param("censor", "candidates = 0.5, 0.3, 0.2 ; 0.6, 0.3, 0.1",
+                     "candidates = 0.5, 0.3, 0.2 ; 0.6, 0.4, 0.0",
+                     "the divergence of Q is infinite", id="censor-Q-infinite"),
+        pytest.param("polya", "candidates = 0.6, 0.4 ; 0.9, 0.1\n\n[urn]\nc = 1",
+                     "candidates = 0.6, 0.4 ; 1.0, 0.0\n\n[urn]\nc = 0",
+                     "the divergence of Q is infinite", id="polya-c0-Q-infinite"),
+        pytest.param("polya", "candidates = 0.6, 0.4 ; 0.9, 0.1\n\n[urn]\nc = 1",
+                     "candidates = 1.0, 0.0 ; 0.0, 1.0\n\n[urn]\nc = 0",
+                     "the divergence is infinite for every candidate",
+                     id="polya-c0-all-infinite"),
     ])
     def test_every_candidate_infinite(self, tmp_path, capsys, kind, old, new, message):
-        text = BLLN_CFG if kind == "blln" else (SHIPPED / "censor.cfg").read_text()
+        text = BLLN_CFG if kind == "blln" else (SHIPPED / f"{kind}.cfg").read_text()
+        assert old in text
         cfg = write(tmp_path, f"{kind}.cfg", text.replace(old, new))
         assert main(["validate", "--config", str(cfg)]) == 1
         assert f"FAIL: {message}" in capsys.readouterr().out

@@ -6,8 +6,8 @@ import pytest
 
 from elmap.divergences import l_divergence
 from elmap.errors import (
-    AllInfinite,
     AllThetaInfeasible,
+    AllZeroLikelihood,
     DomainViolation,
     InfeasibleMoment,
     NotConverged,
@@ -214,10 +214,7 @@ class TestElEstimate:
         x = rng.normal(size=40)
         y = 0.5 + 1.5 * x + rng.normal(size=40) * 0.3
         sample = Sample(tuple(zip(x, y)))
-        fit = el_estimate(
-            sample, linear_model(), grid_points=31,
-            bounds=[(-1.0, 2.0), (0.0, 3.0)],
-        )
+        fit = el_estimate(sample, linear_model(), grid_points=31)
         ols_b, ols_a = np.polyfit(x, y, 1)
         assert abs(fit.theta_hat[0] - ols_a) <= 1e-6
         assert abs(fit.theta_hat[1] - ols_b) <= 1e-6
@@ -370,6 +367,39 @@ class TestCr:
         want = n * ((1.0 / p_a) ** gamma - 1.0) / (gamma * (gamma + 1.0))
         assert abs(fit.profile_value - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, None])
+    def test_gamma_not_finite(self, gamma):
+        # gamma = None keys the Euclidean fit inside the module; a caller's
+        # None is no Cressie-Read index
+        with pytest.raises(DomainViolation):
+            cr_inner(S012, mean_model(), [1.0], gamma)
+        with pytest.raises(DomainViolation):
+            cr_estimate(S012, mean_model(), gamma)
+
+    @pytest.mark.parametrize("gamma, estimate, label", [
+        (-1.0, el_estimate, "EL"), (-1, el_estimate, "EL"),
+        (0.0, et_estimate, "ET"), (-0.0, et_estimate, "ET"),
+    ])
+    @pytest.mark.parametrize("domain, at_root", [
+        pytest.param(ParamDomain.real_line(), True, id="root"),
+        pytest.param(ParamDomain.box((2.0, 3.0)), False, id="grid"),  # the mean 1.5 is outside
+    ])
+    def test_limits_are_el_and_et(self, gamma, estimate, label, domain, at_root):
+        # the same fit, floor and label, whether the root or the grid decides
+        sample = Sample((0.0, 1.0, 1.0, 2.0, 2.0, 3.0))
+        f_cr = cr_estimate(sample, mean_model(domain), gamma, grid_points=41)
+        f_ref = estimate(sample, mean_model(domain), grid_points=41)
+        assert f_cr.method == f_ref.method == label
+        assert f_cr.trace == f_ref.trace
+        assert (len(f_cr.trace) == 1) == at_root
+        assert np.array_equal(f_cr.theta_hat, f_ref.theta_hat)
+        for field in ("lam", "w", "profile_value", "profile_grad"):
+            assert np.array_equal(getattr(f_cr.inner, field), getattr(f_ref.inner, field))
+
+    @pytest.mark.parametrize("gamma", [2, 0.5])
+    def test_label_keeps_the_callers_gamma(self, gamma):
+        assert cr_estimate(S012, mean_model(), gamma).method == f"CR({gamma})"
+
     def test_near_el_limit(self):
         rng = np.random.default_rng(9)
         obs = rng.choice([0.0, 1.0, 2.0], p=[0.3, 0.4, 0.3], size=25)
@@ -396,8 +426,12 @@ class TestMnplGrid:
 
     def test_all_infinite(self):
         sample = Sample((5.0,))
-        with pytest.raises(AllInfinite):
+        with pytest.raises(AllZeroLikelihood):
             mnpl_grid(sample, [make_pmf([0, 1], [0.5, 0.5])])
+
+    def test_no_candidates(self):
+        with pytest.raises(DomainViolation):
+            mnpl_grid(S012, [])
 
     def test_long_run_winner(self):
         rng = np.random.default_rng(0)
@@ -488,6 +522,22 @@ _INNERS = [
 
 
 _INNERS_BY_METHOD = [(m, f) for m, f in _INNERS if m in _ESTIMATES]
+
+
+class TestGridPoints:
+    @pytest.mark.parametrize("grid_points", [0, -3, 2.5, math.nan])
+    @pytest.mark.parametrize("estimate", _ESTIMATES.values(), ids=_ESTIMATES)
+    def test_rejected(self, estimate, grid_points):
+        # also where the fit returns at the root and no grid is built
+        for domain in (ParamDomain.real_line(), ParamDomain.box((2.0, 3.0))):
+            with pytest.raises(DomainViolation):
+                estimate(S012, mean_model(domain), grid_points)
+
+    @pytest.mark.parametrize("estimate", _ESTIMATES.values(), ids=_ESTIMATES)
+    def test_integral_float_is_the_int(self, estimate):
+        model = mean_model(ParamDomain.box((1.5, 3.0)))
+        f_float, f_int = (estimate(S012, model, g) for g in (21.0, np.int64(21)))
+        assert f_float.trace == f_int.trace and len(f_int.trace) > 1
 
 
 class TestNonFiniteObservation:

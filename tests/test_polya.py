@@ -14,7 +14,7 @@ from scipy.special import gammaln
 from elmap.bayes import make_prior_grid, posterior_update
 from elmap.divergences import polya_l_divergence
 from elmap import polya
-from elmap.errors import AllInfinite, AllZeroLikelihood, DomainViolation, UrnExhausted
+from elmap.errors import AllZeroLikelihood, DomainViolation, InfiniteRate, UrnExhausted
 from elmap.estimators import mnpl_grid
 from elmap.polya import (
     PolyaPath,
@@ -308,11 +308,30 @@ class TestPosteriorAndMnpl:
     def test_typed_errors(self):
         with pytest.raises(DomainViolation):
             PolyaPath((0, 1, 1), (1, 1))
+        urn = UrnConfig((3, 4), 1)
+        for counts in ([1.5, 2], [math.nan, 2]):
+            with pytest.raises(DomainViolation):
+                polya_log_prob(counts, urn)
+        for n in (2.7, math.nan):
+            with pytest.raises(DomainViolation):
+                polya_counts(urn, n, 0)
+        # whole numbers pass in any type
+        assert polya_log_prob([1.0, 2.0], urn) == polya_log_prob(np.array([1, 2]), urn)
+        assert polya_counts(urn, 2.0, 0) == polya_counts(urn, np.int64(2), 0)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, math.nan])
+    def test_rebuild_urn_beta_outside_unit_interval(self, beta):
+        with pytest.raises(DomainViolation):
+            rebuild_urn(R_BIN, 10, beta, 1)
+
+    def test_mnpl_asymptotic_no_candidates(self):
+        with pytest.raises(DomainViolation):
+            mnpl_asymptotic([], R_BIN, 0.5, 0)
 
     def test_mnpl_asymptotic_all_infinite(self):
         nu = make_pmf([0, 1, 2], [0.2, 0.3, 0.5])
         off = [make_pmf([0, 1, 2], [0.5, 0.5, 0.0]), make_pmf([0, 1, 2], [0.0, 0.5, 0.5])]
-        with pytest.raises(AllInfinite):
+        with pytest.raises(InfiniteRate):
             mnpl_asymptotic(off, nu, 0.5, 0)
 
     def test_mnpl_asymptotic_c_zero(self):
@@ -394,7 +413,7 @@ class TestDecay:
         polya_decay_experiment([G1, G2], [1], R_BIN, 0.5, 1, [100, 10, 1000], seeds)
         assert calls == [10, 100, 1000]
 
-    @pytest.mark.parametrize("schedule", [[], [0, 10], [10, -5]])
+    @pytest.mark.parametrize("schedule", [[], [0, 10], [10, -5], [10.5], [math.nan]])
     def test_rejects_bad_schedule(self, schedule):
         with pytest.raises(DomainViolation):
             polya_decay_experiment([G1, G2], [1], R_BIN, 0.5, 1, schedule, [0])

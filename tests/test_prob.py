@@ -99,18 +99,25 @@ class TestMakePmf:
             make_pmf([0, 0, 1], [0.3, 0.3, 0.4])
 
     @pytest.mark.parametrize(
-        "support, weights",
+        "build, support, weights",
         [
-            ([0, 1], [math.nan, 0.4]),  # abs(nan - 1) > tol is False: no sum check fires
-            ([0, 1], [math.nan, math.nan]),
-            ([0, 1], [math.inf, 0.0]),
-            ([0, math.nan], [0.6, 0.4]),
-            ([0, math.inf], [0.6, 0.4]),
+            # abs(nan - 1) > tol is False: no sum check fires
+            pytest.param(make_pmf, [0, 1], [math.nan, 0.4], id="support0-weights0"),
+            pytest.param(make_pmf, [0, 1], [math.nan, math.nan], id="support1-weights1"),
+            pytest.param(make_pmf, [0, 1], [math.inf, 0.0], id="support2-weights2"),
+            pytest.param(make_pmf, [0, math.nan], [0.6, 0.4], id="support3-weights3"),
+            pytest.param(make_pmf, [0, math.inf], [0.6, 0.4], id="support4-weights4"),
+            pytest.param(Pmf, [0, math.inf], [0.5, 0.5], id="Pmf-inf-support"),
+            pytest.param(Pmf, [0, 1], [math.nan, math.nan], id="Pmf-nan-weights"),
+            pytest.param(lambda s, w: Pmf.from_json(json.dumps({"support": s, "weights": w})),
+                         [0, 1], [math.nan, 1.0], id="from_json-nan-weight"),
+            pytest.param(lambda s, w: empirical_pmf(Sample(tuple(s))),
+                         [math.nan], None, id="empirical_pmf-nan-observation"),
         ],
     )
-    def test_non_finite_rejected(self, support, weights):
+    def test_non_finite_rejected(self, build, support, weights):
         with pytest.raises(DomainViolation):
-            make_pmf(support, weights)
+            build(support, weights)
 
     def test_tail_beyond(self):
         p = make_pmf([0, 1, 2], [0.2, 0.3, 0.5])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from elmap.divergences import DivergenceSpec, cressie_read, entropy, l_divergence
 from elmap.errors import (
-    AllInfeasible,
+    AllThetaInfeasible,
     InfeasibleMoment,
     NotConverged,
     SupportCondition,
@@ -287,9 +287,7 @@ class TestProjectOracle:
         assert np.max(np.abs(orc.weights - r.weights)) <= 1e-9
 
     def test_infeasible(self):
-        from elmap.errors import Infeasible
-
-        with pytest.raises(Infeasible):
+        with pytest.raises(InfeasibleMoment):
             project_oracle(UNIFORM3, mean_model(), [2.5], DivergenceSpec.l())
 
     def test_uniqueness_across_restart_seeds(self):
@@ -612,7 +610,7 @@ class TestProfile:
         assert abs(prof.theta_star[0] - 0.7) <= 1e-9  # lexicographic tie-break
 
     def test_all_infeasible(self):
-        with pytest.raises(AllInfeasible):
+        with pytest.raises(AllThetaInfeasible):
             profile_l_projection(UNIFORM3, mean_model(), [[2.5], [3.0]])
 
     @pytest.mark.parametrize("points", [32, 300])
@@ -712,7 +710,5 @@ class TestProfileMinPick:
 
     def test_nothing_finite(self):
         stages = [(np.array([[0.1], [0.2]]), [0.1])]
-        theta, value, fit, trace = _profile_min(
-            _TableProblem({}, ParamDomain.real_line()), _table_solve, stages
-        )
-        assert theta is None and value == math.inf and fit is None and len(trace) == 2
+        with pytest.raises(AllThetaInfeasible):
+            _profile_min(_TableProblem({}, ParamDomain.real_line()), _table_solve, stages)
