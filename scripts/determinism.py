@@ -5,7 +5,10 @@
 BASE and HEAD are checkout roots, each holding ``src/elmap`` (in CI, the
 pull request's base commit as a git worktree, and the head).  Every
 config in BASE's ``configs/`` runs with its own seeds through each tree's
-``elmap.cli``, and each tree runs one fixed, seeded list of estimator fits
+``elmap.cli``, and so do three variants of its ``fit.cfg``, written to a
+temporary directory, with [model] method et, euclidean and cr (gamma =
+0.5), so that the CLI's fit is compared for every method.  Each tree
+runs one fixed, seeded list of estimator fits
 (EL, ET, Euclidean and Cressie-Read with gamma = 0.5, -0.5, -1 and 0, on
 the mean model and on the linear preset; the mean-model cases include a constant
 sample, a two-atom sample and two box domains, one holding the root of the
@@ -96,6 +99,33 @@ for case, sample, model, grid_points in cases:
         for field, value in fields.items():
             print(name, field, np.asarray(value, dtype=float).tobytes().hex(), sep="\t")
 """
+
+
+# [model] keys that turn fit.cfg into each of its variants
+_FIT_VARIANTS = {
+    "et": {"method": "et"},
+    "euclidean": {"method": "euclidean"},
+    "cr": {"method": "cr", "gamma": "0.5"},
+}
+
+
+def _fit_variants(fit_cfg: Path, dest: Path) -> list:
+    """fit_cfg with the [model] keys of each of _FIT_VARIANTS, one config
+    per variant written to dest; none when fit_cfg does not exist."""
+    if not fit_cfg.is_file():
+        return []
+    dest.mkdir()
+    paths = []
+    for name, keys in _FIT_VARIANTS.items():
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser.read(fit_cfg)
+        for key, value in keys.items():
+            parser.set("model", key, value)
+        path = dest / f"fit_{name}.cfg"
+        with open(path, "w") as fh:
+            parser.write(fh)
+        paths.append(path)
+    return paths
 
 
 def _elmap(tree: Path, *args: str) -> subprocess.CompletedProcess:
@@ -198,6 +228,7 @@ def main(argv=None) -> int:
         versions.append(proc.stdout.strip())
     configs = sorted((base / "configs").glob("*.cfg"))
     with tempfile.TemporaryDirectory() as tmp:
+        configs += _fit_variants(base / "configs" / "fit.cfg", Path(tmp) / "variants")
         runs = [_run_all(tree, configs, Path(tmp) / side)
                 for tree, side in ((base, "base"), (head, "head"))]
     problems = []

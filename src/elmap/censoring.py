@@ -20,13 +20,13 @@ brute-force simplex search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bayes import PriorGrid, checkpoints, decay_report, decay_target, log_posterior
 from .errors import DomainViolation, LengthMismatch, NoEvents, SupportMismatch
-from .prob import Pmf, atom_index, counts_loglik, path_counts
+from .prob import Pmf, _whole, atom_index, counts_loglik, path_counts
 from .rng import rng_from
 
 
@@ -47,32 +47,23 @@ class CensoredObservation:
 
 @dataclass(frozen=True)
 class CensoringModel:
-    """Event distribution F0, censor-time distribution G0 (same grid) and
-    the implied probability alpha_unc of observing an event exactly."""
+    """Event distribution F0 and censor-time distribution G0 (same grid);
+    ``alpha_unc``, the probability of observing an event exactly, is
+    derived from them: P(X <= Y) for X ~ F0, Y ~ G0 independent, ties
+    counting as events."""
 
     f0: Pmf
     g0: Pmf
-    alpha_unc: float
+    alpha_unc: float = field(init=False)
 
     def __post_init__(self):
         if not np.array_equal(self.f0.support, self.g0.support):
             raise SupportMismatch("F0 and G0 must live on the same grid")
-        expected = _uncensored_probability(self.f0, self.g0)
-        if abs(self.alpha_unc - expected) > 1e-12:
-            raise DomainViolation(
-                f"alpha_unc={self.alpha_unc!r} inconsistent with F0,G0 ({expected!r})"
-            )
-        object.__setattr__(self, "alpha_unc", float(self.alpha_unc))
+        object.__setattr__(self, "alpha_unc", float(self.g0.weights @ np.cumsum(self.f0.weights)))
 
     @classmethod
     def from_components(cls, f0: Pmf, g0: Pmf) -> "CensoringModel":
-        return cls(f0, g0, _uncensored_probability(f0, g0))
-
-
-def _uncensored_probability(f0: Pmf, g0: Pmf) -> float:
-    """P(X <= Y) for X ~ F0, Y ~ G0 independent; ties count as events."""
-    cdf = np.cumsum(f0.weights)
-    return float(g0.weights @ cdf)
+        return cls(f0, g0)
 
 
 @dataclass(frozen=True)
@@ -110,6 +101,7 @@ class SurvivalCurve:
 
 def censor_generate(model: CensoringModel, n: int, seed: int) -> list:
     """n observations from the mixture mechanism, deterministic in seed."""
+    n = int(_whole(n, "n"))
     if n < 1:
         raise DomainViolation(f"n = {n} must be at least 1")
     rng = rng_from("censor.generate", seed)

@@ -9,10 +9,13 @@ uses, makes every check the run relies on, cross-field checks included, and
 returns a frozen record of the parsed values and the objects built from
 them (pmfs, prior grid, schedule, model, data); a bad config raises
 ConfigInvalid.  The run and ``validate`` both call it, so they accept the
-same configs.  Each run writes one CSV per experiment plus a manifest that
-records the config hash, the effective seeds and package versions.  Seeds
-run in order; given an identical config and seeds, the CSV bodies are
-byte-identical run to run; floats print with 17 significant digits.
+same configs.  A fit's [model] method is read as its Cressie-Read gamma (el
+-1, et 0, cr the [model] gamma; euclidean the closed form, None), and the
+run calls ``euclidean_estimate`` or ``cr_estimate`` by it.  Each run writes
+one CSV per experiment plus a manifest that records the config hash, the
+effective seeds and package versions.  Seeds run in order; given an
+identical config and seeds, the CSV bodies are byte-identical run to run;
+floats print with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -53,12 +56,11 @@ from .censoring import (
 )
 from .divergences import polya_l_divergence
 from .errors import ConfigInvalid, DomainViolation, ElmapError
-from .estimators import cr_estimate, el_estimate, et_estimate, euclidean_estimate
+from .estimators import GRID_POINTS, cr_estimate, euclidean_estimate
 from .polya import polya_decay_experiment, rebuild_urn
 from .prob import Pmf, Sample, linear_model, make_pmf, mean_model, normalize_rows
 from .projection import l_project_stack
 
-KINDS = ("project", "fit", "blln", "example21", "polya", "censor")
 _SENTINEL = object()
 
 
@@ -152,13 +154,13 @@ class Config:
             raise ConfigInvalid(f"[{section}] {key} = {val} is not positive")
         return val
 
-    def pmf(self, section: str, wkey: str = "weights", skey: str = "support") -> Pmf:
-        support = self.get(section, skey, _floats)
-        weights = self.get(section, wkey, _floats)
+    def pmf(self, section: str) -> Pmf:
+        support = self.get(section, "support", _floats)
+        weights = self.get(section, "weights", _floats)
         try:
             return make_pmf(support, weights)
         except ElmapError as exc:
-            raise ConfigInvalid(f"bad pmf in [{section}] {skey}, {wkey}: {exc}") from None
+            raise ConfigInvalid(f"bad pmf in [{section}] support, weights: {exc}") from None
 
     def grid_pmfs(self, support) -> list:
         rows = self.get("grid", "candidates", _pmf_list)
@@ -239,32 +241,31 @@ def _censored_observation(row: str) -> CensoredObservation:
 # -- settings, one record per kind ----------------------------------------------
 
 
-ProjectSettings = namedtuple("ProjectSettings", "r model thetas")
+ProjectSettings = namedtuple("ProjectSettings", "r thetas")
 
 
 def project_settings(cfg: Config) -> ProjectSettings:
     r = cfg.pmf("truth")
     if cfg.get("model", "preset", str.strip, default="mean") != "mean":
         raise ConfigInvalid("project supports the mean preset only")
-    thetas = cfg.get("model", "theta_grid", _floats, default=None)
-    if thetas is None:
-        thetas = [cfg.get("model", "theta", _float)]
+    thetas = cfg.get("model", "theta_grid", _floats)
     if not thetas:
         raise ConfigInvalid("empty [model] theta_grid")
-    return ProjectSettings(r, mean_model(), thetas)
+    return ProjectSettings(r, thetas)
 
 
 _PRESETS = {"mean": mean_model, "linear": linear_model}
-_ESTIMATES = {
-    "el": el_estimate, "et": et_estimate, "euclidean": euclidean_estimate, "cr": cr_estimate,
-}
+# each method's Cressie-Read gamma (None: the Euclidean closed form); cr
+# takes [model] gamma
+_GAMMAS = {"el": -1.0, "et": 0.0, "euclidean": None}
 
 
-FitSettings = namedtuple("FitSettings", "sample model method grid_points gamma")
+FitSettings = namedtuple("FitSettings", "sample model grid_points gamma")
 
 
 def fit_settings(cfg: Config) -> FitSettings:
-    """gamma is required for method cr, else None unless given."""
+    """[model] method fixes gamma, except cr, which requires [model] gamma;
+    a gamma given with another method is parsed and checked, not used."""
     obs = cfg.get("data", "observations", _floats, default=None)
     if obs is None:
         path = cfg.get("data", "file", str.strip, default=None)
@@ -281,15 +282,11 @@ def fit_settings(cfg: Config) -> FitSettings:
     if preset not in _PRESETS:
         raise ConfigInvalid(f"unknown preset {preset!r} in [model] preset")
     method = cfg.get("model", "method", str.strip, default="el")
-    if method not in _ESTIMATES:
+    if method not in _GAMMAS and method != "cr":
         raise ConfigInvalid(f"unknown method {method!r} in [model] method")
-    return FitSettings(
-        sample,
-        _PRESETS[preset](),
-        method,
-        cfg.positive("model", "grid_points", int, default=201),
-        cfg.get("model", "gamma", _float, default=_SENTINEL if method == "cr" else None),
-    )
+    grid_points = cfg.positive("model", "grid_points", int, default=GRID_POINTS)
+    gamma = cfg.get("model", "gamma", _float, default=_SENTINEL if method == "cr" else None)
+    return FitSettings(sample, _PRESETS[preset](), grid_points, _GAMMAS.get(method, gamma))
 
 
 BllnSettings = namedtuple("BllnSettings", "r prior q_idx epsilon schedule")
@@ -434,7 +431,7 @@ def validate(cfg: Config) -> list:
 
 def run_project(s: ProjectSettings, seeds) -> list:
     rows = [["theta", "feasible", "value", "lambda", "qhat"]]
-    proj = l_project_stack(s.r, s.model, np.asarray(s.thetas, dtype=float)[:, None])
+    proj = l_project_stack(s.r, mean_model(), np.asarray(s.thetas, dtype=float)[:, None])
     feasible = np.array([failure is None for failure in proj.failure])
     # the feasible rows' pmfs in one call, each bit for bit its make_pmf's
     qhats = iter(normalize_rows(s.r.support, proj.weights[feasible])[1])
@@ -448,8 +445,10 @@ def run_project(s: ProjectSettings, seeds) -> list:
 
 
 def run_fit(s: FitSettings, seeds) -> list:
-    args = (s.gamma,) if s.method == "cr" else ()
-    fit = _ESTIMATES[s.method](s.sample, s.model, *args, s.grid_points)
+    if s.gamma is None:
+        fit = euclidean_estimate(s.sample, s.model, s.grid_points)
+    else:  # at gamma = -1 and 0, the EL and ET fits and labels
+        fit = cr_estimate(s.sample, s.model, s.gamma, s.grid_points)
     rows = [["method", "profile_value"] + [f"theta_{i}" for i in range(s.model.n_params)]]
     rows.append([fit.method, fmt(fit.inner.profile_value)] + [fmt(t) for t in fit.theta_hat])
     return [("fit.csv", rows)]
@@ -514,6 +513,7 @@ RUNNERS = {
     "polya": run_polya,
     "censor": run_censor,
 }
+KINDS = tuple(RUNNERS)
 
 
 # -- entry point ----------------------------------------------------------------

@@ -98,8 +98,8 @@ class DualFit:
     lam: np.ndarray
     w: np.ndarray
     profile_value: float
-    nonnegative: bool = True
-    profile_grad: np.ndarray | None = None
+    nonnegative: bool
+    profile_grad: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -39,17 +39,18 @@ from .rng import derive_seed, rng_from
 
 @dataclass(frozen=True)
 class UrnConfig:
-    """Initial composition alpha (positive integers) and reinforcement c."""
+    """Initial composition alpha (positive integers) and reinforcement c (an
+    integer); DomainViolation for anything else."""
 
     alpha: tuple
     c: int
 
     def __post_init__(self):
-        alpha = tuple(int(a) for a in self.alpha)
+        alpha = tuple(_whole(self.alpha, "alpha").tolist())
         if not alpha or any(a < 1 for a in alpha):
             raise DomainViolation("every initial count must be a positive integer")
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "c", int(self.c))
+        object.__setattr__(self, "c", int(_whole(self.c, "c")))
 
     @property
     def n_total(self) -> int:
@@ -75,8 +76,8 @@ class PolyaPath:
     counts: tuple
 
     def __post_init__(self):
-        colors = tuple(int(i) for i in self.colors)
-        counts = tuple(int(k) for k in self.counts)
+        colors = tuple(_whole(self.colors, "colors").tolist())
+        counts = tuple(_whole(self.counts, "counts").tolist())
         if sum(counts) != len(colors):
             raise DomainViolation("counts must sum to the number of draws")
         object.__setattr__(self, "colors", colors)
@@ -90,6 +91,7 @@ class PolyaPath:
 def polya_draw(config: UrnConfig, n: int, seed: int) -> PolyaPath:
     """Draw n colors sequentially; color i has probability proportional to
     alpha_i + c * (draws of i so far)."""
+    n = int(_whole(n, "n"))
     rng = rng_from("polya.draw", seed)
     m = config.m
     weights = [float(a) for a in config.alpha]
@@ -97,7 +99,7 @@ def polya_draw(config: UrnConfig, n: int, seed: int) -> PolyaPath:
     c = float(config.c)
     colors = []
     counts = [0] * m
-    for _ in range(int(n)):
+    for _ in range(n):
         if total <= 0.0 or all(w <= 0.0 for w in weights):
             raise UrnExhausted(f"urn exhausted after {len(colors)} draws")
         pick = rng.random() * total
@@ -278,6 +280,7 @@ def rebuild_urn(r: Pmf, n: int, beta: float, c: int) -> UrnConfig:
 def apportion_counts(total: int, weights: np.ndarray) -> tuple:
     """Integer composition of ``total`` proportional to ``weights`` with
     every entry at least 1 (largest-remainder rounding)."""
+    total = int(_whole(total, "total"))
     m = weights.size
     if total < m:
         raise DomainViolation(f"cannot apportion {total} into {m} positive parts")

@@ -343,15 +343,20 @@ class EstimatingModel:
 
     The optional closed form ``du(X, theta)`` gives the Jacobian
     du/dtheta at one theta as (m, J, K); without it, the Jacobian comes from
-    central differences of u.
+    central differences of u.  ``n_params`` must equal the domain's K.
     """
 
     u: Callable[[np.ndarray, np.ndarray], np.ndarray]
     domain: ParamDomain
     n_constraints: int
     n_params: int
-    name: str = ""
     du: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.n_params != self.domain.k:
+            raise LengthMismatch(
+                f"n_params = {self.n_params}, but the domain has dimension {self.domain.k}"
+            )
 
     def u_matrix(self, points, theta) -> np.ndarray:
         """u at the given points for theta (K,) or a stack (..., K): an
@@ -402,7 +407,6 @@ def mean_model(domain: ParamDomain | None = None) -> EstimatingModel:
         domain=domain if domain is not None else ParamDomain.real_line(1),
         n_constraints=1,
         n_params=1,
-        name="mean",
         du=lambda xs, th: np.full((xs.shape[0], 1, 1), -1.0),
     )
 
@@ -427,7 +431,6 @@ def linear_model(domain: ParamDomain | None = None) -> EstimatingModel:
         domain=domain if domain is not None else ParamDomain.real_line(2),
         n_constraints=2,
         n_params=2,
-        name="linear",
         du=du,
     )
 

@@ -423,22 +423,23 @@ class _MomentProblem:
     def __init__(self, atoms, base, n: float, model: EstimatingModel, offset: float):
         self.atoms, self.base, self.n, self.model, self.offset = atoms, base, n, model, offset
 
-    def u(self, ths: np.ndarray, feasibility: str | None) -> tuple[np.ndarray, list]:
+    def u(self, ths: np.ndarray, gamma) -> tuple[np.ndarray, list]:
         """u at the atoms for each row of ``ths``, (G, m, J), and per node
-        the error class where the fit cannot exist: ThetaOutOfDomain, and
-        unless ``feasibility`` is None, InfeasibleMoment where the zero
-        moment is outside the hull of the u rows, and SupportCondition
-        where it is on the hull's boundary and ``feasibility`` is
-        "interior".  Rows outside the domain are left zero."""
+        the error class where gamma's fit cannot exist: ThetaOutOfDomain;
+        unless gamma is None (the Euclidean closed form), InfeasibleMoment
+        where the zero moment is outside the hull of the u rows; and unless
+        gamma > 0, whose fits may put zero weight on atoms, SupportCondition
+        where it is on the hull's boundary.  Rows outside the domain are
+        left zero."""
         inside = self.model.domain.contains(ths)
         umat = np.zeros((len(ths), self.base.size, self.model.n_constraints))
         umat[inside] = self.model.u_matrix(self.atoms, ths[inside])
         failure: list = [None if ok else ThetaOutOfDomain for ok in inside]
-        if feasibility is not None:
+        if gamma is not None:
             status, _ = moment_feasibility(umat)
             for i in np.flatnonzero(status == "infeasible"):
                 failure[i] = failure[i] or InfeasibleMoment
-            if feasibility == "interior":
+            if not gamma > 0.0:
                 for i in np.flatnonzero(status == "boundary"):
                     failure[i] = failure[i] or SupportCondition
         return umat, failure
@@ -451,7 +452,7 @@ class _MomentProblem:
         value n CR_gamma(q, base), or offset + n KL(base || q) at gamma = -1,
         and mu = -n lam.  For gamma > 0 the zero moment may sit on the
         hull's boundary."""
-        umat, failure = self.u(ths, "boundary" if gamma > 0.0 else "interior")
+        umat, failure = self.u(ths, gamma)
         nodes, m, j = umat.shape
         ok = np.flatnonzero([f is None for f in failure])
         value = np.full(nodes, math.inf)

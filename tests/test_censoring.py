@@ -48,9 +48,10 @@ class TestModel:
         # P(X <= Y) with ties counted as events: 0.1*0.5 + 0.9*0.8
         assert math.isclose(MODEL.alpha_unc, 0.77, rel_tol=1e-15)
 
-    def test_inconsistent_alpha_rejected(self):
-        with pytest.raises(DomainViolation):
-            CensoringModel(F0, G0, 0.5)
+    def test_alpha_derived_from_components(self):
+        model = CensoringModel(F0, G0)
+        assert model.alpha_unc == MODEL.alpha_unc
+        assert model == MODEL
 
 
 class TestGenerate:
@@ -90,6 +91,15 @@ class TestGenerate:
     def test_rejects_empty_sample(self):
         with pytest.raises(DomainViolation):
             censor_generate(MODEL, 0, seed=0)
+
+    def test_typed_errors(self):
+        # a non-integral or non-finite size is rejected, not truncated;
+        # whole numbers pass in any type
+        for n in (2.5, math.nan, math.inf):
+            with pytest.raises(DomainViolation):
+                censor_generate(MODEL, n, seed=0)
+        assert censor_generate(MODEL, 8.0, seed=0) == censor_generate(MODEL, 8, seed=0)
+        assert censor_generate(MODEL, np.int64(8), seed=0) == censor_generate(MODEL, 8, seed=0)
 
 
 class TestLoglik:

@@ -20,6 +20,8 @@ import elmap
 import elmap.cli as cli
 from elmap.cli import main
 from elmap.errors import ConfigInvalid
+from elmap.estimators import cr_estimate, el_estimate, et_estimate, euclidean_estimate
+from elmap.prob import Sample, mean_model
 
 SHIPPED = Path(__file__).parent.parent / "configs"
 SEEDED_KINDS = ["blln", "censor", "polya", "example21"]
@@ -95,6 +97,37 @@ class TestRun:
         assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
         rows = read_rows(out / "fit.csv")
         assert math.isclose(float(rows[0]["theta_0"]), 1.0, abs_tol=1e-8)
+
+    @pytest.mark.parametrize(
+        "method, extra, label, estimate",
+        [
+            ("el", "gamma = 0.5", "EL", el_estimate),  # gamma is checked, not used
+            ("et", "", "ET", et_estimate),
+            ("euclidean", "", "Euclidean", euclidean_estimate),
+            ("cr", "gamma = 0.5", "CR(0.5)", lambda s, m, g: cr_estimate(s, m, 0.5, g)),
+        ],
+    )
+    def test_fit_each_method(self, tmp_path, method, extra, label, estimate):
+        text = FIT_CFG.replace("method = el", f"method = {method}\ngrid_points = 11\n{extra}")
+        cfg = write(tmp_path, "fit.cfg", text)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+        (row,) = read_rows(out / "fit.csv")
+        fit = estimate(Sample((0.0, 1.0, 2.0, 1.0, 1.0, 0.0, 2.0, 1.0)), mean_model(), 11)
+        assert row == {
+            "method": label,
+            "profile_value": cli.fmt(fit.inner.profile_value),
+            "theta_0": cli.fmt(fit.theta_hat[0]),
+        }
+        assert math.isclose(float(row["theta_0"]), 1.0, abs_tol=1e-8)
+
+    def test_project_needs_theta_grid(self, tmp_path, capsys):
+        text = (SHIPPED / "project.cfg").read_text()
+        text = re.sub(r"(?m)^theta_grid = .*$", "theta = 0.5", text)
+        cfg = write(tmp_path, "project.cfg", text)
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert "FAIL: missing key [model] theta_grid" in capsys.readouterr().out
+        assert main(["project", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("kind", SEEDED_KINDS)
     def test_determinism_byte_identical(self, tmp_path, kind):

@@ -315,9 +315,28 @@ class TestPosteriorAndMnpl:
         for n in (2.7, math.nan):
             with pytest.raises(DomainViolation):
                 polya_counts(urn, n, 0)
+        # non-integral counts, colors, totals and draw numbers are rejected,
+        # not truncated
+        for bad in (
+            lambda: UrnConfig((1.5, 2.7), 1.9),
+            lambda: UrnConfig((1, 2), 1.9),
+            lambda: UrnConfig((1, math.nan), 1),
+            lambda: PolyaPath((0.5, 1.2), (1, 1)),
+            lambda: PolyaPath((0, 1), (0.5, 1.5)),
+            lambda: apportion_counts(5.5, np.array([0.5, 0.5])),
+            lambda: polya_draw(urn, 2.5, 0),
+            lambda: polya_draw(urn, math.nan, 0),
+        ):
+            with pytest.raises(DomainViolation):
+                bad()
         # whole numbers pass in any type
         assert polya_log_prob([1.0, 2.0], urn) == polya_log_prob(np.array([1, 2]), urn)
         assert polya_counts(urn, 2.0, 0) == polya_counts(urn, np.int64(2), 0)
+        assert UrnConfig((3.0, np.int64(4)), np.int32(1)) == urn
+        assert PolyaPath((0.0, np.int64(1)), (1.0, 1)) == PolyaPath((0, 1), (1, 1))
+        assert apportion_counts(6.0, np.array([0.5, 0.5])) == (3, 3)
+        assert apportion_counts(np.int64(6), np.array([0.5, 0.5])) == (3, 3)
+        assert polya_draw(urn, 3.0, 0) == polya_draw(urn, np.int64(3), 0) == polya_draw(urn, 3, 0)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, math.nan])
     def test_rebuild_urn_beta_outside_unit_interval(self, beta):

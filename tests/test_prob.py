@@ -420,6 +420,14 @@ class TestDomainsAndModels:
         u = m.u_matrix([(2.0, 1.0)], [0.0, 0.0])
         assert np.allclose(u, [[1.0, 2.0]])
 
+    def test_n_params_must_match_domain(self):
+        # the estimators size theta by the domain, the CLI's columns by n_params
+        for n_params, domain in ((1, ParamDomain.real_line(2)), (2, ParamDomain.box((0.0, 1.0)))):
+            with pytest.raises(LengthMismatch, match="n_params"):
+                EstimatingModel(
+                    u=mean_model().u, domain=domain, n_constraints=1, n_params=n_params
+                )
+
 
 def _in_boxes(dom, theta) -> bool:
     """Per-row membership, written out box by box."""

@@ -186,6 +186,28 @@ class TestMomentFeasibility:
         u = np.array([[-1.0, -1.0], [1.0, -1.0], [0.0, 2.0]])
         assert moment_feasibility(u)[0] == "interior"
 
+    @pytest.mark.parametrize("j", [3, 4])
+    def test_j_above_two_by_construction(self, j):
+        # Answers fixed by construction, not by another linear program:
+        # rows with a first coordinate of at least 0.1 are separated from 0
+        # by e_1; 0 is the rows' mean of the 2J rows +-e_i under any
+        # invertible map, with t = 1 / 2J, and stays interior when other
+        # rows join them; rows +-e_i (i > 1) next to rows with a positive
+        # first coordinate put 0 on a face of the hull.
+        rng = np.random.default_rng(40 + j)
+        signed = np.vstack([np.eye(j), -np.eye(j)])
+        for _ in range(10):
+            rows = rng.normal(size=(6, j))
+            rows[:, 0] = np.abs(rows[:, 0]) + 0.1
+            assert moment_feasibility(rows) == ("infeasible", 0.0), rows
+            mix = rng.normal(size=(j, j)) * 10.0 ** rng.uniform(-2, 2)
+            status, t = moment_feasibility(signed @ mix)
+            assert status == "interior" and abs(t - 1.0 / (2 * j)) <= 1e-9, (status, t)
+            extra = rng.normal(size=(3, j)) * 3.0
+            assert moment_feasibility(np.vstack([signed, extra]) @ mix)[0] == "interior"
+            face = np.vstack([signed[1:j], signed[j + 1 :], rows])
+            assert moment_feasibility(face @ mix)[0] == "boundary"
+
     @pytest.mark.parametrize("j", [0, 1, 2, 3])
     def test_stack_matches_single_calls(self, j):
         rng = np.random.default_rng(j)
@@ -253,6 +275,15 @@ class TestPlanarHull:
         assert ("t = 1e-10", "boundary") in seen and ("t = 1e-08", "interior") in seen
         assert ("collinear, both sides", "interior") in seen
         assert ("on an edge, rotated", "boundary") in seen
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-8, 3e-8, -1e-8])
+    def test_rows_just_off_a_line_through_zero(self, eps):
+        # both rows lie strictly on one side of the line y = 0, so 0 is
+        # outside their hull however small |eps| is next to the rows' length
+        u = np.array([[2.0, eps], [-1.0, eps]])
+        assert moment_feasibility(u) == ("infeasible", 0.0)
+        for angle in (0.3, 2.0, 4.5):
+            assert moment_feasibility(rotate(u, angle)) == ("infeasible", 0.0), angle
 
 
 class TestProjectOracle:
