@@ -14,6 +14,11 @@ log posterior is log_prior + counts @ log W.T, one row of W per candidate.
 Counts add exactly, so updating with one sample and then another gives
 bit-identical results to one update with both, in any observation order.
 ``log_posterior`` normalizes it and the censored and urn posteriors alike.
+
+Every decay experiment (``decay_curve`` here, the censored and the urn one
+in their modules) takes all its seeds in one call and returns a tuple with
+one ``DecayReport`` per seed; the target, the schedule and the log-mass
+table are built once per call and shared by every seed.
 """
 
 from __future__ import annotations
@@ -263,16 +268,19 @@ def decay_report(log_prior, loglik, target: tuple, schedule, seed: int) -> Decay
     )
 
 
-def decay_curve(
-    prior: PriorGrid, q_set, r: Pmf, n_schedule, seed: int
-) -> DecayReport:
+def decay_curve(prior: PriorGrid, q_set, r: Pmf, n_schedule, seeds) -> tuple:
     """Empirical decay -(1/n) log posterior-mass(Q) along one simulated
-    path, against the theoretical value min_Q L - min_grid L."""
+    path per seed, against the theoretical value min_Q L - min_grid L;
+    returns one DecayReport per seed."""
     target = decay_target(grid_l_projections(prior, r)[0], q_set)
     schedule = checkpoints(n_schedule)
-    counts = path_counts(rng_from("bayes.decay", seed), r.weights, schedule)
-    loglik = counts_loglik(prior.log_masses(r.support), counts)
-    return decay_report(prior.log_prior, loglik, target, schedule, seed)
+    table = prior.log_masses(r.support)
+    reports = []
+    for seed in (int(s) for s in seeds):
+        counts = path_counts(rng_from("bayes.decay", seed), r.weights, schedule)
+        loglik = counts_loglik(table, counts)
+        reports.append(decay_report(prior.log_prior, loglik, target, schedule, seed))
+    return tuple(reports)
 
 
 @dataclass(frozen=True)

@@ -61,10 +61,6 @@ class CensoringModel:
             raise SupportMismatch("F0 and G0 must live on the same grid")
         object.__setattr__(self, "alpha_unc", float(self.g0.weights @ np.cumsum(self.f0.weights)))
 
-    @classmethod
-    def from_components(cls, f0: Pmf, g0: Pmf) -> "CensoringModel":
-        return cls(f0, g0)
-
 
 @dataclass(frozen=True)
 class SurvivalCurve:

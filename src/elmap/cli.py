@@ -13,7 +13,9 @@ same configs.  A fit's [model] method is read as its Cressie-Read gamma (el
 -1, et 0, cr the [model] gamma; euclidean the closed form, None), and the
 run calls ``euclidean_estimate`` or ``cr_estimate`` by it.  Each run writes
 one CSV per experiment plus a manifest that records the config hash, the
-effective seeds and package versions.  Seeds run in order; given an
+effective seeds and package versions.  Each experiment takes all the
+run's seeds in one library call (the decay experiments return one
+DecayReport per seed), and rows follow the seeds in order; given an
 identical config and seeds, the CSV bodies are byte-identical run to run;
 floats print with 17 significant digits.
 """
@@ -375,7 +377,7 @@ def censor_settings(cfg: Config) -> CensorSettings:
     f0 = cfg.get("model", "f0", _floats)
     g0 = cfg.get("model", "g0", _floats)
     try:
-        model = CensoringModel.from_components(make_pmf(grid, f0), make_pmf(grid, g0))
+        model = CensoringModel(make_pmf(grid, f0), make_pmf(grid, g0))
     except ElmapError as exc:
         raise ConfigInvalid(f"bad censoring model: {exc}") from None
     cands = cfg.grid_pmfs(model.f0.support)
@@ -457,12 +459,12 @@ def run_fit(s: FitSettings, seeds) -> list:
 def run_blln(s: BllnSettings, seeds) -> list:
     rows = [["seed", "n", "target", "empirical_value", "theoretical_value"]]
     ball = blln_check(s.prior, s.r, s.epsilon, s.schedule, seeds)
-    for i, seed in enumerate(seeds):
-        rep = decay_curve(s.prior, s.q_idx, s.r, s.schedule, seed)
+    reports = decay_curve(s.prior, s.q_idx, s.r, s.schedule, seeds)
+    for rep, masses in zip(reports, ball.masses):
         for n, rate in zip(rep.checkpoints, rep.empirical_rate):
             rows.append([str(rep.seed), str(n), "Q", fmt(rate), fmt(rep.theoretical_rate)])
-        for j, n in enumerate(ball.checkpoints):
-            rows.append([str(ball.seeds[i]), str(n), "U", fmt(ball.masses[i, j]), fmt(1.0)])
+        for n, mass in zip(ball.checkpoints, masses):
+            rows.append([str(rep.seed), str(n), "U", fmt(mass), fmt(1.0)])
     return [("blln.csv", rows)]
 
 
@@ -481,8 +483,7 @@ def run_example21(s: Example21Settings, seeds) -> list:
 
 def run_polya(s: PolyaSettings, seeds) -> list:
     rows = [["seed", "n", "c", "beta", "empirical_rate", "theoretical_rate"]]
-    rep = polya_decay_experiment(s.cands, s.q_idx, s.r, s.beta, s.c, s.schedule, seeds)
-    for sub in rep.reports:
+    for sub in polya_decay_experiment(s.cands, s.q_idx, s.r, s.beta, s.c, s.schedule, seeds):
         for n, rate in zip(sub.checkpoints, sub.empirical_rate):
             rows.append(
                 [str(sub.seed), str(n), str(s.c), fmt(s.beta), fmt(rate),

@@ -14,12 +14,13 @@ the log-Gamma form must match to 1e-9 wherever both are defined, giving
 -inf or raising exactly where it does.
 The decay experiments rebuild the urn at every checkpoint so that n / N
 stays at a fixed ratio beta while the initial composition tracks a target
-distribution r; every seed shares one call's urns.  Since only the counts
-enter the scores, they draw the counts from their exact law
-(``polya_counts``); ``polya_draw``, which runs the urn one ball at a time,
-is the sequence-level reference.  The stream changed in version 0.7.0.
-Since version 0.13.0 the scores come from the log-Gamma form, so a
-checkpoint's cost does not grow with n for c >= 0.
+distribution r; every seed shares one call's urns, and the call returns
+one ``bayes.DecayReport`` per seed, as the other decay experiments do.
+Since only the counts enter the scores, they draw the counts from their
+exact law (``polya_counts``); ``polya_draw``, which runs the urn one ball
+at a time, is the sequence-level reference.  The stream changed in
+version 0.7.0.  Since version 0.13.0 the scores come from the log-Gamma
+form, so a checkpoint's cost does not grow with n for c >= 0.
 Posteriors are ``bayes.log_posterior`` under a uniform prior.
 """
 
@@ -46,11 +47,13 @@ class UrnConfig:
     c: int
 
     def __post_init__(self):
-        alpha = tuple(_whole(self.alpha, "alpha").tolist())
-        if not alpha or any(a < 1 for a in alpha):
+        alpha, c = _whole(self.alpha, "alpha"), _whole(self.c, "c")
+        if alpha.ndim != 1 or c.ndim != 0:
+            raise DomainViolation(f"need flat alpha and integer c: {self.alpha!r}, {self.c!r}")
+        if not alpha.size or alpha.min() < 1:
             raise DomainViolation("every initial count must be a positive integer")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "c", int(_whole(self.c, "c")))
+        object.__setattr__(self, "alpha", tuple(alpha.tolist()))
+        object.__setattr__(self, "c", int(c))
 
     @property
     def n_total(self) -> int:
@@ -76,8 +79,10 @@ class PolyaPath:
     counts: tuple
 
     def __post_init__(self):
-        colors = tuple(_whole(self.colors, "colors").tolist())
-        counts = tuple(_whole(self.counts, "counts").tolist())
+        colors, counts = _whole(self.colors, "colors"), _whole(self.counts, "counts")
+        if colors.ndim != 1 or counts.ndim != 1:
+            raise DomainViolation("colors and counts must be flat sequences")
+        colors, counts = tuple(colors.tolist()), tuple(counts.tolist())
         if sum(counts) != len(colors):
             raise DomainViolation("counts must sum to the number of draws")
         object.__setattr__(self, "colors", colors)
@@ -92,6 +97,8 @@ def polya_draw(config: UrnConfig, n: int, seed: int) -> PolyaPath:
     """Draw n colors sequentially; color i has probability proportional to
     alpha_i + c * (draws of i so far)."""
     n = int(_whole(n, "n"))
+    if n < 0:
+        raise DomainViolation(f"n = {n} draws: must be nonnegative")
     rng = rng_from("polya.draw", seed)
     m = config.m
     weights = [float(a) for a in config.alpha]
@@ -295,22 +302,13 @@ def apportion_counts(total: int, weights: np.ndarray) -> tuple:
     return tuple(int(b) for b in base)
 
 
-@dataclass(frozen=True)
-class PolyaDecayReport:
-    """Per-seed decay of the posterior over urn configurations."""
-
-    checkpoints: tuple
-    beta: float
-    c: int
-    reports: tuple  # one DecayReport per seed
-
-
 def polya_decay_experiment(
     grid_pmfs, q_set, r: Pmf, beta: float, c: int, n_schedule, seeds
-) -> PolyaDecayReport:
+) -> tuple:
     """Empirical -(1/n) log posterior-mass(Q), uniform prior, for urns rebuilt
     per checkpoint (once, for all seeds), against the reinforced L-divergence
-    gap of the target pmfs.  A checkpoint costs O(m) per candidate."""
+    gap of the target pmfs; returns one DecayReport per seed.  A checkpoint
+    costs O(m) per candidate."""
     grid_pmfs = list(grid_pmfs)
     target = decay_target([polya_l_divergence(q, r, beta, c) for q in grid_pmfs], q_set)
     schedule = checkpoints(n_schedule)
@@ -324,6 +322,4 @@ def polya_decay_experiment(
             counts = polya_counts(sampler, n, derive_seed("polya.decay", seed, n))
             loglik[j] = [polya_log_prob(counts, cfg) for cfg in grid]
         reports.append(decay_report(0.0, loglik, target, schedule, seed))
-    return PolyaDecayReport(
-        checkpoints=tuple(schedule), beta=float(beta), c=int(c), reports=tuple(reports)
-    )
+    return tuple(reports)

@@ -96,7 +96,7 @@ def test_criterion_01_bst_rate():
     assert abs(gap - 0.490415) <= 5e-7
     prior = make_prior_grid([CAND_A, CAND_B])
     rates = [
-        decay_curve(prior, [1], R_BIN, [5000], seed).empirical_rate[-1]
+        decay_curve(prior, [1], R_BIN, [5000], [seed])[0].empirical_rate[-1]
         for seed in SEEDS
     ]
     avg = float(np.mean(rates))
@@ -377,7 +377,7 @@ def test_criterion_08_polya():
     assert worst <= 1e-9, worst
 
     rep0 = polya_decay_experiment([CAND_A, CAND_B], [1], R_BIN, 0.5, 0, [5000], SEEDS)
-    rates0 = [r.empirical_rate[-1] for r in rep0.reports]
+    rates0 = [r.empirical_rate[-1] for r in rep0]
     gap0 = l_divergence(CAND_B, R_BIN) - l_divergence(CAND_A, R_BIN)
     assert abs(np.mean(rates0) - gap0) <= 0.05 * gap0
 
@@ -385,7 +385,7 @@ def test_criterion_08_polya():
         CAND_A, R_BIN, 0.5, 1
     )
     rep1 = polya_decay_experiment([CAND_A, CAND_B], [1], R_BIN, 0.5, 1, [5000], SEEDS)
-    rates1 = [r.empirical_rate[-1] for r in rep1.reports]
+    rates1 = [r.empirical_rate[-1] for r in rep1]
     assert abs(np.mean(rates1) - gap1) <= 0.05 * gap1
 
     for a in np.arange(1.0, 50.0, 0.5):
@@ -418,7 +418,7 @@ def test_criterion_09_censoring():
     assert worst <= 1e-6, worst
 
     grid = [1.0, 2.0, 3.0]
-    model = CensoringModel.from_components(
+    model = CensoringModel(
         make_pmf(grid, [0.5, 0.3, 0.2]), make_pmf(grid, [0.1, 0.9, 0.0])
     )
     cand_a = make_pmf(grid, [0.5, 0.3, 0.2])

@@ -139,7 +139,7 @@ class TestPerObservationOracle:
     def test_decay_curve(self):
         prior = two_grid()
         for seed in range(20):
-            rep = decay_curve(prior, [1], R_BIN, self.SCHEDULE, seed)
+            rep = decay_curve(prior, [1], R_BIN, self.SCHEDULE, [seed])[0]
             ref = self.reference(prior, [False, True], "bayes.decay", seed)
             np.testing.assert_allclose(
                 rep.empirical_rate, -ref / self.SCHEDULE, rtol=1e-11, atol=0
@@ -223,43 +223,56 @@ class TestMapMnplAgreement:
 
 class TestDecayCurve:
     def test_full_set_zero_rate(self):
-        rep = decay_curve(two_grid(), [0, 1], R_BIN, [10, 100], seed=0)
+        rep = decay_curve(two_grid(), [0, 1], R_BIN, [10, 100], [0])[0]
         assert all(abs(r) <= 1e-12 for r in rep.empirical_rate)
         assert rep.theoretical_rate == 0.0
 
     def test_rate_value(self):
         gap = l_divergence(CAND_B, R_BIN) - l_divergence(CAND_A, R_BIN)
         rates = [
-            decay_curve(two_grid(), [1], R_BIN, [5000], seed).empirical_rate[-1]
+            decay_curve(two_grid(), [1], R_BIN, [5000], [seed])[0].empirical_rate[-1]
             for seed in range(20)
         ]
         assert abs(np.mean(rates) - gap) <= 0.05 * gap
         assert math.isclose(gap, 0.490415, abs_tol=5e-7)
 
     def test_q_containing_projection_zero_rate(self):
-        rep = decay_curve(two_grid(), [0], R_BIN, [2000], seed=3)
+        rep = decay_curve(two_grid(), [0], R_BIN, [2000], [3])[0]
         assert rep.theoretical_rate == 0.0
         assert abs(rep.empirical_rate[-1]) <= 1e-3
 
     def test_projection_indices(self):
-        rep = decay_curve(two_grid(), [1], R_BIN, [100], seed=0)
+        rep = decay_curve(two_grid(), [1], R_BIN, [100], [0])[0]
         assert rep.projections == (0,)
 
     def test_infinite_rate(self):
         defective = make_pmf([0, 1], [1.0, 0.0])
         prior = make_prior_grid([CAND_A, defective])
         with pytest.raises(InfiniteRate):
-            decay_curve(prior, [1], R_BIN, [100], seed=0)
+            decay_curve(prior, [1], R_BIN, [100], [0])[0]
+
+    def test_seeds_run_independently(self):
+        schedule = [10, 100, 1000]
+        both = decay_curve(two_grid(), [1], R_BIN, schedule, [7, 31])
+        alone = [decay_curve(two_grid(), [1], R_BIN, schedule, [seed]) for seed in (7, 31)]
+        assert both == alone[0] + alone[1]
+        assert [rep.seed for rep in both] == [7, 31]
+
+    def test_no_seeds_still_checks_the_target(self):
+        assert decay_curve(two_grid(), [1], R_BIN, [100], ()) == ()
+        prior = make_prior_grid([CAND_A, make_pmf([0, 1], [1.0, 0.0])])
+        with pytest.raises(InfiniteRate):
+            decay_curve(prior, [1], R_BIN, [100], ())
 
     def test_misspecification_allowed(self):
         r = make_pmf([0, 1], [0.45, 0.55])  # not on the grid
-        rep = decay_curve(two_grid(), [1], r, [1000], seed=0)
+        rep = decay_curve(two_grid(), [1], r, [1000], [0])[0]
         assert rep.theoretical_rate > 0
 
     @pytest.mark.parametrize("schedule", [[], [0, 10], [10, -5], [10.5], [math.nan]])
     def test_rejects_bad_schedule(self, schedule):
         with pytest.raises(DomainViolation):
-            decay_curve(two_grid(), [1], R_BIN, schedule, seed=0)
+            decay_curve(two_grid(), [1], R_BIN, schedule, [0])[0]
 
     def test_rate_at_ten_million_within_clt_spread(self):
         # Per draw x the log-likelihood ratio of CAND_A to CAND_B moves by
@@ -270,7 +283,7 @@ class TestDecayCurve:
         gap = float(R_BIN.weights @ llr)
         sd = math.sqrt(float(R_BIN.weights @ (llr - gap) ** 2))
         for seed in range(5):
-            rate = decay_curve(two_grid(), [1], R_BIN, [n], seed).empirical_rate[-1]
+            rate = decay_curve(two_grid(), [1], R_BIN, [n], [seed])[0].empirical_rate[-1]
             assert abs(rate - gap) <= 6.0 * sd / math.sqrt(n) + math.log(2.0) / n
 
 
@@ -402,7 +415,7 @@ class TestTypedErrors:
     @pytest.mark.parametrize("q", [[1.9], [math.nan]])
     def test_q_index_not_whole(self, q):
         with pytest.raises(DomainViolation):
-            decay_curve(two_grid(), q, R_BIN, [10], seed=0)
+            decay_curve(two_grid(), q, R_BIN, [10], [0])[0]
 
     def test_mean_inside_excluded_band(self):
         r = make_pmf([0, 1, 2], [0.2, 0.6, 0.2])

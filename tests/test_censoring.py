@@ -34,7 +34,7 @@ from oracles import (
 GRID = [1.0, 2.0, 3.0]
 F0 = make_pmf(GRID, [0.5, 0.3, 0.2])
 G0 = make_pmf(GRID, [0.1, 0.9, 0.0])
-MODEL = CensoringModel.from_components(F0, G0)
+MODEL = CensoringModel(F0, G0)
 CAND_A = make_pmf(GRID, [0.5, 0.3, 0.2])
 CAND_B = make_pmf(GRID, [0.6, 0.3, 0.1])
 
@@ -58,7 +58,7 @@ class TestGenerate:
     def test_all_uncensored(self):
         f = make_pmf(GRID, [0.5, 0.5, 0.0])
         g = make_pmf(GRID, [0.0, 0.0, 1.0])  # censor time beyond all events
-        model = CensoringModel.from_components(f, g)
+        model = CensoringModel(f, g)
         assert model.alpha_unc == 1.0
         data = censor_generate(model, 200, seed=0)
         assert not any(o.censored for o in data)
@@ -66,7 +66,7 @@ class TestGenerate:
     def test_all_censored(self):
         f = make_pmf(GRID, [0.0, 0.0, 1.0])
         g = make_pmf(GRID, [1.0, 0.0, 0.0])
-        model = CensoringModel.from_components(f, g)
+        model = CensoringModel(f, g)
         assert model.alpha_unc == 0.0
         data = censor_generate(model, 200, seed=0)
         assert all(o.censored for o in data)
@@ -206,7 +206,7 @@ class TestCensoredDivergence:
     def test_alpha_one_reduces_to_plain_divergence(self):
         f = make_pmf(GRID, [0.5, 0.5, 0.0])
         g = make_pmf(GRID, [0.0, 0.0, 1.0])
-        model = CensoringModel.from_components(f, g)
+        model = CensoringModel(f, g)
         cand = make_pmf(GRID, [0.3, 0.4, 0.3])
         # censored integral weighted by zero; only events contribute
         assert math.isclose(
@@ -216,7 +216,7 @@ class TestCensoredDivergence:
     def test_alpha_zero_depends_on_tails_only(self):
         f = make_pmf(GRID, [0.0, 0.0, 1.0])
         g = make_pmf(GRID, [1.0, 0.0, 0.0])
-        model = CensoringModel.from_components(f, g)
+        model = CensoringModel(f, g)
         c1 = make_pmf(GRID, [0.2, 0.4, 0.4])
         c2 = make_pmf(GRID, [0.2, 0.3, 0.5])  # same tail beyond 1
         assert math.isclose(
@@ -345,7 +345,7 @@ class TestGridDivergences:
             m = int(rng.integers(1, 8))
             grid = np.sort(rng.choice(np.arange(1, 20), size=m, replace=False)).astype(float)
             f0, g0 = rows(2, m)
-            model = CensoringModel.from_components(make_pmf(grid, f0), make_pmf(grid, g0))
+            model = CensoringModel(make_pmf(grid, f0), make_pmf(grid, g0))
             prior = make_prior_grid([make_pmf(grid, w) for w in rows(int(rng.integers(1, 9)), m)])
             vals = censored_grid_divergences(prior, model)
             ref = np.array([censored_l_divergence(c, model) for c in grid_candidates(prior)])

@@ -293,6 +293,25 @@ n = 2000
         assert main(["validate", "--config", str(cfg)]) == 0
         assert len(calls) == 2
 
+    def test_blln_computes_decay_target_once_per_call(self, tmp_path, monkeypatch):
+        # once in the settings, once in the one decay_curve call for every seed
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return decay_target(*args)
+
+        decay_target = elmap.bayes.decay_target
+        monkeypatch.setattr(elmap.bayes, "decay_target", counted)
+        monkeypatch.setattr(cli, "decay_target", counted)
+        cfg = seeded_config(tmp_path, "blln", "0:3")
+        out = tmp_path / "o"
+        assert main(["blln", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(read_rows(out / "blln.csv")) == 3 * 3 * 2
+        assert len(calls) == 2
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert len(calls) == 3
+
     def test_blln_grid_support_wider_than_truth(self, tmp_path, capsys):
         cfg = write(tmp_path, "blln.cfg", BLLN_CFG.replace(
             "candidates = 0.6, 0.4 ; 0.9, 0.1",
@@ -699,3 +718,12 @@ def test_shipped_runs_leave_scipy_special_and_optimize_unloaded(tmp_path):
         for cfg in sorted(SHIPPED.glob("*.cfg"))
     )
     assert scipy_modules_after("import elmap.cli\n" + code) == "[]"
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's library example, run as written, so the documented API
+    # cannot drift from the library's
+    text = (SHIPPED.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 4

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -111,6 +112,49 @@ class TestCounts:
         # P(TV >= t) <= 2^K exp(-2 D t^2) for D draws over K outcomes; at 1e-9
         bound = math.sqrt((len(law) * math.log(2.0) - math.log(1e-9)) / (2 * self.DRAWS))
         assert tv <= bound, (tv, bound)
+
+    @pytest.mark.parametrize("alpha, c, n", [
+        ((5, 7), -1, 4), ((6, 9), -2, 3), ((4, 5, 6), -1, 4), ((6, 7, 8), -2, 3),
+    ])
+    def test_c_negative_picks_are_the_inverse_cdf(self, alpha, c, n, monkeypatch):
+        # The sampler sees chosen uniforms in place of its stream.  Each
+        # color's count must be the exact conditional law's inverse CDF at
+        # its uniform.  Uniforms 1% above a CDF step lie far beyond rounding
+        # error from it, and a sampler that shrinks its uniform by 2% picks
+        # a count one step too low there.
+        cfg = UrnConfig(alpha, c)
+        law = exact_counts_law(cfg, n)
+
+        def conditional(given):  # (counts, cdf) of the next color given the previous
+            mass = {}
+            for counts, p in law.items():
+                if counts[:len(given)] == given:
+                    mass[counts[len(given)]] = mass.get(counts[len(given)], 0.0) + p
+            ks = sorted(mass)
+            return ks, np.cumsum([mass[k] for k in ks]) / sum(mass.values())
+
+        def uniforms(cdf):  # mid-step of each count, and 1% above each inner step
+            lows = np.concatenate(([0.0], cdf[:-1]))
+            steps = [u for u in 1.01 * cdf[:-1] if u <= 0.99]
+            return [float(u) for u in 0.5 * (lows + cdf)[cdf > lows]] + steps
+
+        def picks(given):  # every uniform sequence for the colors after `given`
+            if len(given) == cfg.m - 1:
+                yield (), given + (n - sum(given),)
+                return
+            ks, cdf = conditional(given)
+            for u in uniforms(cdf):
+                k = ks[int(np.argmax(cdf > u))]
+                for rest, counts in picks(given + (k,)):
+                    yield (u,) + rest, counts
+
+        reached = set()
+        for us, want in picks(()):
+            stream = SimpleNamespace(random=iter(us).__next__)
+            monkeypatch.setattr(polya, "rng_from", lambda *labels: stream)
+            assert polya_counts(cfg, n, 0) == want, (us, want)
+            reached.add(want)
+        assert reached == {counts for counts, p in law.items() if p > 0}
 
     @given(
         alpha=st.lists(st.integers(1, 12), min_size=1, max_size=4),
@@ -338,6 +382,16 @@ class TestPosteriorAndMnpl:
         assert apportion_counts(np.int64(6), np.array([0.5, 0.5])) == (3, 3)
         assert polya_draw(urn, 3.0, 0) == polya_draw(urn, np.int64(3), 0) == polya_draw(urn, 3, 0)
 
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: UrnConfig(((1, 2), (3, 4)), 1), id="nested-alpha"),
+        pytest.param(lambda: UrnConfig((1, 2), (1, 2)), id="sequence-c"),
+        pytest.param(lambda: PolyaPath(((0, 1),), (1,)), id="nested-colors"),
+        pytest.param(lambda: polya_draw(UrnConfig((3, 4), 1), -3, 0), id="negative-n"),
+    ])
+    def test_shape_and_sign_errors_are_typed(self, call):
+        with pytest.raises(DomainViolation):
+            call()
+
     @pytest.mark.parametrize("beta", [0.0, 1.0, math.nan])
     def test_rebuild_urn_beta_outside_unit_interval(self, beta):
         with pytest.raises(DomainViolation):
@@ -396,17 +450,17 @@ class TestSlln:
 class TestDecay:
     def test_full_grid_zero_rate(self):
         rep = polya_decay_experiment([G1, G2], [0, 1], R_BIN, 0.5, 1, [200], [0])
-        assert abs(rep.reports[0].empirical_rate[-1]) <= 1e-12
+        assert abs(rep[0].empirical_rate[-1]) <= 1e-12
 
     def test_c1_rate_matches_divergence_gap(self):
         gap = polya_l_divergence(G2, R_BIN, 0.5, 1) - polya_l_divergence(G1, R_BIN, 0.5, 1)
         rep = polya_decay_experiment([G1, G2], [1], R_BIN, 0.5, 1, [5000], range(20))
-        rates = [r.empirical_rate[-1] for r in rep.reports]
+        rates = [r.empirical_rate[-1] for r in rep]
         assert abs(np.mean(rates) - gap) <= 0.05 * gap
 
     def test_c0_reproduces_iid_rate(self):
         rep = polya_decay_experiment([G1, G2], [1], R_BIN, 0.5, 0, [5000], range(20))
-        rates = [r.empirical_rate[-1] for r in rep.reports]
+        rates = [r.empirical_rate[-1] for r in rep]
         target = 0.49041462650586309
         assert abs(np.mean(rates) - target) <= 0.05 * target
 
@@ -416,9 +470,9 @@ class TestDecay:
         grid = [r, make_pmf([0, 1, 2], [0.5, 0.3, 0.2]), make_pmf([0, 1, 2], [0.2, 0.2, 0.6])]
         schedule = [20, 40, 80]
         both = polya_decay_experiment(grid, [1, 2], r, 0.1, c, schedule, [7, 31])
-        for seed, report in zip([7, 31], both.reports):
+        for seed, report in zip([7, 31], both):
             alone = polya_decay_experiment(grid, [1, 2], r, 0.1, c, schedule, [seed])
-            assert alone.reports == (report,)
+            assert alone == (report,)
 
     @pytest.mark.parametrize("seeds", [range(1), range(6)])
     def test_urns_built_once_per_checkpoint(self, seeds, monkeypatch):
@@ -445,7 +499,7 @@ class TestDecay:
         beta, seeds = 0.5, 20
         gap = polya_l_divergence(G2, R_BIN, beta, c) - polya_l_divergence(G1, R_BIN, beta, c)
         rep = polya_decay_experiment([G1, G2], [1], R_BIN, beta, c, [n], range(seeds))
-        rates = [r.empirical_rate[-1] for r in rep.reports]
+        rates = [r.empirical_rate[-1] for r in rep]
         # Per draw, a count of x moves the log-likelihood ratio of G1 to G2
         # by log((G1_x + beta c r_x) / (G2_x + beta c r_x)); reinforcement
         # inflates the count variance by (1 + beta c), and the finite urns
