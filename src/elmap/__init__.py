@@ -1,7 +1,7 @@
 """Empirical-likelihood estimation, divergence projections and exact
 finite-grid Bayesian posterior decay experiments."""
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 from .divergences import (
     cressie_read,

@@ -45,6 +45,7 @@ from .prob import (
     Pmf,
     Sample,
     _whole,
+    _whole_int,
     atom_index,
     counts_loglik,
     logsumexp,
@@ -393,7 +394,7 @@ def split_mean_prior(
     and :func:`example21` rejects configurations where they differ by more
     than 1e-6.  ``per_side`` must be a whole number of at least 1.
     """
-    per_side = int(_whole(per_side, "per_side"))
+    per_side = _whole_int(per_side, "per_side")
     if per_side < 1:
         raise DomainViolation(f"per_side = {per_side}: need at least one candidate per side")
     low = np.linspace(theta1 - spread, theta1, per_side)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bayes import PriorGrid, checkpoints, decay_report, decay_target, log_posterior
 from .errors import DomainViolation, LengthMismatch, NoEvents, SupportMismatch
-from .prob import Pmf, _whole, atom_index, counts_loglik, path_counts
+from .prob import Pmf, _whole_int, atom_index, counts_loglik, path_counts
 from .rng import rng_from
 
 
@@ -97,7 +97,7 @@ class SurvivalCurve:
 
 def censor_generate(model: CensoringModel, n: int, seed: int) -> list:
     """n observations from the mixture mechanism, deterministic in seed."""
-    n = int(_whole(n, "n"))
+    n = _whole_int(n, "n")
     if n < 1:
         raise DomainViolation(f"n = {n} must be at least 1")
     rng = rng_from("censor.generate", seed)

@@ -64,7 +64,7 @@ from .prob import (
     LIKELIHOOD_TIE,
     EstimatingModel,
     Sample,
-    _whole,
+    _whole_int,
     counts_loglik,
     log_mass_table,
     near_min,
@@ -200,7 +200,7 @@ def _euclidean(mp: _SampleProblem, ths: np.ndarray) -> ProjectionStack:
     value = n * (counts * delta**2).sum(axis=1)
     value[[f is not None for f in failure]] = math.inf
     # n sum_i delta_i^2 has derivative -2 a_i . z in w_i, so mu = 2 lam
-    return ProjectionStack(value, lam, counts * w_atom, 2.0 * lam, failure, 0)
+    return ProjectionStack(value, lam, counts * w_atom, 2.0 * lam, failure)
 
 
 def _discrepancy(mp: _SampleProblem, gamma):
@@ -240,12 +240,12 @@ def el_inner(sample: Sample, model: EstimatingModel, theta) -> DualFit:
     return _inner(sample, model, theta, -1.0)
 
 
-def tilt_dual(freq: np.ndarray, umat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def tilt_dual(freq: np.ndarray, umat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exponential tilting of freq to the zero moment: min_lam log sum_x
     freq_x exp(lam.u_x), solved by the Cressie-Read dual kernel at gamma = 0.
 
-    Returns (lam, tilted weights, KL of the tilt from freq), per node for a
-    stack of u matrices as ``dual_newton`` does.  The caller is responsible
+    Returns (lam, tilted weights, KL of the tilt from freq) per node of a
+    stack of u matrices, as ``dual_newton`` does.  The caller is responsible
     for checking that the zero moment lies strictly inside the hull of the
     u rows, otherwise the dual is unbounded below.
     """
@@ -295,7 +295,7 @@ def _estimate(sample: Sample, model: EstimatingModel, gamma, grid_points: int) -
     LIKELIHOOD_TIE of the grid minimum.  Every evaluation in the domain adds
     one (theta, value) record to the fit's trace, grid nodes in order.
     """
-    grid_points = int(_whole(grid_points, "grid_points"))
+    grid_points = _whole_int(grid_points, "grid_points")
     if grid_points < 1:
         raise DomainViolation(f"grid_points = {grid_points}: must be at least 1")
     mp = _SampleProblem(sample, model)

@@ -34,7 +34,7 @@ import numpy as np
 from .bayes import checkpoints, decay_report, decay_target, log_posterior
 from .divergences import polya_l_divergence
 from .errors import AllZeroLikelihood, DomainViolation, InfiniteRate, UrnExhausted
-from .prob import LIKELIHOOD_TIE, Pmf, _whole, near_min
+from .prob import LIKELIHOOD_TIE, Pmf, _whole, _whole_int, near_min
 from .rng import derive_seed, rng_from
 
 
@@ -96,7 +96,7 @@ class PolyaPath:
 def polya_draw(config: UrnConfig, n: int, seed: int) -> PolyaPath:
     """Draw n colors sequentially; color i has probability proportional to
     alpha_i + c * (draws of i so far)."""
-    n = int(_whole(n, "n"))
+    n = _whole_int(n, "n")
     if n < 0:
         raise DomainViolation(f"n = {n} draws: must be nonnegative")
     rng = rng_from("polya.draw", seed)
@@ -141,7 +141,7 @@ def polya_counts(config: UrnConfig, n: int, seed: int) -> tuple:
     does not grow with n for c >= 0.  Raises DomainViolation when n < 0 and
     UrnExhausted when the horizon check fails.
     """
-    n = int(_whole(n, "n"))
+    n = _whole_int(n, "n")
     if n < 0:
         raise DomainViolation(f"n = {n} draws: must be nonnegative")
     if not config.valid_for_horizon(n):
@@ -153,8 +153,6 @@ def polya_counts(config: UrnConfig, n: int, seed: int) -> tuple:
         return tuple(int(k) for k in rng.multinomial(n, rng.dirichlet(alpha / c)))
     if c == 0:
         return tuple(int(k) for k in rng.multinomial(n, alpha / config.n_total))
-    from scipy.special import gammaln
-
     steps = c * np.arange(n, dtype=float)
 
     def cum_log(a, left):  # sum_{j<k} log(a + j c), k = 0..left; zero factors give -inf
@@ -162,14 +160,14 @@ def polya_counts(config: UrnConfig, n: int, seed: int) -> tuple:
             logs = np.log(np.maximum(a + steps[:left], 0.0))
         return np.concatenate(([0.0], np.cumsum(logs)))
 
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n + 1.0)))))
     counts = []
     rest = float(config.n_total)
     left = n
     for a in alpha[:-1]:
         rest -= a
-        k = np.arange(left + 1.0)
         lp = (
-            gammaln(left + 1.0) - gammaln(k + 1.0) - gammaln(left - k + 1.0)
+            log_fact[left] - log_fact[: left + 1] - log_fact[left::-1]
             + cum_log(a, left) + cum_log(rest, left)[::-1]
         )
         cdf = np.cumsum(np.exp(lp - lp.max()))
@@ -287,7 +285,7 @@ def rebuild_urn(r: Pmf, n: int, beta: float, c: int) -> UrnConfig:
 def apportion_counts(total: int, weights: np.ndarray) -> tuple:
     """Integer composition of ``total`` proportional to ``weights`` with
     every entry at least 1 (largest-remainder rounding)."""
-    total = int(_whole(total, "total"))
+    total = _whole_int(total, "total")
     m = weights.size
     if total < m:
         raise DomainViolation(f"cannot apportion {total} into {m} positive parts")

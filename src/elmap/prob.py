@@ -72,12 +72,23 @@ def _settle_residual(w: np.ndarray) -> None:
 def _whole(values, what: str) -> np.ndarray:
     """Sizes, counts or indices as int64; DomainViolation unless each is a
     whole number.  Ints pass unconverted, integral floats are converted."""
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        raise DomainViolation(f"{what} = {values!r}: ragged, not whole numbers") from None
     if arr.dtype.kind not in "iu" and not (
         arr.dtype.kind == "f" and np.all(np.isfinite(arr) & (arr == np.trunc(arr)))
     ):
         raise DomainViolation(f"{what} = {values!r}: each must be a whole number")
     return arr.astype(np.int64, copy=False)
+
+
+def _whole_int(value, what: str) -> int:
+    """One size or count as an int; DomainViolation unless a single whole number."""
+    arr = _whole(value, what)
+    if arr.ndim:
+        raise DomainViolation(f"{what} = {value!r}: must be a single whole number")
+    return int(arr)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,8 +6,8 @@ p onto {q : sum q = 1, sum q u(x; theta) = 0}, over the multipliers (eta,
 lam) of both constraints.  Its gamma = -1 member is empirical likelihood:
 the L-projection, the minimizer of L(q || r), has q_i = r_i / (1 - lam.u_i)
 and value entropy(r) + KL(r || q); gamma = 0 is exponential tilting.  The
-kernel takes one problem or a stack of problems on one base, one per node
-of a theta grid, and runs the whole stack in lock-step.
+kernel takes a stack of problems on one base, one per node of a theta grid,
+and runs the whole stack in lock-step.
 ``moment_feasibility`` decides, per node, whether the zero moment is
 attainable: by min/max for one constraint, by a closed-form planar hull
 test for two, and by a linear program for more.
@@ -41,6 +41,7 @@ from .divergences import DivergenceSpec, entropy
 from .errors import (
     AllThetaInfeasible,
     InfeasibleMoment,
+    LengthMismatch,
     NotConverged,
     SingularConstraints,
     SupportCondition,
@@ -76,42 +77,40 @@ class ProjectionResult:
     lam: np.ndarray
     value: float
     converged: bool
-    iterations: int
     grad_norm: float
 
 
 def moment_feasibility(umat: np.ndarray):
-    """Classify whether 0 lies in the convex hull of the rows of umat.
+    """Classify, per node of a stack (G, m, J), whether 0 lies in the convex
+    hull of the node's m rows; LengthMismatch for any other shape.
 
-    Returns ("interior", t), ("boundary", t) or ("infeasible", 0): t is the
-    largest minimum weight of a hull representation of 0, so t > 0 means a
-    strictly positive representation exists, and t <= 1e-9 counts as the
-    boundary.  A stack (G, m, J) gives a (G,) array of those labels and a
-    (G,) array of t.  One constraint is decided by the sign of the extreme
-    rows (t is then 1/m inside), two by the closed form ``_planar_hull_t``,
-    and more by one linear program per node.  The closed form extends t
-    below zero outside the hull, and a t in [-1e-9, 0) (zero on the hull's
-    edge up to rounding) also counts as the boundary.
+    Returns a (G,) array of labels "interior", "boundary" or "infeasible"
+    and a (G,) array of t: t is the largest minimum weight of a hull
+    representation of 0 (0 where there is none), so t > 0 means a strictly
+    positive representation exists, and t <= 1e-9 counts as the boundary.
+    One constraint is decided by the sign of the extreme rows (t is then
+    1/m inside), two by the closed form ``_planar_hull_t``, and more by one
+    linear program per node.  The closed form extends t below zero outside
+    the hull, and a t in [-1e-9, 0) (zero on the hull's edge up to rounding)
+    also counts as the boundary.
     """
-    stacked = umat.ndim == 3
-    u = umat if stacked else umat[None]
-    nodes, m, j = u.shape
+    if umat.ndim != 3:
+        raise LengthMismatch(f"u has shape {umat.shape}: need a (G, m, J) stack")
+    nodes, m, j = umat.shape
     if j == 0:
         t = np.full(nodes, 1.0 / m)
     elif j == 1:
-        lo, hi = u[:, :, 0].min(axis=1), u[:, :, 0].max(axis=1)
+        lo, hi = umat[:, :, 0].min(axis=1), umat[:, :, 0].max(axis=1)
         inside = ((lo < 0.0) & (hi > 0.0)) | ((lo == 0.0) & (hi == 0.0))
         t = np.where(inside, 1.0 / m, np.where((lo == 0.0) | (hi == 0.0), 0.0, -np.inf))
     elif j == 2:
-        t = _planar_hull_t(u)
+        t = _planar_hull_t(umat)
     else:
-        t = np.array([_hull_lp_t(node) for node in u])
+        t = np.array([_hull_lp_t(node) for node in umat])
     tol = 1e-9
     status = np.where(t < -tol, "infeasible", np.where(t <= tol, "boundary", "interior"))
     t = np.where(t < -tol, 0.0, np.maximum(t, 0.0))
-    if stacked:
-        return status, t
-    return str(status[0]), float(t[0])
+    return status, t
 
 
 def _planar_hull_t(u: np.ndarray) -> np.ndarray:
@@ -211,30 +210,29 @@ def dual_newton(p: np.ndarray, umat: np.ndarray, gamma: float):
     and gamma = 0 is exponential tilting, z_i = eta + lam . u_i with
     q_i = p_i exp(z_i).
 
-    ``umat`` is one problem, (m, J), or a stack of G problems on the same
-    base, (G, m, J), one per node of a theta grid.  The stack runs in
-    lock-step; each node has its own Armijo step, iteration count and
-    least-squares fallback (used only where its Newton matrix is singular),
-    and leaves the stack when it stops.
+    ``umat`` is a stack of G problems on the same base, (G, m, J), one per
+    node of a theta grid; LengthMismatch for any other shape.  The stack
+    runs in lock-step; each node has its own Armijo step, iteration count
+    and least-squares fallback (used only where its Newton matrix is
+    singular), and leaves the stack when it stops.
 
-    For one problem, returns (lam, q, iterations, value) with value
-    CR_gamma(q, p); its limits are KL(p || q) at gamma = -1 and KL(q || p)
-    at gamma = 0.  It raises NotConverged when the gradient, taken with each
-    u column scaled to unit maximum, stays above 1e-8.  For a stack, returns
-    lam (G, J), q (G, m), the iterations summed over the nodes, and value
-    (G,), with value +inf (lam and q NaN) at the nodes that do not converge.
-    The caller checks that the zero moment is attainable: inside the hull
-    of the u rows for gamma <= 0, in it for gamma > 0.
+    Returns lam (G, J), q (G, m), the iterations summed over the nodes, and
+    value (G,), CR_gamma(q, p), whose limits are KL(p || q) at gamma = -1
+    and KL(q || p) at gamma = 0.  A node converges when its gradient, taken
+    with each u column scaled to unit maximum, falls to 1e-8; at the nodes
+    that do not, value is +inf and lam and q are NaN.  The caller checks
+    that the zero moment is attainable: inside the hull of the u rows for
+    gamma <= 0, in it for gamma > 0.
     """
-    stacked = umat.ndim == 3
-    u = umat if stacked else umat[None]
-    nodes, m, j = u.shape
+    if umat.ndim != 3:
+        raise LengthMismatch(f"u has shape {umat.shape}: need a (G, m, J) stack")
+    nodes, m, j = umat.shape
     # Unit-scaled constraint columns keep eta and lam on one footing.
-    scale = np.abs(u).max(axis=1, initial=0.0)
+    scale = np.abs(umat).max(axis=1, initial=0.0)
     scale[scale == 0.0] = 1.0
     amat = np.empty((nodes, m, j + 1))
     amat[:, :, 0] = 1.0
-    amat[:, :, 1:] = u / scale[:, None, :]
+    amat[:, :, 1:] = umat / scale[:, None, :]
     first = np.zeros(j + 1)
     first[0] = 1.0
     # z moves by dz_dv per unit of eta + lam . u (the tilting limit carries
@@ -343,10 +341,6 @@ def dual_newton(p: np.ndarray, umat: np.ndarray, gamma: float):
             it_end[active] = it
         gnorm = np.sqrt(rowsum(g_end * g_end, 1))
         converged = gnorm <= 1e-8
-        if not stacked and not converged[0]:
-            raise NotConverged(
-                f"Cressie-Read dual gradient {gnorm[0]:.2e} after {it_end[0]} iterations"
-            )
         q = q_end / rowsum(q_end, 1)[:, None]
         ratio = np.where(q > 0.0, q / p, 1.0)
         if gamma == -1.0:
@@ -356,8 +350,6 @@ def dual_newton(p: np.ndarray, umat: np.ndarray, gamma: float):
         else:
             value = rowsum(q * (ratio**gamma - 1.0), 1) / (gamma * (gamma + 1.0))
     lam = x_end[:, 1:] / scale
-    if not stacked:
-        return lam[0], q[0], int(it_end[0]), float(value[0])
     if not converged.all():
         lam[~converged] = np.nan
         q[~converged] = np.nan
@@ -402,15 +394,13 @@ class ProjectionStack(NamedTuple):
     error class ``failure`` holds there (None elsewhere); the dual
     multiplier; the fitted weight q_a of each atom; and the multiplier mu of
     the moment constraint in the primal Lagrangian, so that the profile's
-    gradient is sum_a q_a mu . du_a/dtheta.  ``iterations`` sums the
-    kernel's Newton iterations over the nodes."""
+    gradient is sum_a q_a mu . du_a/dtheta."""
 
     value: np.ndarray
     lam: np.ndarray
     weights: np.ndarray
     mu: np.ndarray
     failure: list
-    iterations: int
 
 
 class _MomentProblem:
@@ -458,13 +448,12 @@ class _MomentProblem:
         value = np.full(nodes, math.inf)
         lam = np.full((nodes, j), np.nan)
         q = np.full((nodes, m), np.nan)
-        iterations = 0
         if ok.size:
-            lam[ok], q[ok], iterations, v = dual_newton(self.base, umat[ok], gamma)
+            lam[ok], q[ok], _, v = dual_newton(self.base, umat[ok], gamma)
             value[ok] = (self.offset if gamma == -1.0 else 0.0) + self.n * v
         for i in ok[~np.isfinite(value[ok])]:
             failure[i] = NotConverged
-        return ProjectionStack(value, lam, q, -self.n * lam, failure, iterations)
+        return ProjectionStack(value, lam, q, -self.n * lam, failure)
 
 
 def _l_problem(r: Pmf, model: EstimatingModel) -> _MomentProblem:
@@ -497,7 +486,6 @@ def _projection_result(r: Pmf, model, th, sol: ProjectionStack, i: int) -> Proje
         lam=sol.lam[i],
         value=float(sol.value[i]),
         converged=gnorm <= GRAD_TOL,
-        iterations=sol.iterations,
         grad_norm=gnorm,
     )
 
@@ -638,8 +626,7 @@ def project_oracle(
     umat = umat_full[atoms]
     base = r.weights[atoms]
     m = int(atoms.sum())
-    status, _ = moment_feasibility(umat)
-    if status == "infeasible":
+    if moment_feasibility(umat[None])[0][0] == "infeasible":
         raise node_error(InfeasibleMoment, th)
 
     rng = rng_from("project_oracle", seed)
@@ -830,8 +817,7 @@ def profile_l_projection(
 ) -> ProfileResult:
     """Minimize the projection value over a grid of parameter points by
     ``_profile_min``, reporting every grid minimizer (``near_min``).  ``result``
-    is the search's solve at theta_star, with the grid block's iterations
-    when the refinement keeps the grid node."""
+    is the search's solve at theta_star."""
     grid = np.array([np.atleast_1d(np.asarray(t, dtype=float)) for t in theta_grid])
     steps = [(a[-1] - a[0]) / (a.size - 1) if a.size > 1 else 1.0 for a in map(np.unique, grid.T)]
     solve = functools.partial(_MomentProblem.dual, gamma=-1.0)

@@ -4,7 +4,8 @@ Streams are counter-based (Philox) and keyed by hashing an arbitrary tuple
 of labels, typically (experiment, cell, replicate).  Two streams with
 different labels are statistically independent, and a given label tuple
 yields the same stream on every platform and in any execution order, so
-each experiment cell reproduces on its own.
+each experiment cell reproduces on its own.  A numpy integer label keys
+the stream of the Python int of the same value.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ _SEP = b"\x1f"
 def _digest(parts: tuple) -> bytes:
     h = hashlib.sha256()
     for p in parts:
-        h.update(repr(p).encode())
+        h.update(repr(int(p) if isinstance(p, np.integer) else p).encode())
         h.update(_SEP)
     return h.digest()
 

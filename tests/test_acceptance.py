@@ -186,7 +186,7 @@ def test_criterion_04_el_primal_dual():
             for model, thetas in cases:
                 for th in thetas:
                     umat = model.u_matrix(list(atoms), [th])
-                    feasible = moment_feasibility(umat)[0] == "interior"
+                    feasible = moment_feasibility(umat[None])[0][0] == "interior"
                     try:
                         fit = el_inner(sample, model, [th])
                     except InfeasibleMoment:
@@ -219,12 +219,9 @@ def _population_profiles():
 
     def kl_value(th):
         umat = model.u_matrix(r.support, [th])
-        if moment_feasibility(umat)[0] != "interior":
+        if moment_feasibility(umat[None])[0][0] != "interior":
             return math.inf
-        try:
-            return tilt_dual(r.weights, umat)[2]
-        except NotConverged:
-            return math.inf
+        return tilt_dual(r.weights, umat[None])[2][0]  # +inf where it does not converge
 
     from scipy.optimize import minimize_scalar
 

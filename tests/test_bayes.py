@@ -406,6 +406,12 @@ class TestTypedErrors:
         with pytest.raises(DomainViolation):
             make_prior_grid([CAND_A, CAND_B], w)
 
+    @pytest.mark.parametrize("per_side", [[8], np.array([8])])
+    def test_split_prior_per_side_sequence(self, per_side):
+        r = make_pmf([0, 1, 2], [0.2, 0.6, 0.2])
+        with pytest.raises(DomainViolation):
+            split_mean_prior(r, 0.7, 1.3, per_side)
+
     @pytest.mark.parametrize("per_side", [0, -1, 2.5])
     def test_split_prior_per_side(self, per_side):
         r = make_pmf([0, 1, 2], [0.2, 0.6, 0.2])

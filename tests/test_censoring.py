@@ -101,6 +101,16 @@ class TestGenerate:
         assert censor_generate(MODEL, 8.0, seed=0) == censor_generate(MODEL, 8, seed=0)
         assert censor_generate(MODEL, np.int64(8), seed=0) == censor_generate(MODEL, 8, seed=0)
 
+    def test_size_must_be_one_number(self):
+        for n in ([8], np.array([8]), ((8,), (8, 8))):
+            with pytest.raises(DomainViolation):
+                censor_generate(MODEL, n, seed=0)
+
+    def test_numpy_int_seed_is_the_int(self):
+        # a seed keys its stream by value, whatever its integer type
+        for seed in (0, 3, 2**40):
+            assert censor_generate(MODEL, 20, np.int64(seed)) == censor_generate(MODEL, 20, seed)
+
 
 class TestLoglik:
     def test_uncensored_reduction(self):

@@ -706,9 +706,11 @@ def scipy_modules_after(code: str) -> str:
 
 def test_import_leaves_scipy_optimize_unloaded():
     # the linear program of moment_feasibility (J >= 3) imports scipy.optimize
-    # on use, and polya_counts for c < 0 imports scipy.special on use
+    # on use; polya_counts for c < 0 takes its log binomials from numpy
     assert scipy_modules_after("import elmap") == "[]"
     assert scipy_modules_after("import elmap.cli") == "[]"
+    draw = "from elmap.polya import UrnConfig, polya_counts\n"
+    assert scipy_modules_after(draw + "polya_counts(UrnConfig((3, 4), -1), 3, 0)") == "[]"
 
 
 def test_shipped_runs_leave_scipy_special_and_optimize_unloaded(tmp_path):

@@ -37,7 +37,12 @@ from elmap.prob import (
     mean_model,
 )
 from elmap import projection
-from elmap.projection import l_project_linear, profile_l_projection, project_oracle
+from elmap.projection import (
+    l_project_linear,
+    moment_feasibility,
+    profile_l_projection,
+    project_oracle,
+)
 from elmap.divergences import DivergenceSpec
 
 from oracles import el_primal_bruteforce, fit_pmf
@@ -251,7 +256,7 @@ class TestEtEstimate:
             sup = np.sort(rng.normal(size=m) * 2.0)
             cols = [sup - qstar @ sup, sup**2 - qstar @ sup**2]
             umat = np.stack(cols[:j], axis=1)
-            lam, pi, kl = tilt_dual(freq, umat)
+            lam, pi, kl = (out[0] for out in tilt_dual(freq, umat[None]))
 
             def logz(la, freq=freq, umat=umat):
                 e = umat @ la
@@ -534,6 +539,12 @@ class TestGridPoints:
                 estimate(S012, mean_model(domain), grid_points)
 
     @pytest.mark.parametrize("estimate", _ESTIMATES.values(), ids=_ESTIMATES)
+    def test_sequence_rejected(self, estimate):
+        for grid_points in ([21], np.array([21])):
+            with pytest.raises(DomainViolation):
+                estimate(S012, mean_model(), grid_points)
+
+    @pytest.mark.parametrize("estimate", _ESTIMATES.values(), ids=_ESTIMATES)
     def test_integral_float_is_the_int(self, estimate):
         model = mean_model(ParamDomain.box((1.5, 3.0)))
         f_float, f_int = (estimate(S012, model, g) for g in (21.0, np.int64(21)))
@@ -790,6 +801,43 @@ class TestRootCertificate:
                     finite += 1
                     assert fit.inner.profile_value <= value, (th, value)
             assert finite > 0
+
+    @staticmethod
+    def _root_samples(rng):
+        """(label, sample, model): constant, two-atom and random samples on
+        the mean preset, and random samples on the linear preset, at scales
+        from 1e-3 to 1e3."""
+        for _ in range(60):
+            scale = 10.0 ** rng.uniform(-3, 3)
+            shift = scale * rng.normal() * 10.0 ** rng.uniform(-1, 2)
+            n = int(rng.integers(2, 200))
+            pair = shift + scale * rng.normal(size=2)
+            yield "constant", Sample((float(pair[0]),) * n), mean_model()
+            two = np.concatenate([pair, rng.choice(pair, n)])
+            yield "two-atom", Sample(tuple(two.tolist())), mean_model()
+            obs = shift + scale * np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+            yield "random", Sample(tuple(obs)), mean_model()
+            x = shift + scale * np.round(rng.normal(size=n + 2), 1)
+            y = 0.3 + 0.7 * x + scale * rng.normal(size=n + 2)
+            yield "linear", Sample(tuple(zip(x, y))), linear_model()
+
+    def test_every_root_in_the_domain_is_interior(self):
+        # At a root the frequencies, all positive, meet the sample equations,
+        # so the hull test should class the node interior: from the start
+        # _estimate takes (the middle of the data range) and from a random one
+        rng = np.random.default_rng(29)
+        seen = dict.fromkeys(("constant", "two-atom", "random", "linear"), 0)
+        for label, sample, model in self._root_samples(rng):
+            mp = _SampleProblem(sample, model)
+            k = model.domain.k
+            for start in (np.full(k, (mp.atoms.min() + mp.atoms.max()) / 2), rng.normal(size=k)):
+                root = mp.root(start)
+                if root is None:
+                    continue
+                status, _ = moment_feasibility(model.u_matrix(mp.atoms, root[None]))
+                assert status[0] == "interior", (label, mp.atoms, mp.base, root)
+                seen[label] += 1
+        assert min(seen.values()) >= 60, seen
 
 
 def _gradient_cases(name, rng):

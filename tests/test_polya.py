@@ -174,6 +174,13 @@ class TestCounts:
         assert polya_counts(cfg, n, seed) == counts
         assert polya_counts(UrnConfig(alpha[:1], c), n, seed) == (n,)
 
+    @pytest.mark.parametrize("c", [-2, -1, 0, 1])
+    def test_numpy_int_seed_is_the_int(self, c):
+        # a seed keys its stream by value, whatever its integer type
+        cfg = UrnConfig((7, 9, 8), c)
+        assert polya_counts(cfg, 3, np.int64(3)) == polya_counts(cfg, 3, 3)
+        assert polya_draw(cfg, 3, np.int64(3)) == polya_draw(cfg, 3, 3)
+
     @pytest.mark.parametrize("c", [-1, 0, 1])
     def test_negative_n_rejected(self, c):
         with pytest.raises(DomainViolation):
@@ -387,6 +394,12 @@ class TestPosteriorAndMnpl:
         pytest.param(lambda: UrnConfig((1, 2), (1, 2)), id="sequence-c"),
         pytest.param(lambda: PolyaPath(((0, 1),), (1,)), id="nested-colors"),
         pytest.param(lambda: polya_draw(UrnConfig((3, 4), 1), -3, 0), id="negative-n"),
+        pytest.param(lambda: UrnConfig(((1, 2), (3,)), 1), id="ragged-alpha"),
+        pytest.param(lambda: PolyaPath(((0, 1), (1,)), (1, 1)), id="ragged-colors"),
+        pytest.param(lambda: polya_draw(UrnConfig((3, 4), 1), [2], 0), id="sequence-n-draw"),
+        pytest.param(lambda: polya_counts(UrnConfig((3, 4), 1), np.array([2]), 0),
+                     id="sequence-n-counts"),
+        pytest.param(lambda: apportion_counts([6], np.array([0.5, 0.5])), id="sequence-total"),
     ])
     def test_shape_and_sign_errors_are_typed(self, call):
         with pytest.raises(DomainViolation):

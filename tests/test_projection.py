@@ -11,6 +11,7 @@ from elmap.divergences import DivergenceSpec, cressie_read, entropy, l_divergenc
 from elmap.errors import (
     AllThetaInfeasible,
     InfeasibleMoment,
+    LengthMismatch,
     NotConverged,
     SupportCondition,
     ThetaOutOfDomain,
@@ -55,6 +56,19 @@ def random_instance(rng, m=None, j=None):
     model = EstimatingModel(u=u, domain=ParamDomain.real_line(1),
                             n_constraints=j, n_params=1)
     return make_pmf(sup, w / w.sum()), model
+
+
+def feasibility(umat):
+    """``moment_feasibility`` on a stack of one: the node's label and t."""
+    status, t = moment_feasibility(umat[None])
+    return status[0], t[0]
+
+
+def solve_one(p, umat, gamma):
+    """``dual_newton`` on a stack of one: the node's lam, q, iterations and
+    value (+inf, with lam and q NaN, where it does not converge)."""
+    lam, q, iterations, value = dual_newton(p, umat[None], gamma)
+    return lam[0], q[0], iterations, value[0]
 
 
 class TestSolveLambda:
@@ -174,17 +188,17 @@ class TestLProjectLinear:
 
 class TestMomentFeasibility:
     def test_interior(self):
-        assert moment_feasibility(np.array([[-1.0], [1.0]]))[0] == "interior"
+        assert feasibility(np.array([[-1.0], [1.0]]))[0] == "interior"
 
     def test_boundary(self):
-        assert moment_feasibility(np.array([[0.0], [1.0]]))[0] == "boundary"
+        assert feasibility(np.array([[0.0], [1.0]]))[0] == "boundary"
 
     def test_infeasible(self):
-        assert moment_feasibility(np.array([[0.5], [1.0]]))[0] == "infeasible"
+        assert feasibility(np.array([[0.5], [1.0]]))[0] == "infeasible"
 
     def test_j2_interior(self):
         u = np.array([[-1.0, -1.0], [1.0, -1.0], [0.0, 2.0]])
-        assert moment_feasibility(u)[0] == "interior"
+        assert feasibility(u)[0] == "interior"
 
     @pytest.mark.parametrize("j", [3, 4])
     def test_j_above_two_by_construction(self, j):
@@ -199,14 +213,14 @@ class TestMomentFeasibility:
         for _ in range(10):
             rows = rng.normal(size=(6, j))
             rows[:, 0] = np.abs(rows[:, 0]) + 0.1
-            assert moment_feasibility(rows) == ("infeasible", 0.0), rows
+            assert feasibility(rows) == ("infeasible", 0.0), rows
             mix = rng.normal(size=(j, j)) * 10.0 ** rng.uniform(-2, 2)
-            status, t = moment_feasibility(signed @ mix)
+            status, t = feasibility(signed @ mix)
             assert status == "interior" and abs(t - 1.0 / (2 * j)) <= 1e-9, (status, t)
             extra = rng.normal(size=(3, j)) * 3.0
-            assert moment_feasibility(np.vstack([signed, extra]) @ mix)[0] == "interior"
+            assert feasibility(np.vstack([signed, extra]) @ mix)[0] == "interior"
             face = np.vstack([signed[1:j], signed[j + 1 :], rows])
-            assert moment_feasibility(face @ mix)[0] == "boundary"
+            assert feasibility(face @ mix)[0] == "boundary"
 
     @pytest.mark.parametrize("j", [0, 1, 2, 3])
     def test_stack_matches_single_calls(self, j):
@@ -215,7 +229,7 @@ class TestMomentFeasibility:
         stack[::7] = 0.0
         status, t = moment_feasibility(stack)
         for node, s, tk in zip(stack, status, t):
-            assert moment_feasibility(node) == (s, tk)
+            assert feasibility(node) == (s, tk)
 
 
 def rotate(u, angle, scale=1.0):
@@ -261,7 +275,7 @@ class TestPlanarHull:
     def test_matches_linear_program(self):
         seen = set()
         for label, u in hull_cases():
-            status, t = moment_feasibility(u)
+            status, t = feasibility(u)
             t_lp = hull_lp_t(u)
             want = "infeasible" if t_lp == -math.inf else "boundary" if t_lp <= 1e-9 else "interior"
             assert status == want, (label, u, t, t_lp)
@@ -281,9 +295,9 @@ class TestPlanarHull:
         # both rows lie strictly on one side of the line y = 0, so 0 is
         # outside their hull however small |eps| is next to the rows' length
         u = np.array([[2.0, eps], [-1.0, eps]])
-        assert moment_feasibility(u) == ("infeasible", 0.0)
+        assert feasibility(u) == ("infeasible", 0.0)
         for angle in (0.3, 2.0, 4.5):
-            assert moment_feasibility(rotate(u, angle)) == ("infeasible", 0.0), angle
+            assert feasibility(rotate(u, angle)) == ("infeasible", 0.0), angle
 
 
 class TestProjectOracle:
@@ -389,9 +403,9 @@ class TestCrDual:
                 r, model = random_law(rng, m), mean_model()
                 theta = [float(r.support[0] + rng.uniform(0.1, 0.9) * np.ptp(r.support))]
             umat = model.u_matrix(r.support, theta)
-            if moment_feasibility(umat)[0] != "interior":
+            if feasibility(umat)[0] != "interior":
                 continue
-            lam, q, _, value = dual_newton(r.weights, umat, gamma)
+            lam, q, _, value = solve_one(r.weights, umat, gamma)
             try:
                 orc = project_oracle(
                     r, model, theta, DivergenceSpec.cr(gamma), restarts=1, outer=6, inner=150
@@ -414,7 +428,7 @@ class TestCrDual:
             x, p = r.support, r.weights
             theta = x[0] + rng.uniform(0.05, 0.5) * (r.mean() - x[0])
             umat = (x - theta)[:, None]
-            lam, q, _, value = dual_newton(p, umat, gamma)
+            lam, q, _, value = solve_one(p, umat, gamma)
             assert abs(q.sum() - 1.0) <= 1e-12
             assert abs(q @ umat[:, 0]) <= 1e-12
             assert np.all(q >= 0.0)
@@ -442,7 +456,7 @@ class TestCrDual:
         p = np.asarray(raw[: x.size]) / sum(raw[: x.size])
         theta = x[0] + frac * np.ptp(x)
         umat = (x - theta)[:, None]
-        lam, q, _, value = dual_newton(p, umat, gamma)
+        lam, q, _, value = solve_one(p, umat, gamma)
         assert np.all(q >= 0.0) and abs(q.sum() - 1.0) <= 1e-12
         assert abs(q @ umat[:, 0]) <= 1e-10 * np.abs(umat).max()
         spec = DivergenceSpec.kl() if gamma == 0.0 else DivergenceSpec.cr(gamma)
@@ -464,7 +478,7 @@ class TestCrDual:
         x = np.array([0.0, 1.0, 2.0])
         for offset in np.concatenate([[4.55e-5], np.linspace(1e-6, 1e-4, 60)]):
             umat = (x - (freq @ x + offset))[:, None]
-            lam, q, iterations, kl = dual_newton(freq, umat, 0.0)
+            lam, q, iterations, kl = solve_one(freq, umat, 0.0)
             assert iterations <= 10
             assert abs(q @ umat[:, 0]) <= 1e-15
             tilt = freq * np.exp(umat[:, 0] * lam[0])
@@ -473,7 +487,7 @@ class TestCrDual:
     def test_unconstrained_returns_base(self):
         p = np.array([0.2, 0.3, 0.5])
         for gamma in (-2.0, 0.0, 1.0):
-            lam, q, _, value = dual_newton(p, np.zeros((3, 0)), gamma)
+            lam, q, _, value = solve_one(p, np.zeros((3, 0)), gamma)
             assert lam.size == 0 and np.allclose(q, p, atol=1e-15) and abs(value) <= 1e-15
 
 
@@ -495,6 +509,25 @@ def near_boundary_draws(count):
         yield p, np.column_stack([x - qs @ x, x**2 - qs @ x**2])[:, :j]
 
 
+class TestStackOnly:
+    """The kernel and the hull test take (G, m, J) stacks and nothing else."""
+
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 1, 3, 1), (3,)])
+    def test_other_shapes_raise(self, shape):
+        umat = np.linspace(-1.0, 1.0, 3).reshape(shape)
+        with pytest.raises(LengthMismatch):
+            moment_feasibility(umat)
+        with pytest.raises(LengthMismatch):
+            dual_newton(np.full(3, 1.0 / 3.0), umat, -1.0)
+
+    def test_a_node_that_does_not_converge_is_inf_not_raised(self):
+        # gamma = -1 with zero outside the hull: the dual runs off to the
+        # hull's edge and never meets the gradient tolerance
+        umat = np.array([[[0.5], [1.0], [2.0]]])
+        lam, q, _, value = dual_newton(np.full(3, 1.0 / 3.0), umat, -1.0)
+        assert value[0] == math.inf and np.isnan(q).all() and np.isnan(lam).all()
+
+
 class TestNearBoundary:
     # 1906 and 2111 ran the former EL-only Newton into its iteration cap;
     # 1632, 2320 and 2865 (m = 3, J = 2, hull margin about 1e-6) stall a
@@ -505,7 +538,7 @@ class TestNearBoundary:
     @pytest.mark.parametrize("draw", DRAWS)
     def test_empirical_likelihood_converges(self, draw):
         p, umat = next(itertools.islice(near_boundary_draws(draw + 1), draw, None))
-        lam, q, iterations, value = dual_newton(p, umat, -1.0)
+        lam, q, iterations, value = solve_one(p, umat, -1.0)
         assert iterations < 200
         assert abs(q.sum() - 1.0) <= 1e-12
         assert np.max(np.abs(q @ umat)) <= 1e-12
@@ -514,16 +547,17 @@ class TestNearBoundary:
 
 
 def assert_stack_matches_single_calls(p, stack, gamma):
-    """dual_newton on the stack against one call per node: q, lam and the
-    value to 1e-12 relative, +inf exactly where a single call raises, and,
-    when every node converges, the iterations summed over the nodes."""
+    """dual_newton on the stack against its stacks of one, node by node: q,
+    lam and the value to 1e-12 relative, +inf (lam and q NaN) exactly where
+    a stack of one does not converge, and, when every node converges, the
+    iterations summed over the nodes."""
     lam, q, iterations, value = dual_newton(p, stack, gamma)
     assert lam.shape == stack.shape[::2] and q.shape == stack.shape[:2]
     total = 0
     for g, node in enumerate(stack):
-        try:
-            lam1, q1, it1, value1 = dual_newton(p, node, gamma)
-        except NotConverged:
+        lam1, q1, it1, value1 = solve_one(p, node, gamma)
+        if value1 == math.inf:
+            assert np.isnan(q1).all() and np.isnan(lam1).all()
             assert value[g] == math.inf and np.isnan(q[g]).all() and np.isnan(lam[g]).all()
             total = None
             continue
@@ -577,7 +611,7 @@ class TestStackedKernel:
         assert np.max(np.abs(qh @ umat)) <= 1e-12
         assert np.all(qh > 0.0)
         assert abs(value[1] - float(p @ np.log(p / qh))) <= 1e-12
-        assert dual_newton(p, umat, -1.0)[2] < 200
+        assert dual_newton(p, umat[None], -1.0)[2] < 200
         assert_stack_matches_single_calls(p, stack, -1.0)
 
 
@@ -672,7 +706,7 @@ class TestProfile:
         assert refinement > 0 and calls == blocks + [1] * refinement
         monkeypatch.setattr(_MomentProblem, "dual", dual)
         fresh = l_project_linear(r, mean_model(), prof.theta_star)
-        for field in ("lam", "value", "converged", "iterations", "grad_norm"):
+        for field in ("lam", "value", "converged", "grad_norm"):
             assert np.array_equal(getattr(prof.result, field), getattr(fresh, field)), field
         assert np.array_equal(prof.result.qhat.weights, fresh.qhat.weights)
 
@@ -694,7 +728,7 @@ def _table_solve(mp, ths):
     value = np.array([mp.table.get(tuple(t), math.inf) for t in ths.tolist()])
     failure = [None if math.isfinite(v) else InfeasibleMoment for v in value]
     zeros = np.zeros((len(ths), 1))
-    return ProjectionStack(value, zeros, zeros, zeros, failure, 0)
+    return ProjectionStack(value, zeros, zeros, zeros, failure)
 
 
 HALVES = ParamDomain.union(ParamDomain.box((-math.inf, 0.7)), ParamDomain.box((1.3, math.inf)))
